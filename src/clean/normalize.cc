@@ -133,7 +133,14 @@ Result<double> ParseNumber(const std::string& text) {
   if (end == nullptr || end == cleaned.c_str() || *end != '\0') {
     return Status::TypeError("cannot parse number from '" + text + "'");
   }
-  return v * multiplier;
+  // strtod also reads "nan", "inf" and overflowing exponents. A
+  // non-finite cell would pass the domain check, compare equal to every
+  // number and break the JSON wire format, so it is no number at all.
+  v *= multiplier;
+  if (!std::isfinite(v)) {
+    return Status::TypeError("non-finite number from '" + text + "'");
+  }
+  return v;
 }
 
 Result<Value> ParseDate(const std::string& text) {
@@ -195,6 +202,9 @@ Result<Value> NormalizeCell(const std::string& raw, DataType expected,
       if (!n.ok()) return Value::Null();  // unparseable -> reject cell
       double v = n.value();
       if (domain != nullptr && !domain->Admits(v)) return Value::Null();
+      // llround is undefined past the int64 range (it yields INT64_MIN).
+      const double limit = std::ldexp(1.0, 63);
+      if (!(v >= -limit && v < limit)) return Value::Null();
       return Value::Int(static_cast<int64_t>(std::llround(v)));
     }
     case DataType::kDouble: {

@@ -42,7 +42,8 @@ std::vector<std::string> SplitList(const std::string& completion);
 
 /// Parses a noisily-formatted number: "1,234,567", "1.2k", "3M", "2
 /// million", "about 120", "~45", "$300". Returns an error when no numeric
-/// reading exists.
+/// reading exists, and for NaN and infinities ("nan", "inf", "1e999"), so
+/// no cell ever holds a non-finite number.
 Result<double> ParseNumber(const std::string& text);
 
 /// Parses a date in any of the formats the models emit: "1962-08-04",
@@ -57,7 +58,8 @@ Result<bool> ParseBool(const std::string& text);
 ///
 ///  * "Unknown" -> NULL;
 ///  * expected numeric types run ParseNumber and the domain check,
-///    returning NULL when the value is rejected;
+///    returning NULL when the value is rejected (INT64 also rejects
+///    numbers outside the int64 range);
 ///  * dates run ParseDate; booleans ParseBool;
 ///  * strings are trimmed with trailing punctuation removed.
 Result<Value> NormalizeCell(const std::string& raw, DataType expected,

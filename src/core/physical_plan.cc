@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "core/llm_operators.h"
 #include "core/materialisation_cache.h"
+#include "engine/expr_eval.h"
 #include "engine/operators.h"
 
 namespace galois::core {
@@ -80,6 +81,38 @@ void FinishRelationalOp(PhysicalNode* node, size_t rows) {
   if (node == nullptr) return;
   node->stats.executed = true;
   node->stats.rows = static_cast<int64_t>(rows);
+}
+
+/// `c` as a key of the join whose left input is columns [0, split) of
+/// `schema` and whose right input is columns [split, end): an `=` between
+/// two column refs that resolve in `schema` — the way the filter over it
+/// resolves them — one into each input.
+std::optional<engine::JoinKey> AsJoinKey(const sql::Expr& c,
+                                         const Schema& schema, size_t split,
+                                         size_t end) {
+  if (c.kind != sql::ExprKind::kBinary || c.binary_op != sql::BinaryOp::kEq) {
+    return std::nullopt;
+  }
+  const sql::Expr& a = *c.children[0];
+  const sql::Expr& b = *c.children[1];
+  if (a.kind != sql::ExprKind::kColumnRef ||
+      b.kind != sql::ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  auto ia = schema.ResolveQualified(a.table, a.column);
+  auto ib = schema.ResolveQualified(b.table, b.column);
+  if (!ia.ok() || !ib.ok()) return std::nullopt;
+  const size_t lo = std::min(ia.value(), ib.value());
+  const size_t hi = std::max(ia.value(), ib.value());
+  if (lo >= split || hi < split || hi >= end) return std::nullopt;
+  return engine::JoinKey{lo, hi - split};
+}
+
+/// Appends "ci.country = co.name" (Expr::ToString would parenthesise),
+/// AND-separated from the keys already in `text`.
+void AppendKeyText(const sql::Expr& key, std::string* text) {
+  if (!text->empty()) *text += " AND ";
+  *text += key.children[0]->ToString() + " = " + key.children[1]->ToString();
 }
 
 std::string FilterText(const llm::PromptFilter& f) {
@@ -321,27 +354,108 @@ Result<PhysicalPlan> PhysicalPlan::Compile(planner::PlanNodePtr plan,
   }
 
   // --- join chain -------------------------------------------------------
-  PhysicalNode* top = p.groups_[0].top;
-  for (size_t i = 0; i < join_logicals.size(); ++i) {
-    const PlanNode* j = join_logicals[i];
-    std::string label;
-    if (!j->predicate) {
-      label = "CrossJoin";
-    } else if (j->join_type == sql::JoinType::kLeft) {
-      label = "LeftOuterJoin ON " + j->predicate->ToString();
-    } else {
-      label = "NestedLoopJoin ON " + j->predicate->ToString();
+  // Each join's hash keys (see the class comment). A predicate that can
+  // fail on some row must keep seeing every row it saw before: an ON
+  // clause gives up keys only when it cannot fail, and since a WHERE key
+  // drops pairs before every later join, it moves onto a comma join only
+  // when the WHERE residual and all later ON clauses cannot fail.
+  const size_t n_joins = join_logicals.size();
+  const sql::Expr* where =
+      where_filter != nullptr ? where_filter->residual.get() : nullptr;
+  std::vector<JoinStep> steps(n_joins);
+  std::vector<std::string> key_labels(n_joins);
+  std::vector<const sql::Expr*> where_rest;  // WHERE conjuncts not keys
+  bool where_keyed = false;  // some WHERE conjunct became a join key
+  if (n_joins > 0) {
+    // Join i joins columns [0, bounds[i]) of `joined` — the first i + 1
+    // groups — with groups_[i + 1], columns [bounds[i], bounds[i + 1]).
+    // While join i is added, `joined` is its output, which its ON clause
+    // is evaluated on; at the end it is what the WHERE residual sees.
+    GALOIS_ASSIGN_OR_RETURN(Schema joined, GroupSchema(p.groups_[0]));
+    std::vector<size_t> bounds{joined.size()};
+    size_t first_keyable = 0;  // WHERE keys may move onto joins from here
+    for (size_t i = 0; i < n_joins; ++i) {
+      GALOIS_ASSIGN_OR_RETURN(Schema right, GroupSchema(p.groups_[i + 1]));
+      for (const Column& c : right.columns()) joined.AddColumn(c);
+      bounds.push_back(joined.size());
+      const sql::Expr* on = join_logicals[i]->predicate.get();
+      if (on == nullptr) continue;
+      if (!engine::EvalCannotFail(*on, joined)) {
+        first_keyable = i + 1;
+        continue;
+      }
+      std::vector<const sql::Expr*> conjuncts;
+      std::vector<const sql::Expr*> rest;
+      sql::FlattenConjuncts(on, &conjuncts);
+      for (const sql::Expr* c : conjuncts) {
+        auto key = AsJoinKey(*c, joined, bounds[i], bounds[i + 1]);
+        if (!key.has_value()) {
+          rest.push_back(c);
+          continue;
+        }
+        steps[i].keys.push_back(*key);
+        AppendKeyText(*c, &key_labels[i]);
+      }
+      if (!steps[i].keys.empty()) {
+        steps[i].extra = sql::CloneConjunction(rest);
+      }
     }
-    PhysicalNode* node = p.NewNode(std::move(label));
-    node->children.push_back(top);
-    node->children.push_back(p.groups_[i + 1].top);
-    p.joins_.push_back({j, node});
-    top = node;
+    if (where != nullptr && engine::EvalCannotFail(*where, joined)) {
+      std::vector<const sql::Expr*> conjuncts;
+      sql::FlattenConjuncts(where, &conjuncts);
+      for (const sql::Expr* c : conjuncts) {
+        bool keyed = false;
+        for (size_t i = first_keyable; i < n_joins && !keyed; ++i) {
+          if (join_logicals[i]->predicate) continue;
+          auto key = AsJoinKey(*c, joined, bounds[i], bounds[i + 1]);
+          if (!key.has_value()) continue;
+          steps[i].keys.push_back(*key);
+          AppendKeyText(*c, &key_labels[i]);
+          keyed = true;
+        }
+        if (keyed) {
+          where_keyed = true;
+        } else {
+          where_rest.push_back(c);
+        }
+      }
+    }
   }
 
+  PhysicalNode* top = p.groups_[0].top;
+  for (size_t i = 0; i < n_joins; ++i) {
+    const PlanNode* j = join_logicals[i];
+    JoinStep& step = steps[i];
+    step.logical = j;
+    const bool left = j->join_type == sql::JoinType::kLeft;
+    std::string label;
+    if (!step.keys.empty()) {
+      label = std::string(left ? "LeftOuterHashJoin ON " : "HashJoin ON ") +
+              key_labels[i];
+      if (step.extra) {
+        label += " (per-pair check " + step.extra->ToString() + ")";
+      }
+    } else if (!j->predicate) {
+      label = "CrossJoin";
+    } else {
+      label = std::string(left ? "LeftOuterJoin ON " : "NestedLoopJoin ON ") +
+              j->predicate->ToString();
+    }
+    step.node = p.NewNode(std::move(label));
+    step.node->children.push_back(top);
+    step.node->children.push_back(p.groups_[i + 1].top);
+    top = step.node;
+  }
+  p.joins_ = std::move(steps);
+
   // --- relational tail --------------------------------------------------
-  if (where_filter != nullptr && where_filter->residual != nullptr) {
-    p.residual_ = where_filter->residual.get();
+  // The WHERE residual minus the conjuncts that became join keys.
+  p.residual_ = where;
+  if (where_keyed) {
+    p.residual_storage_ = sql::CloneConjunction(where_rest);
+    p.residual_ = p.residual_storage_.get();
+  }
+  if (p.residual_ != nullptr) {
     p.filter_node_ = p.NewNode("Filter " + p.residual_->ToString());
     p.filter_node_->children.push_back(top);
     top = p.filter_node_;
@@ -407,10 +521,23 @@ Result<PhysicalPlan> PhysicalPlan::Compile(planner::PlanNodePtr plan,
   return p;
 }
 
+Result<Schema> PhysicalPlan::GroupSchema(const TableGroup& group) {
+  if (!group.from_llm) return group.def->ToSchema(group.alias);
+  GALOIS_ASSIGN_OR_RETURN(size_t key_idx, group.def->KeyIndex());
+  const catalog::ColumnDef& key = group.def->columns[key_idx];
+  Schema schema;
+  schema.AddColumn(Column(key.name, key.type, group.alias));
+  for (const catalog::ColumnDef* col : group.needed_columns) {
+    schema.AddColumn(Column(col->name, col->type, group.alias));
+  }
+  return schema;
+}
+
 Result<Relation> PhysicalPlan::MaterialiseDb(TableGroup& group) {
   GALOIS_ASSIGN_OR_RETURN(const Relation* instance,
                           catalog_->GetInstance(group.def->name));
-  Relation rel(group.def->ToSchema(group.alias), instance->rows());
+  GALOIS_ASSIGN_OR_RETURN(Schema schema, GroupSchema(group));
+  Relation rel(std::move(schema), instance->rows());
   FinishRelationalOp(group.scan_node, rel.rows().size());
   return rel;
 }
@@ -596,12 +723,8 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   // the sequential ladder below is the paper prototype's order. Either
   // way, retrieval bills through one per-operator tap and verification
   // through another, so the DAG attributes their spend separately.
-  Schema schema;
-  schema.AddColumn(Column(key_col.name, key_col.type, group.alias));
-  for (const catalog::ColumnDef* col : group.needed_columns) {
-    schema.AddColumn(Column(col->name, col->type, group.alias));
-  }
-  Relation rel(schema);
+  GALOIS_ASSIGN_OR_RETURN(Schema schema, GroupSchema(group));
+  Relation rel(std::move(schema));
   llm::CostTap retrieve_tap(model);
   llm::CostTap cell_verify_tap(model);
   std::vector<std::vector<Value>> columns;
@@ -843,9 +966,14 @@ Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
   // statement-driven engine path (engine::ExecuteOnRelations).
   Relation working = std::move(rels[0]);
   for (size_t i = 0; i < joins_.size(); ++i) {
-    const PlanNode* j = joins_[i].logical;
+    const JoinStep& step = joins_[i];
+    const PlanNode* j = step.logical;
     const Relation& right = rels[i + 1];
-    if (!j->predicate) {
+    if (!step.keys.empty()) {
+      GALOIS_ASSIGN_OR_RETURN(
+          working, engine::HashJoin(working, right, step.keys,
+                                    step.extra.get(), j->join_type));
+    } else if (!j->predicate) {
       GALOIS_ASSIGN_OR_RETURN(working, engine::CrossJoin(working, right));
     } else if (j->join_type == sql::JoinType::kLeft) {
       GALOIS_ASSIGN_OR_RETURN(
@@ -854,7 +982,7 @@ Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
       GALOIS_ASSIGN_OR_RETURN(
           working, engine::NestedLoopJoin(working, right, *j->predicate));
     }
-    FinishRelationalOp(joins_[i].node, working.rows().size());
+    FinishRelationalOp(step.node, working.rows().size());
   }
   if (residual_ != nullptr) {
     GALOIS_ASSIGN_OR_RETURN(working, engine::Filter(working, *residual_));

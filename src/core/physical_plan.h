@@ -13,6 +13,7 @@
 #include "core/materialisation_cache.h"
 #include "core/options.h"
 #include "core/provenance.h"
+#include "engine/operators.h"
 #include "engine/relational_stages.h"
 #include "llm/language_model.h"
 #include "llm/metering.h"
@@ -67,6 +68,15 @@ struct PhysicalNode {
 /// aggregation, fused HAVING+projection, sort, distinct, limit) runs the
 /// exact stages in engine/relational_stages that the statement-driven
 /// executor runs.
+///
+/// Joins are the one place the two paths differ in algorithm, not in
+/// result: Compile moves each `a.x = b.y` conjunct whose refs resolve into
+/// the two inputs of a join — from the WHERE residual onto a comma join,
+/// or from an explicit join's ON clause — onto that join, which then runs
+/// as engine::HashJoin. It emits the same rows in the same order as the
+/// cross join + filter or nested loop it replaces. Only predicates that
+/// cannot fail on any row (engine::EvalCannotFail) give up keys, so
+/// skipping the pairs the hash join never forms cannot hide an error.
 ///
 /// Compile() lowers a logical plan that has been through
 /// planner::BindPhysicalAnnotations — the single source of truth for
@@ -167,10 +177,16 @@ class PhysicalPlan {
     PhysicalNode* top = nullptr;  // root of this group's subtree
   };
 
-  /// A join step in execution (bottom-up, FROM/JOIN) order.
+  /// A join step in execution (bottom-up, FROM/JOIN) order. With keys it
+  /// runs as engine::HashJoin; otherwise as CrossJoin (no predicate),
+  /// LeftOuterJoin or NestedLoopJoin on the logical join's predicate.
   struct JoinStep {
     const planner::PlanNode* logical = nullptr;
     PhysicalNode* node = nullptr;
+    std::vector<engine::JoinKey> keys;
+    /// The ON conjuncts that are not keys, checked per candidate pair;
+    /// null when there are none.
+    sql::ExprPtr extra;
   };
 
   PhysicalPlan() = default;
@@ -183,6 +199,11 @@ class PhysicalPlan {
   /// operator.
   void InsertResidualNode(TableGroup& group,
                           const MaterialisationLookupInfo& info);
+
+  /// The schema of `group`'s materialised relation, qualified by its
+  /// alias: every column of a DB table; the key, then needed_columns, of
+  /// an LLM table. Join keys are resolved against it at compile time.
+  static Result<Schema> GroupSchema(const TableGroup& group);
 
   Result<Relation> MaterialiseDb(TableGroup& group);
   Result<Relation> MaterialiseLlm(TableGroup& group,
@@ -210,9 +231,11 @@ class PhysicalPlan {
   /// MaterialiseAll in place of the matching group's LLM phases.
   std::vector<TableOverlay> overlays_;
 
-  /// Engine-side WHERE residue (null when fully consumed by scan
-  /// filters) and its node.
+  /// Engine-side WHERE residue (null when fully consumed by scan filters
+  /// and join keys) and its node. Points into the logical plan, or at
+  /// residual_storage_ when join keys were taken out of it.
   const sql::Expr* residual_ = nullptr;
+  sql::ExprPtr residual_storage_;
   PhysicalNode* filter_node_ = nullptr;
 
   engine::TailSpec spec_;  // views into plan_'s expressions

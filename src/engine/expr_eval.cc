@@ -246,6 +246,44 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
   return Status::Internal("unhandled expression kind");
 }
 
+bool EvalCannotFail(const Expr& expr, const Schema& schema) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumnRef:
+      return schema.ResolveQualified(expr.table, expr.column).ok();
+    case ExprKind::kUnary:
+      if (expr.unary_op != UnaryOp::kNot) return false;
+      break;
+    case ExprKind::kBinary:
+      switch (expr.binary_op) {
+        case BinaryOp::kEq:
+        case BinaryOp::kNotEq:
+        case BinaryOp::kLt:
+        case BinaryOp::kLtEq:
+        case BinaryOp::kGt:
+        case BinaryOp::kGtEq:
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+          break;
+        default:
+          return false;
+      }
+      break;
+    case ExprKind::kBetween:
+    case ExprKind::kInList:
+    case ExprKind::kIsNull:
+      break;
+    case ExprKind::kStar:
+    case ExprKind::kFunction:
+      return false;
+  }
+  for (const sql::ExprPtr& child : expr.children) {
+    if (!EvalCannotFail(*child, schema)) return false;
+  }
+  return true;
+}
+
 Result<bool> EvalPredicate(const Expr& expr, const Schema& schema,
                            const Tuple& tuple, const AggregateEnv* agg_env) {
   GALOIS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, schema, tuple, agg_env));

@@ -32,6 +32,17 @@ Result<bool> EvalPredicate(const sql::Expr& expr, const Schema& schema,
                            const Tuple& tuple,
                            const AggregateEnv* agg_env = nullptr);
 
+/// True when EvalExpr(expr, schema, row) (no aggregate env) returns a
+/// value, never an error, for every row of `schema`: each column ref
+/// resolves unambiguously, and only literals, comparisons, AND/OR/NOT,
+/// BETWEEN, IN and IS NULL appear. LIKE, arithmetic and negation can
+/// reject their operand types, and `*` and function calls always fail, so
+/// any of them makes this false. A predicate for which this holds filters
+/// the same rows whichever subset of pairs it is evaluated on, which is
+/// what lets the physical plan hash a join instead of filtering every
+/// pair.
+bool EvalCannotFail(const sql::Expr& expr, const Schema& schema);
+
 /// SQL LIKE matching with % (any run) and _ (single char) wildcards.
 bool LikeMatch(const std::string& text, const std::string& pattern);
 

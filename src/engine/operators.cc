@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "engine/expr_eval.h"
@@ -97,30 +98,65 @@ Result<Relation> CrossJoin(const Relation& left, const Relation& right) {
 }
 
 Result<Relation> HashJoin(const Relation& left, const Relation& right,
-                          size_t left_col, size_t right_col) {
-  if (left_col >= left.schema().size() ||
-      right_col >= right.schema().size()) {
-    return Status::InvalidArgument("join column index out of range");
+                          const std::vector<JoinKey>& keys,
+                          const sql::Expr* extra, sql::JoinType type) {
+  if (keys.empty()) return Status::InvalidArgument("hash join without keys");
+  for (const JoinKey& k : keys) {
+    if (k.left >= left.schema().size() || k.right >= right.schema().size()) {
+      return Status::InvalidArgument("join column index out of range");
+    }
   }
-  Relation out(Schema::Concat(left.schema(), right.schema()));
-  // Build on the smaller side conceptually; rows are small here so build
-  // on the right for simplicity.
-  std::unordered_multimap<size_t, size_t> build;  // hash -> right row idx
+  // Hash of a row's key columns; nullopt when any key is NULL, since a
+  // NULL key matches nothing. Value::Hash agrees with Compare() == 0.
+  auto key_hash = [&keys](const Tuple& row,
+                          bool left_side) -> std::optional<size_t> {
+    size_t h = 0;
+    for (const JoinKey& k : keys) {
+      const Value& v = row[left_side ? k.left : k.right];
+      if (v.is_null()) return std::nullopt;
+      h = h * 0x9E3779B97F4A7C15ULL + v.Hash();
+    }
+    return h;
+  };
+  // Build side: right row indices per key hash, in right-input order, so
+  // probing emits matches in the order the nested loop would.
+  std::unordered_map<size_t, std::vector<size_t>> build;
   build.reserve(right.NumRows());
   for (size_t i = 0; i < right.NumRows(); ++i) {
-    const Value& key = right.At(i, right_col);
-    if (key.is_null()) continue;
-    build.emplace(key.Hash(), i);
+    if (auto h = key_hash(right.row(i), false)) build[*h].push_back(i);
   }
+
+  Schema joined = Schema::Concat(left.schema(), right.schema());
+  Relation out(joined);
   for (const Tuple& l : left.rows()) {
-    const Value& key = l[left_col];
-    if (key.is_null()) continue;
-    auto [lo, hi] = build.equal_range(key.Hash());
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& r = right.row(it->second);
-      if (key.Compare(r[right_col]) == 0) {
-        out.AddRowUnchecked(ConcatTuples(l, r));
+    bool matched = false;
+    auto h = key_hash(l, true);
+    auto bucket = h ? build.find(*h) : build.end();
+    if (bucket != build.end()) {
+      for (size_t i : bucket->second) {
+        const Tuple& r = right.row(i);
+        bool equal = true;
+        for (const JoinKey& k : keys) {
+          if (l[k.left].Compare(r[k.right]) != 0) {
+            equal = false;
+            break;
+          }
+        }
+        if (!equal) continue;
+        Tuple combined = ConcatTuples(l, r);
+        if (extra != nullptr) {
+          GALOIS_ASSIGN_OR_RETURN(bool keep,
+                                  EvalPredicate(*extra, joined, combined));
+          if (!keep) continue;
+        }
+        matched = true;
+        out.AddRowUnchecked(std::move(combined));
       }
+    }
+    if (!matched && type == sql::JoinType::kLeft) {
+      Tuple padded = l;
+      padded.resize(joined.size(), Value::Null());
+      out.AddRowUnchecked(std::move(padded));
     }
   }
   return out;

@@ -20,10 +20,31 @@ Result<Relation> Filter(const Relation& input, const sql::Expr& predicate);
 /// Cartesian product with concatenated schemas.
 Result<Relation> CrossJoin(const Relation& left, const Relation& right);
 
-/// Equi-join via build/probe hash table on `left_col` = `right_col`
-/// (column indices into the respective schemas). NULL keys never match.
+/// One equi-join key: column `left` of the left input equals column
+/// `right` of the right input (indices into the respective schemas).
+struct JoinKey {
+  size_t left = 0;
+  size_t right = 0;
+};
+
+/// Order-preserving hash equi-join over one or more keys. Builds a map
+/// from key hash to the right rows carrying it, in right-input order, and
+/// probes it with each left row in input order. A pair matches when every
+/// key is non-NULL on both sides with Value::Compare(...) == 0 (so 5 and
+/// 5.0 match; strings match case-sensitively), and `extra`, when given,
+/// holds over the concatenated schema. A kLeft join pads each left row
+/// that matched nothing with NULLs.
+///
+/// The output is row for row, in order, what NestedLoopJoin (kInner) or
+/// LeftOuterJoin (kLeft) emit with the AND of the key equalities and
+/// `extra` as predicate — and, for kInner, what CrossJoin followed by
+/// Filter emits. `extra` is evaluated on candidate pairs only, so an
+/// `extra` that can raise on some pair may raise there and not here;
+/// callers that need identical failures pass one that cannot (see
+/// EvalCannotFail).
 Result<Relation> HashJoin(const Relation& left, const Relation& right,
-                          size_t left_col, size_t right_col);
+                          const std::vector<JoinKey>& keys,
+                          const sql::Expr* extra, sql::JoinType type);
 
 /// Theta join: nested loop with an arbitrary predicate over the
 /// concatenated schema.

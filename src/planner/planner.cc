@@ -14,15 +14,6 @@ using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprKind;
 
-void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-    FlattenConjuncts(e->children[0].get(), out);
-    FlattenConjuncts(e->children[1].get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 /// Collects column names referenced with the given alias (or unqualified).
 void CollectColumns(const Expr& e, const std::string& alias,
                     const catalog::TableDef& def,
@@ -333,7 +324,7 @@ int OptimizeLlmFilters(PlanNode* root, bool merge_into_scan) {
   if (scan == nullptr) return rewritten;
   // The filter must be a conjunction of simple comparisons on the scan.
   std::vector<const Expr*> conjuncts;
-  FlattenConjuncts(root->predicate.get(), &conjuncts);
+  sql::FlattenConjuncts(root->predicate.get(), &conjuncts);
   // Fake TableDef lookup is not available here; accept column refs whose
   // alias matches the scan (the executor re-validates against the
   // catalog).
@@ -486,12 +477,24 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
     return found;
   };
 
+  // Scans on the NULL-padded side of a LEFT JOIN. A WHERE conjunct on
+  // one of them also sees the padded rows, so it must run after the join
+  // as part of the residue; as a scan filter it would run before the
+  // join and turn dropped matches into padded rows that survive.
+  std::set<const PlanNode*> padded;
+  for (PlanNode* j : joins) {
+    if (j->join_type != sql::JoinType::kLeft) continue;
+    std::vector<PlanNode*> right;
+    CollectScans(j->children[1].get(), &right);
+    padded.insert(right.begin(), right.end());
+  }
+
   // --- split WHERE into per-scan LLM filters and the engine residue -----
   int consumed_count = 0;
   std::vector<const Expr*> conjuncts;
   std::set<const Expr*> consumed;
   if (where_filter != nullptr) {
-    FlattenConjuncts(where_filter->predicate.get(), &conjuncts);
+    sql::FlattenConjuncts(where_filter->predicate.get(), &conjuncts);
     if (options.llm_filter_checks) {
       for (const Expr* c : conjuncts) {
         if (c->kind != ExprKind::kBinary) continue;
@@ -515,7 +518,9 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
           continue;
         }
         int t = resolve(*col);
-        if (t < 0 || !scans[t]->from_llm) continue;
+        if (t < 0 || !scans[t]->from_llm || padded.count(scans[t]) > 0) {
+          continue;
+        }
         auto coldef = defs[t]->FindColumn(col->column);
         if (!coldef.ok()) continue;
         ScanFilter filter;
@@ -537,16 +542,11 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
     }
     // The residue the engine evaluates: AND of the unconsumed conjuncts,
     // left-folded in conjunct order.
-    sql::ExprPtr residual;
+    std::vector<const Expr*> unconsumed;
     for (const Expr* c : conjuncts) {
-      if (consumed.count(c) > 0) continue;
-      sql::ExprPtr clone = c->Clone();
-      residual = residual
-                     ? Expr::MakeBinary(BinaryOp::kAnd, std::move(residual),
-                                        std::move(clone))
-                     : std::move(clone);
+      if (consumed.count(c) == 0) unconsumed.push_back(c);
     }
-    where_filter->residual = std::move(residual);
+    where_filter->residual = sql::CloneConjunction(unconsumed);
     where_filter->annotated = true;
   }
 

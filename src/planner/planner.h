@@ -85,8 +85,16 @@ struct PlanNode {
   sql::ExprPtr residual;
   bool annotated = false;
 
-  // kJoin: how the engine executes it (CrossJoin when predicate is null,
-  // LeftOuterJoin for kLeft, NestedLoopJoin otherwise).
+  // kJoin: `predicate` is the ON clause (null for a comma join). The
+  // physical plan (core::PhysicalPlan::Compile) runs the join as a hash
+  // join on its `a.x = b.y` conjuncts whose refs resolve into its two
+  // inputs — the ON clause's own, or for a comma join the WHERE
+  // residual's — with the other ON conjuncts checked per candidate pair,
+  // when the predicates involved cannot fail on any row. The hash join
+  // emits the rows, in the order, of the operator it replaces: CrossJoin
+  // + Filter (no predicate), LeftOuterJoin (kLeft) or NestedLoopJoin,
+  // which run whenever there is no usable equality. The ground-truth
+  // engine (engine::ExecuteSelect) always runs those three.
   sql::JoinType join_type = sql::JoinType::kInner;
 
   // kRetrieve / kProject / kAggregate: column or expression lists. For
@@ -153,7 +161,9 @@ struct BindingOptions {
 ///
 ///   - splits the WHERE filter's conjuncts into per-scan ScanFilters
 ///     (simple `col op literal` comparisons on LLM scans, conjunct order
-///     preserved) and the engine-side `residual`;
+///     preserved; never on the NULL-padded side of a LEFT JOIN, whose
+///     padded rows the conjunct must also filter) and the engine-side
+///     `residual`;
 ///   - decides per scan whether the first filter merges into the scan
 ///     prompt (merge_first_filter);
 ///   - recomputes every Retrieve node's columns with the executor's exact

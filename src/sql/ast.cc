@@ -222,6 +222,24 @@ void VisitExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
   for (const auto& c : e.children) VisitExpr(*c, fn);
 }
 
+void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
+    FlattenConjuncts(e->children[0].get(), out);
+    FlattenConjuncts(e->children[1].get(), out);
+    return;
+  }
+  out->push_back(e);
+}
+
+ExprPtr CloneConjunction(const std::vector<const Expr*>& conjuncts) {
+  ExprPtr out;
+  for (const Expr* c : conjuncts) {
+    out = out ? Expr::MakeBinary(BinaryOp::kAnd, std::move(out), c->Clone())
+              : c->Clone();
+  }
+  return out;
+}
+
 bool ContainsAggregate(const Expr& e) {
   bool found = false;
   VisitExpr(e, [&](const Expr& node) {

@@ -133,6 +133,13 @@ void VisitExpr(const Expr& e, const std::function<void(const Expr&)>& fn);
 /// True if the expression contains an aggregate function call.
 bool ContainsAggregate(const Expr& e);
 
+/// Appends the AND-conjuncts of `e` to `out` in left-to-right order; an
+/// expression that is not an AND is its own single conjunct.
+void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out);
+
+/// Clones of `conjuncts` AND-folded left to right; null when empty.
+ExprPtr CloneConjunction(const std::vector<const Expr*>& conjuncts);
+
 }  // namespace galois::sql
 
 #endif  // GALOIS_SQL_AST_H_

@@ -74,8 +74,13 @@ class Value {
   bool operator!=(const Value& other) const { return !(*this == other); }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  /// Hash compatible with operator== (numeric int/double that compare equal
-  /// hash equally).
+  /// Hash compatible with operator== and with Compare() == 0 for every
+  /// value a relation can hold: ints hash as the double they compare as,
+  /// so 5 and 5.0 hash equally, and 0.0 and -0.0 hash equally. NaN is the
+  /// one exception — it compares equal to every number — and no relation
+  /// holds it: clean::ParseNumber rejects non-finite answers. The engine's
+  /// hash join relies on this agreement to match exactly the pairs a
+  /// `=` filter keeps.
   size_t Hash() const;
 
  private:

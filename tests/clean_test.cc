@@ -90,6 +90,37 @@ TEST(ParseNumberErrors, RejectsNonNumbers) {
   EXPECT_FALSE(ParseNumber("12 apples").ok());
 }
 
+TEST(ParseNumberErrors, RejectsNonFiniteNumbers) {
+  // strtod reads all of these; none is a number a cell may hold.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "1e999", "-1e999", "1e308 billion", "nank"}) {
+    EXPECT_FALSE(ParseNumber(text).ok()) << text;
+  }
+  EXPECT_TRUE(ParseNumber("1e308").ok());
+}
+
+TEST(NormalizeCellTest, NonFiniteAnswersBecomeNull) {
+  // Parsed, "nan" would pass the population domain check and round to
+  // INT64_MIN; on a DOUBLE column NaN compares equal to every number.
+  DomainConstraint population = DefaultDomainForColumn("population");
+  for (const char* text : {"nan", "inf", "-inf", "1e999"}) {
+    EXPECT_TRUE(
+        NormalizeCell(text, DataType::kInt64, &population).value().is_null())
+        << text;
+    EXPECT_TRUE(NormalizeCell(text, DataType::kDouble).value().is_null())
+        << text;
+  }
+}
+
+TEST(NormalizeCellTest, IntOutsideInt64RangeBecomesNull) {
+  EXPECT_TRUE(NormalizeCell("1e30", DataType::kInt64).value().is_null());
+  EXPECT_TRUE(NormalizeCell("-1e19", DataType::kInt64).value().is_null());
+  EXPECT_EQ(NormalizeCell("9e18", DataType::kInt64).value(),
+            Value::Int(9000000000000000000));
+  EXPECT_EQ(NormalizeCell("1e30", DataType::kDouble).value(),
+            Value::Double(1e30));
+}
+
 struct DateCase {
   const char* text;
   int64_t packed;

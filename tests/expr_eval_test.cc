@@ -165,5 +165,41 @@ TEST(ExprEvalTest, LikeOnNonStringIsTypeError) {
   EXPECT_EQ(v.status().code(), StatusCode::kTypeError);
 }
 
+bool WhereCannotFail(const std::string& pred) {
+  auto stmt = ParseSelect("SELECT name FROM t WHERE " + pred);
+  EXPECT_TRUE(stmt.ok()) << stmt.status();
+  return EvalCannotFail(*stmt.value().where, TestSchema());
+}
+
+TEST(ExprEvalTest, CannotFailAcceptsComparisonsAndLogic) {
+  EXPECT_TRUE(WhereCannotFail("name = 'Rome'"));
+  EXPECT_TRUE(WhereCannotFail("t.pop >= gdp AND maybe IS NULL"));
+  EXPECT_TRUE(WhereCannotFail("NOT (pop < 5) OR name != 'x'"));
+  EXPECT_TRUE(WhereCannotFail("pop BETWEEN 1 AND 10"));
+  EXPECT_TRUE(WhereCannotFail("name IN ('Rome', 'Paris')"));
+  EXPECT_TRUE(WhereCannotFail("maybe"));  // a bare ref is a truth value
+}
+
+TEST(ExprEvalTest, CannotFailRejectsWhatCanRaise) {
+  EXPECT_FALSE(WhereCannotFail("nosuch = 1"));           // unknown column
+  EXPECT_FALSE(WhereCannotFail("x.name = 'Rome'"));      // unknown alias
+  EXPECT_FALSE(WhereCannotFail("name LIKE 'R%'"));       // operand types
+  EXPECT_FALSE(WhereCannotFail("pop + 1 > 2"));          // arithmetic
+  EXPECT_FALSE(WhereCannotFail("-pop < 0"));             // negation
+  EXPECT_FALSE(WhereCannotFail("COUNT(*) > 3"));         // no agg env
+  EXPECT_FALSE(WhereCannotFail("pop > 1 AND name LIKE 'R%'"));
+  EXPECT_FALSE(WhereCannotFail("NOT (pop * 2 > 1)"));
+  // Two columns of the same name under different aliases make an
+  // unqualified ref ambiguous.
+  Schema twice({Column("name", DataType::kString, "a"),
+                Column("name", DataType::kString, "b")});
+  auto stmt = ParseSelect("SELECT name FROM t WHERE name = b.name");
+  ASSERT_TRUE(stmt.ok());
+  EXPECT_FALSE(EvalCannotFail(*stmt.value().where, twice));
+  auto qualified = ParseSelect("SELECT name FROM t WHERE a.name = b.name");
+  ASSERT_TRUE(qualified.ok());
+  EXPECT_TRUE(EvalCannotFail(*qualified.value().where, twice));
+}
+
 }  // namespace
 }  // namespace galois::engine

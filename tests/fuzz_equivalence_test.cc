@@ -85,18 +85,16 @@ class QueryGenerator {
         rng_.NextInt(0, static_cast<int64_t>(kTables->size()) - 1))];
   }
 
-  std::string NumericPredicate(const TableInfo& t) {
-    const char* col = t.numeric_cols[static_cast<size_t>(rng_.NextInt(
-        0, static_cast<int64_t>(t.numeric_cols.size()) - 1))];
+  /// "col > N" or "col < N" with a threshold chosen to hit a mid-range
+  /// selectivity for our data.
+  std::string Comparison(const std::string& col) {
     const char* op = rng_.NextBool(0.5) ? ">" : "<";
-    // Thresholds chosen to hit a mid-range selectivity for our data.
     int64_t threshold;
-    std::string c = col;
-    if (c.find("Year") != std::string::npos) {
+    if (col.find("Year") != std::string::npos) {
       threshold = rng_.NextInt(1930, 1995);
-    } else if (c == "population") {
+    } else if (col == "population") {
       threshold = rng_.NextInt(1, 150) * 1000000;
-    } else if (c == "speakers") {
+    } else if (col == "speakers") {
       threshold = rng_.NextInt(50, 800) * 1000000;
     } else {
       threshold = rng_.NextInt(10, 5000);
@@ -104,6 +102,11 @@ class QueryGenerator {
     std::ostringstream os;
     os << col << " " << op << " " << threshold;
     return os.str();
+  }
+
+  std::string NumericPredicate(const TableInfo& t) {
+    return Comparison(t.numeric_cols[static_cast<size_t>(rng_.NextInt(
+        0, static_cast<int64_t>(t.numeric_cols.size()) - 1))]);
   }
 
   std::string GenerateSingleTable() {
@@ -139,32 +142,57 @@ class QueryGenerator {
   }
 
   std::string GenerateJoin() {
-    // Join pairs with known reference attributes.
+    // Join pairs with known reference attributes, and one numeric column
+    // per side for the extra ON / WHERE conjuncts.
     struct JoinShape {
       const char* left;
       const char* left_col;
       const char* right;
       const char* right_key;
       const char* project;
+      const char* left_num;
+      const char* right_num;
     };
     static const JoinShape kJoins[] = {
-        {"city", "country", "country", "name", "co.continent"},
-        {"airline", "country", "country", "name", "co.capital"},
-        {"singer", "country", "country", "name", "co.continent"},
-        {"stadium", "city", "city", "name", "co.country"},
+        {"city", "country", "country", "name", "co.continent", "population",
+         "population"},
+        {"airline", "country", "country", "name", "co.capital", "fleetSize",
+         "area"},
+        {"singer", "country", "country", "name", "co.continent",
+         "birthYear", "independenceYear"},
+        {"stadium", "city", "city", "name", "co.country", "capacity",
+         "population"},
     };
     const JoinShape& j = kJoins[static_cast<size_t>(
         rng_.NextInt(0, std::size(kJoins) - 1))];
-    std::ostringstream os;
+    const std::string key = std::string("l.") + j.left_col + " = co." +
+                            j.right_key;
+    // A numeric conjunct on either side of the join.
+    auto side_conjunct = [&]() {
+      return rng_.NextBool(0.5)
+                 ? Comparison(std::string("l.") + j.left_num)
+                 : Comparison(std::string("co.") + j.right_num);
+    };
+    std::string select;
+    std::string group_by;
     if (rng_.NextBool(0.4)) {
-      os << "SELECT " << j.project << ", COUNT(*) FROM " << j.left
-         << " l, " << j.right << " co WHERE l." << j.left_col
-         << " = co." << j.right_key << " GROUP BY " << j.project;
+      select = std::string(j.project) + ", COUNT(*)";
+      group_by = std::string(" GROUP BY ") + j.project;
     } else {
-      os << "SELECT l." << j.left_col << ", " << j.project << " FROM "
-         << j.left << " l, " << j.right << " co WHERE l." << j.left_col
-         << " = co." << j.right_key;
+      select = std::string("l.") + j.left_col + ", " + j.project;
     }
+    std::ostringstream os;
+    os << "SELECT " << select << " FROM " << j.left << " l";
+    if (rng_.NextInt(0, 2) == 0) {  // comma join, the key in WHERE
+      os << ", " << j.right << " co WHERE " << key;
+      if (rng_.NextBool(0.5)) os << " AND " << side_conjunct();
+    } else {  // explicit INNER JOIN / LEFT JOIN ... ON
+      os << (rng_.NextBool(0.5) ? " JOIN " : " LEFT JOIN ") << j.right
+         << " co ON " << key;
+      if (rng_.NextBool(0.5)) os << " AND " << side_conjunct();
+      if (rng_.NextBool(0.5)) os << " WHERE " << side_conjunct();
+    }
+    os << group_by;
     return os.str();
   }
 
@@ -253,6 +281,116 @@ TEST_P(FuzzEquivalenceTest, ReplanningIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalenceTest,
                          ::testing::Range(0, 12));
+
+// --- joins: fixed shapes, error parity, Explain ---------------------------
+
+TEST(JoinEquivalenceTest, FixedJoinShapesMatchEngine) {
+  llm::SimulatedLlm model(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  core::GaloisExecutor galois(&model, &W().catalog());
+  for (const char* sql : {
+           // WHERE on the NULL-padded side of a LEFT JOIN filters the
+           // padded rows too; run as a scan filter before the join, it
+           // would leave every city padded.
+           "SELECT l.country, co.continent FROM city l LEFT JOIN country co "
+           "ON l.country = co.name AND co.population < 1250 "
+           "WHERE co.population > 1288",
+           "SELECT l.name, co.continent FROM city l LEFT JOIN country co "
+           "ON l.country = co.name AND l.population > 3000000",
+           "SELECT l.name, co.capital FROM airline l JOIN country co "
+           "ON co.name = l.country AND co.area > 500000 "
+           "WHERE l.fleetSize > 100",
+           "SELECT co.continent, COUNT(*) FROM city l, country co "
+           "WHERE l.population > 2000000 AND l.country = co.name "
+           "GROUP BY co.continent",
+           // Three tables: two comma joins, each with its own key.
+           "SELECT st.name, ci.name, co.continent FROM stadium st, city ci, "
+           "country co WHERE st.city = ci.name AND ci.country = co.name",
+       }) {
+    SCOPED_TRACE(sql);
+    auto stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto truth = engine::ExecuteSelect(stmt.value(), W().catalog());
+    ASSERT_TRUE(truth.ok()) << truth.status();
+    auto out = galois.Run(stmt.value());
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(out->relation.SameContents(*truth));
+    EXPECT_EQ(out->physical_plan.find("CrossJoin"), std::string::npos)
+        << out->physical_plan;
+  }
+}
+
+/// Parameter: run on the noisy ChatGPT profile instead of the perfect one.
+class JoinErrorParityTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(JoinErrorParityTest, CommaJoinResolutionErrorsStayErrors) {
+  // A WHERE equality that the filter over the cross product could not
+  // resolve is no join key: the query still fails with the same
+  // BindError, whether the bad ref is in the equality or beside it. On
+  // the noisy profile city.country never equals a country name, so a
+  // hash join would form no pair and never reach the bad ref.
+  llm::SimulatedLlm model(
+      &W().kb(), GetParam() ? llm::ModelProfile::ChatGpt() : PerfectProfile(),
+      &W().catalog(), 7);
+  core::GaloisExecutor galois(&model, &W().catalog());
+  struct Case {
+    const char* sql;
+    const char* message;
+  };
+  const std::string schema = "[l.name VARCHAR, l.country VARCHAR, "
+                             "co.name VARCHAR]";
+  for (const Case& c : std::vector<Case>{
+           {"SELECT l.name FROM city l, country co WHERE country = name",
+            "ambiguous column reference 'name'"},
+           {"SELECT l.name FROM city l, country co "
+            "WHERE l.country = co.nosuch",
+            "column 'co.nosuch' not found in schema "},
+           {"SELECT l.name FROM city l, country co "
+            "WHERE l.country = co.name AND nosuch = 1",
+            "column 'nosuch' not found in schema "},
+           {"SELECT l.name FROM city l, country co "
+            "WHERE nosuch = 1 AND l.country = co.name",
+            "column 'nosuch' not found in schema "},
+       }) {
+    SCOPED_TRACE(c.sql);
+    auto stmt = sql::ParseSelect(c.sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto truth = engine::ExecuteSelect(stmt.value(), W().catalog());
+    ASSERT_FALSE(truth.ok());
+    EXPECT_EQ(truth.status().code(), StatusCode::kBindError);
+    auto out = galois.Run(stmt.value());
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kBindError);
+    std::string expected = c.message;
+    if (expected.back() == ' ') expected += schema;
+    EXPECT_EQ(out.status().message(), expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, JoinErrorParityTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "ChatGpt"
+                                                         : "Perfect");
+                         });
+
+TEST(JoinEquivalenceTest, WorkloadJoinsExplainAsHashJoins) {
+  llm::SimulatedLlm model(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  core::GaloisExecutor galois(&model, &W().catalog());
+  int joins = 0;
+  for (const knowledge::QuerySpec& q : W().queries()) {
+    SCOPED_TRACE(q.sql);
+    auto stmt = sql::ParseSelect(q.sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto out = galois.Run(stmt.value());
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(out->physical_plan.find("CrossJoin"), std::string::npos)
+        << out->physical_plan;
+    if (stmt->from.size() + stmt->joins.size() < 2) continue;
+    ++joins;
+    EXPECT_NE(out->physical_plan.find("HashJoin ON "), std::string::npos)
+        << out->physical_plan;
+  }
+  EXPECT_EQ(joins, 15);
+}
 
 }  // namespace
 }  // namespace galois

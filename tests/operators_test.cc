@@ -62,29 +62,164 @@ TEST(OperatorsTest, CrossJoinCardinality) {
   EXPECT_EQ(out->NumColumns(), 5u);
 }
 
-TEST(OperatorsTest, HashJoinMatchesEquiPairs) {
-  auto out = HashJoin(Cities(), Countries(), /*left_col=*/1,
-                      /*right_col=*/0);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->NumRows(), 4u);  // Atlantis NULL key never matches
-  // Every output row satisfies the join condition.
-  for (const Tuple& row : out->rows()) {
-    EXPECT_EQ(row[1].string_value(), row[3].string_value());
+// --- hash join: exact rows in exact order ---------------------------------
+//
+// Every HashJoin result is compared row for row, in order, with the
+// operators it replaces: CrossJoin + Filter and NestedLoopJoin for inner
+// joins, LeftOuterJoin for left joins.
+
+void ExpectSameRowsInOrder(const Result<Relation>& got,
+                           const Result<Relation>& want) {
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_TRUE(got->schema() == want->schema())
+      << got->schema().ToString() << " vs " << want->schema().ToString();
+  ASSERT_EQ(got->NumRows(), want->NumRows());
+  for (size_t i = 0; i < got->NumRows(); ++i) {
+    EXPECT_EQ(got->row(i), want->row(i)) << "row " << i;
   }
 }
 
-TEST(OperatorsTest, HashJoinColumnOutOfRange) {
-  EXPECT_FALSE(HashJoin(Cities(), Countries(), 9, 0).ok());
-  EXPECT_FALSE(HashJoin(Cities(), Countries(), 0, 9).ok());
+/// Checks HashJoin(keys, extra) against all three reference operators for
+/// the predicate `keys_sql [AND extra_sql]`.
+void ExpectHashJoinMatchesReferences(const Relation& left,
+                                     const Relation& right,
+                                     const std::vector<JoinKey>& keys,
+                                     const std::string& keys_sql,
+                                     const std::string& extra_sql = "") {
+  auto full = ParsePredicate(extra_sql.empty()
+                                 ? keys_sql
+                                 : keys_sql + " AND (" + extra_sql + ")");
+  sql::ExprPtr extra = extra_sql.empty() ? nullptr
+                                         : ParsePredicate(extra_sql);
+  auto inner = HashJoin(left, right, keys, extra.get(), sql::JoinType::kInner);
+  auto cross = CrossJoin(left, right);
+  ASSERT_TRUE(cross.ok());
+  ExpectSameRowsInOrder(inner, Filter(*cross, *full));
+  ExpectSameRowsInOrder(inner, NestedLoopJoin(left, right, *full));
+  ExpectSameRowsInOrder(
+      HashJoin(left, right, keys, extra.get(), sql::JoinType::kLeft),
+      LeftOuterJoin(left, right, *full));
 }
 
-TEST(OperatorsTest, NestedLoopJoinEqualsHashJoinOnEquiJoin) {
-  auto pred = ParsePredicate("ci.country = co.name");
-  auto nl = NestedLoopJoin(Cities(), Countries(), *pred);
-  auto hash = HashJoin(Cities(), Countries(), 1, 0);
-  ASSERT_TRUE(nl.ok());
-  ASSERT_TRUE(hash.ok());
-  EXPECT_TRUE(nl->SameContents(*hash));
+Relation Keyed(const std::string& alias, const std::vector<Value>& keys) {
+  Relation r(Schema({Column("k", DataType::kString, alias),
+                     Column("pos", DataType::kInt64, alias)}));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    r.AddRowUnchecked({keys[i], Value::Int(static_cast<int64_t>(i))});
+  }
+  return r;
+}
+
+TEST(HashJoinTest, CityCountryMatchesReferences) {
+  ExpectHashJoinMatchesReferences(Cities(), Countries(), {{1, 0}},
+                                  "ci.country = co.name");
+  auto out = HashJoin(Cities(), Countries(), {{1, 0}}, nullptr,
+                      sql::JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->NumRows(), 4u);  // Atlantis' NULL key never matches
+}
+
+TEST(HashJoinTest, DuplicateKeysOnBothSidesKeepBothInputOrders) {
+  Relation l = Keyed("l", {Value::String("a"), Value::String("b"),
+                           Value::String("a"), Value::String("c"),
+                           Value::String("a")});
+  Relation r = Keyed("r", {Value::String("b"), Value::String("a"),
+                           Value::String("d"), Value::String("a"),
+                           Value::String("b")});
+  ExpectHashJoinMatchesReferences(l, r, {{0, 0}}, "l.k = r.k");
+  auto out = HashJoin(l, r, {{0, 0}}, nullptr, sql::JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  // l0 x {r1, r3}, l1 x {r0, r4}, l2 x {r1, r3}, l4 x {r1, r3}.
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (const Tuple& row : out->rows()) {
+    pairs.emplace_back(row[1].int_value(), row[3].int_value());
+  }
+  EXPECT_EQ(pairs, (std::vector<std::pair<int64_t, int64_t>>{
+                       {0, 1}, {0, 3}, {1, 0}, {1, 4}, {2, 1}, {2, 3},
+                       {4, 1}, {4, 3}}));
+}
+
+TEST(HashJoinTest, NullKeysNeverMatchNotEvenEachOther) {
+  Relation l = Keyed("l", {Value::Null(), Value::String("a"),
+                           Value::Null()});
+  Relation r = Keyed("r", {Value::String("a"), Value::Null()});
+  ExpectHashJoinMatchesReferences(l, r, {{0, 0}}, "l.k = r.k");
+  auto out = HashJoin(l, r, {{0, 0}}, nullptr, sql::JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->NumRows(), 1u);
+  auto padded = HashJoin(l, r, {{0, 0}}, nullptr, sql::JoinType::kLeft);
+  ASSERT_TRUE(padded.ok());
+  EXPECT_EQ(padded->NumRows(), 3u);  // both NULL-key rows padded
+}
+
+TEST(HashJoinTest, IntKeysMatchEqualDoubles) {
+  Relation l = Keyed("l", {Value::Int(5), Value::Double(2.5),
+                           Value::Int(7), Value::Int(3)});
+  Relation r = Keyed("r", {Value::Double(5.0), Value::Int(5),
+                           Value::Double(7.0), Value::Double(2.5),
+                           Value::Double(3.000001)});
+  ExpectHashJoinMatchesReferences(l, r, {{0, 0}}, "l.k = r.k");
+  auto out = HashJoin(l, r, {{0, 0}}, nullptr, sql::JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->NumRows(), 4u);  // 5 x {5.0, 5}, 2.5, 7 = 7.0
+}
+
+TEST(HashJoinTest, StringsDifferingOnlyInCaseDoNotMatch) {
+  Relation l = Keyed("l", {Value::String("Italy"), Value::String("ITALY"),
+                           Value::String("france")});
+  Relation r = Keyed("r", {Value::String("italy"), Value::String("Italy"),
+                           Value::String("France")});
+  ExpectHashJoinMatchesReferences(l, r, {{0, 0}}, "l.k = r.k");
+  auto out = HashJoin(l, r, {{0, 0}}, nullptr, sql::JoinType::kInner);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->NumRows(), 1u);
+  EXPECT_EQ(out->At(0, 2).string_value(), "Italy");
+}
+
+TEST(HashJoinTest, LeftJoinWithExtraOnConjunctPadsLikeLeftOuterJoin) {
+  // Milan and Lyon find their country but fail the extra conjunct, so
+  // they are padded exactly as LeftOuterJoin pads them.
+  ExpectHashJoinMatchesReferences(Cities(), Countries(), {{1, 0}},
+                                  "ci.country = co.name",
+                                  "ci.pop > 2000000");
+  auto pred = ParsePredicate("ci.pop > 2000000");
+  auto out = HashJoin(Cities(), Countries(), {{1, 0}}, pred.get(),
+                      sql::JoinType::kLeft);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->NumRows(), 5u);
+  EXPECT_EQ(out->At(1, 0).string_value(), "Milan");
+  EXPECT_TRUE(out->At(1, 3).is_null());
+  EXPECT_EQ(out->At(2, 3).string_value(), "France");  // Paris matched
+}
+
+TEST(HashJoinTest, MultipleKeysMustAllMatch) {
+  Relation l(Schema({Column("a", DataType::kString, "l"),
+                     Column("b", DataType::kInt64, "l")}));
+  Relation r(Schema({Column("b", DataType::kDouble, "r"),
+                     Column("a", DataType::kString, "r")}));
+  for (auto [a, b] : std::vector<std::pair<const char*, int>>{
+           {"x", 1}, {"x", 2}, {"y", 1}, {"x", 1}}) {
+    l.AddRowUnchecked({Value::String(a), Value::Int(b)});
+  }
+  for (auto [b, a] : std::vector<std::pair<double, const char*>>{
+           {1.0, "x"}, {1.0, "y"}, {2.0, "y"}, {1.0, "x"}}) {
+    r.AddRowUnchecked({Value::Double(b), Value::String(a)});
+  }
+  ExpectHashJoinMatchesReferences(l, r, {{0, 1}, {1, 0}},
+                                  "l.a = r.a AND l.b = r.b");
+  ExpectHashJoinMatchesReferences(l, r, {{0, 1}}, "l.a = r.a",
+                                  "l.b < r.b OR r.a = 'y'");
+}
+
+TEST(HashJoinTest, RejectsMissingOrOutOfRangeKeys) {
+  auto join = [](std::vector<JoinKey> keys) {
+    return HashJoin(Cities(), Countries(), keys, nullptr,
+                    sql::JoinType::kInner);
+  };
+  EXPECT_FALSE(join({}).ok());
+  EXPECT_FALSE(join({{9, 0}}).ok());
+  EXPECT_FALSE(join({{0, 9}}).ok());
 }
 
 TEST(OperatorsTest, NestedLoopJoinThetaPredicate) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -205,6 +206,35 @@ TEST(BindingTest, NonSimpleConjunctStaysInResidual) {
   EXPECT_NE(filter->residual, nullptr);  // col-vs-col runs on the engine
 }
 
+TEST(BindingTest, LeftJoinPaddedSideKeepsWhereConjunctInResidual) {
+  // `co.population > 1288` must also drop the rows the LEFT JOIN pads
+  // with NULLs, so it runs on the engine after the join; the preserved
+  // side's conjunct may still run as a filter check before it.
+  planner::BindingOptions binding;
+  planner::PlanNodePtr plan = Annotated(
+      "SELECT l.name FROM city l LEFT JOIN country co "
+      "ON l.country = co.name "
+      "WHERE co.population > 1288 AND l.population > 1000000",
+      binding);
+  std::vector<const planner::PlanNode*> scans;
+  std::function<void(const planner::PlanNode&)> collect =
+      [&](const planner::PlanNode& n) {
+        if (n.op == planner::PlanOp::kScan) scans.push_back(&n);
+        for (const auto& c : n.children) collect(*c);
+      };
+  collect(*plan);
+  ASSERT_EQ(scans.size(), 2u);
+  ASSERT_EQ(scans[0]->alias, "l");
+  ASSERT_EQ(scans[0]->scan_filters.size(), 1u);
+  EXPECT_EQ(scans[0]->scan_filters[0].column, "population");
+  EXPECT_TRUE(scans[1]->scan_filters.empty());
+  const planner::PlanNode* filter =
+      FindOp(*plan, planner::PlanOp::kFilter);
+  ASSERT_NE(filter, nullptr);
+  ASSERT_NE(filter->residual, nullptr);
+  EXPECT_EQ(filter->residual->ToString(), "(co.population > 1288)");
+}
+
 TEST(BindingTest, FilterChecksOffConsumesNothing) {
   planner::BindingOptions binding;
   binding.llm_filter_checks = false;
@@ -327,6 +357,86 @@ TEST(LimitBoundedScanTest, LimitBuysStrictlyFewerPages) {
   // counts pages directly.
   EXPECT_LT(five->cost.num_prompts, all->cost.num_prompts);
   EXPECT_EQ(five->cost.num_prompts, 1);  // 5 keys fit in one 5-key page
+}
+
+// --- join lowering: which joins hash, and what Explain shows ---------------
+
+std::string CompiledPlan(const std::string& sql) {
+  core::ExecutionOptions options;
+  auto plan = core::PhysicalPlan::Compile(
+      Annotated(sql, core::BindingOptionsFor(options)), &W().catalog(),
+      options);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return plan.ok() ? plan->Render() : std::string();
+}
+
+bool Has(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+TEST(JoinLoweringTest, CommaJoinEqualityBecomesHashJoinKey) {
+  std::string plan = CompiledPlan(
+      "SELECT ci.name, co.continent FROM city ci, country co "
+      "WHERE ci.country = co.name");
+  EXPECT_TRUE(Has(plan, "HashJoin ON ci.country = co.name  [")) << plan;
+  EXPECT_FALSE(Has(plan, "CrossJoin")) << plan;
+  EXPECT_FALSE(Has(plan, "Filter")) << plan;  // nothing left to filter
+  plan = CompiledPlan(
+      "SELECT ci.name FROM city ci, country co "
+      "WHERE co.name = ci.country AND ci.elevation < co.population");
+  EXPECT_TRUE(Has(plan, "HashJoin ON co.name = ci.country  [")) << plan;
+  EXPECT_TRUE(Has(plan, "Filter (ci.elevation < co.population)  ["))
+      << plan;
+}
+
+TEST(JoinLoweringTest, OnClauseEqualityHashesWithPerPairCheck) {
+  std::string plan = CompiledPlan(
+      "SELECT ci.name FROM city ci JOIN country co "
+      "ON ci.country = co.name AND co.population > 5");
+  EXPECT_TRUE(Has(plan, "HashJoin ON ci.country = co.name (per-pair "
+                        "check (co.population > 5))"))
+      << plan;
+  plan = CompiledPlan(
+      "SELECT ci.name FROM city ci LEFT JOIN country co "
+      "ON ci.country = co.name");
+  EXPECT_TRUE(Has(plan, "LeftOuterHashJoin ON ci.country = co.name  ["))
+      << plan;
+}
+
+TEST(JoinLoweringTest, NoUsableEqualityKeepsTheOldOperators) {
+  EXPECT_TRUE(Has(CompiledPlan("SELECT ci.name FROM city ci, country co "
+                               "WHERE ci.population > co.population"),
+                  "CrossJoin"));
+  EXPECT_TRUE(Has(CompiledPlan("SELECT ci.name FROM city ci JOIN country co "
+                               "ON ci.population > co.population"),
+                  "NestedLoopJoin ON (ci.population > co.population)"));
+  // Both refs in one input: not a join key.
+  EXPECT_TRUE(Has(CompiledPlan("SELECT ci.name FROM city ci, country co "
+                               "WHERE ci.name = ci.country"),
+                  "CrossJoin"));
+}
+
+TEST(JoinLoweringTest, PredicatesThatCanFailKeepEveryPair) {
+  // Arithmetic can raise on some row, so the residual must still see
+  // every pair of the cross product: no key is taken out of it.
+  std::string plan = CompiledPlan(
+      "SELECT ci.name FROM city ci, country co "
+      "WHERE ci.country = co.name AND ci.population + 1 > co.population");
+  EXPECT_TRUE(Has(plan, "CrossJoin")) << plan;
+  EXPECT_FALSE(Has(plan, "HashJoin")) << plan;
+  // An ambiguous ref fails the filter; the equality stays in it.
+  plan = CompiledPlan(
+      "SELECT ci.name FROM city ci, country co WHERE country = name");
+  EXPECT_TRUE(Has(plan, "CrossJoin")) << plan;
+  // A later ON clause that can fail would see fewer rows if the comma
+  // join below it dropped pairs, so that comma join keeps them.
+  plan = CompiledPlan(
+      "SELECT st.name FROM stadium st, city ci JOIN country co "
+      "ON ci.country = co.name AND ci.population * 2 > 1 "
+      "WHERE st.city = ci.name");
+  EXPECT_TRUE(Has(plan, "CrossJoin")) << plan;
+  EXPECT_TRUE(Has(plan, "NestedLoopJoin ON ")) << plan;
+  EXPECT_FALSE(Has(plan, "HashJoin")) << plan;
 }
 
 }  // namespace

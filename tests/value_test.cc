@@ -97,6 +97,25 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Null().Hash(), Value::Null().Hash());
 }
 
+TEST(ValueTest, HashAgreesWithCompareOnEqualValues) {
+  // The hash join matches pairs by Hash, then Compare() == 0: every pair
+  // Compare calls equal must hash equally.
+  const std::vector<std::pair<Value, Value>> equal = {
+      {Value::Int(5), Value::Double(5.0)},
+      {Value::Double(0.0), Value::Double(-0.0)},
+      {Value::Int(0), Value::Double(-0.0)},
+      // Large ints compare as doubles, so they hash as doubles too.
+      {Value::Int(9007199254740993), Value::Int(9007199254740992)},
+      {Value::Bool(true), Value::Bool(true)},
+      {Value::Date(1962, 8, 4), Value::DatePacked(19620804)},
+  };
+  for (const auto& [a, b] : equal) {
+    ASSERT_EQ(a.Compare(b), 0) << a << " vs " << b;
+    EXPECT_EQ(a.Hash(), b.Hash()) << a << " vs " << b;
+  }
+  EXPECT_NE(Value::String("Italy").Compare(Value::String("italy")), 0);
+}
+
 struct CompareCase {
   Value lhs;
   Value rhs;
