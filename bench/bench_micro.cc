@@ -184,16 +184,16 @@ BENCHMARK(BM_GaloisConcurrentDispatch)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GaloisPipelinedJoin(benchmark::State& state) {
-  // range(0) toggles pipeline_phases at identical dispatch settings
-  // (batch, max_batch_size=4, parallel_batches=4): Arg(0) is the PR 2
-  // sequential-phase ladder, Arg(1) the pipelined plan. The query joins
-  // two LLM tables needing three non-key columns each, with critic
-  // verification on — per table: scan, scan-verify, then 3 × (attribute
-  // + verify) phases. The ladder pays every phase's round trips in
-  // sequence; the pipeline overlaps the two tables and, within each, the
-  // three column chains, multiplying the intra-phase parallel_batches
-  // speedup by the inter-phase width. prompts/batches/cache_hits are
-  // identical across both rows — only wall time moves.
+  // range(0) selects the schedule at identical batching (batch on,
+  // max_batch_size=4): Arg(0) runs at parallel_batches=1, the serial
+  // ladder, Arg(1) at parallel_batches=4, where phases overlap. The
+  // query joins two LLM tables needing three non-key columns each, with
+  // critic verification on — per table: scan, scan-verify, then
+  // 3 × (attribute + verify) phases. The ladder pays every round trip in
+  // sequence; at 4 the two tables and, within each, the three column
+  // chains overlap, multiplying the intra-phase chunk overlap by the
+  // inter-phase width. prompts/batches/cache_hits are identical across
+  // both rows — only wall time moves.
   galois::llm::SimulatedLlm model(&Workload().kb(),
                                   galois::llm::ModelProfile::ChatGpt(),
                                   &Workload().catalog());
@@ -201,9 +201,8 @@ void BM_GaloisPipelinedJoin(benchmark::State& state) {
   galois::core::ExecutionOptions options;
   options.batch_prompts = true;
   options.max_batch_size = 4;
-  options.parallel_batches = 4;
+  options.parallel_batches = state.range(0) != 0 ? 4 : 1;
   options.verify_cells = true;
-  options.pipeline_phases = state.range(0) != 0;
   galois::core::GaloisExecutor galois(&model, &Workload().catalog(),
                                       options);
   const std::string sql =
@@ -229,7 +228,7 @@ BENCHMARK(BM_GaloisPipelinedJoin)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GaloisMaterialisationCacheWarm(benchmark::State& state) {
-  // Warm rerun of the pipelined join through the cross-query
+  // Warm rerun of the overlapped join through the cross-query
   // MaterialisationCache: both tables are served by fingerprint with
   // zero LLM round trips per iteration (table_hits counts 2 per query).
   galois::llm::SimulatedLlm model(&Workload().kb(),
@@ -241,7 +240,6 @@ void BM_GaloisMaterialisationCacheWarm(benchmark::State& state) {
   options.max_batch_size = 4;
   options.parallel_batches = 4;
   options.verify_cells = true;
-  options.pipeline_phases = true;
   galois::core::GaloisExecutor galois(&model, &Workload().catalog(),
                                       options);
   galois::core::MaterialisationCache table_cache;
@@ -501,7 +499,6 @@ void BM_ConcurrentSessions(benchmark::State& state) {
   options.execution.batch_prompts = true;
   options.execution.max_batch_size = 8;
   options.execution.parallel_batches = 2;
-  options.execution.pipeline_phases = true;
   auto db = galois::Database::Open(std::move(options));
   if (!db.ok()) {
     state.SkipWithError("database open failed");

@@ -138,9 +138,9 @@ void PrintHelp() {
       "  .verify <on|off>         critic verification of every cell\n"
       "  .batch <on|off>          batched prompt round trips\n"
       "  .parallel <n> [chunk]    round trips in flight per phase (needs\n"
-      "                           .batch on); chunk sets max_batch_size\n"
-      "  .pipeline <on|off>       overlap independent phases (tables,\n"
-      "                           columns, critic passes)\n"
+      "                           .batch on); above 1 also overlaps\n"
+      "                           independent phases (tables, column\n"
+      "                           chains); chunk sets max_batch_size\n"
       "  .prefetch <n>            speculative key-scan pages in flight\n"
       "                           ahead of consumption; 0 disables\n"
       "  .sessions <n>            run each statement as n concurrent\n"
@@ -221,9 +221,6 @@ bool HandleCommand(ShellState* state, const std::string& line) {
       // Whole-phase batches leave nothing to overlap; pick a sane chunk.
       state->options.max_batch_size = 8;
     }
-    reopen = true;
-  } else if (cmd == ".pipeline") {
-    state->options.pipeline_phases = arg() != "off";
     reopen = true;
   } else if (cmd == ".prefetch") {
     int n = std::atoi(arg().c_str());
@@ -443,7 +440,7 @@ void RunSql(ShellState* state, const std::string& sql) {
     if (plan.ok()) {
       galois::planner::OptimizeLlmFilters(
           plan.value().get(),
-          state->options.EffectivePushdown() !=
+          state->options.pushdown_policy !=
               galois::core::PushdownPolicy::kNever);
       std::printf("%s", galois::planner::Explain(*plan.value()).c_str());
     }

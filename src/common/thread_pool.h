@@ -66,17 +66,17 @@ class ThreadPool {
   /// keeps at most this many round trips in flight.
   static constexpr size_t kSharedThreads = 16;
 
-  /// The process-wide pool for *phase-level* tasks: whole scheduler
-  /// flushes dispatched via BatchScheduler::FlushAsync and the per-table
-  /// materialisation tasks of the pipelined Galois executor. Kept
-  /// separate from Shared() because a phase task blocks on round-trip
-  /// futures: the two-tier split guarantees a waiting phase can never
-  /// occupy a worker the round trips underneath it need. Same lifetime
-  /// rules as Shared().
+  /// The process-wide pool for *phase-level* tasks: speculative key-scan
+  /// pages dispatched via BatchScheduler::RunAsync and, when
+  /// parallel_batches > 1, the per-table and per-column phase tasks of
+  /// core::PhysicalPlan. Kept separate from Shared() because a phase task
+  /// blocks on round-trip futures: the two-tier split guarantees a
+  /// waiting phase can never occupy a worker the round trips underneath
+  /// it need. Same lifetime rules as Shared().
   static ThreadPool& SharedPhase();
 
   /// Size of the phase pool: bounds how many phases (table tasks, column
-  /// retrievals, critic passes) overlap. TaskHandle's claim-on-join makes
+  /// chains, scan pages) overlap. TaskHandle's claim-on-join makes
   /// saturation safe — a joiner runs unstarted work inline — so this is a
   /// throughput knob, not a correctness bound.
   static constexpr size_t kSharedPhaseThreads = 8;
@@ -99,11 +99,17 @@ class ThreadPool {
 /// deadlock-free: a saturated pool degrades to inline execution instead
 /// of a cyclic wait.
 ///
+/// A Deferred handle has no pool: its task runs inline at Join, and
+/// never if nobody joins it. Code that joins its tasks in order therefore
+/// runs them serially, in that order, on the joining thread — one join
+/// loop serves both the concurrent and the serial schedule.
+///
 /// A handle is a move-only-in-spirit shared wrapper: copying shares the
-/// underlying task, but Join must be called at most once across all
-/// copies. A handle abandoned without Join is safe — the pool still runs
-/// the task (it owns all captured state by value), the result is simply
-/// dropped.
+/// underlying task, but Join or Cancel must be called at most once across
+/// all copies. A launched handle abandoned without Join is safe only if
+/// the task owns its captured state by value — the pool still runs it and
+/// the result is simply dropped; a task that borrows state must be joined
+/// or cancelled before that state dies.
 template <typename T>
 class TaskHandle {
  public:
@@ -111,14 +117,20 @@ class TaskHandle {
 
   /// Launches `fn` on `pool` and returns the joinable handle.
   static TaskHandle Launch(ThreadPool& pool, std::function<T()> fn) {
-    auto state = std::make_shared<State>();
-    state->run = std::move(fn);
-    state->result = state->promise.get_future();
-    pool.Submit([state] {
+    TaskHandle handle = Deferred(std::move(fn));
+    pool.Submit([state = handle.state_] {
       if (!state->claimed.exchange(true)) {
         state->promise.set_value(state->run());
       }
     });
+    return handle;
+  }
+
+  /// Wraps `fn` without starting it: it runs on the thread that joins.
+  static TaskHandle Deferred(std::function<T()> fn) {
+    auto state = std::make_shared<State>();
+    state->run = std::move(fn);
+    state->result = state->promise.get_future();
     TaskHandle handle;
     handle.state_ = std::move(state);
     return handle;
@@ -135,6 +147,14 @@ class TaskHandle {
       state->promise.set_value(state->run());
     }
     return state->result.get();
+  }
+
+  /// Gives the task up: when nothing has claimed it yet it never runs;
+  /// when a worker is mid-run, blocks until the body returns and drops
+  /// its result. Resets the handle to invalid.
+  void Cancel() {
+    auto state = std::move(state_);
+    if (state->claimed.exchange(true)) state->result.wait();
   }
 
  private:

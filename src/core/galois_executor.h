@@ -139,12 +139,12 @@ struct ShardRequest {
 /// catalog instances, exactly like the intro's
 /// `SELECT c.GDP, AVG(e.salary) FROM LLM.country c, DB.Employees e ...`.
 ///
-/// With ExecutionOptions::pipeline_phases the DAG executes as a pipeline
-/// instead of a ladder of barriers: independent LLM tables materialise
-/// concurrently, and within one table the needed-column attribute phases
-/// (and their critic-verify follow-ups) are dispatched as async phase
-/// futures. Results, provenance order and cost accounting are identical
-/// to the sequential plan. A MaterialisationCache attached via
+/// With ExecutionOptions::parallel_batches > 1 the DAG's independent
+/// phases overlap: LLM tables materialise concurrently, and within one
+/// table the needed-column attribute -> verify chains run concurrently.
+/// At 1 they run one after another in the paper prototype's order.
+/// Results, provenance order and cost accounting are the same either way
+/// (see PhysicalPlan). A MaterialisationCache attached via
 /// set_materialisation_cache adds cross-query reuse on top: a table is
 /// served with zero LLM round trips when its (base key, predicate
 /// descriptor) pair — definition, result-affecting options, model, plus

@@ -19,110 +19,22 @@ llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options) {
 
 namespace {
 
-/// Parses a yes/no/Unknown completion into the 1/0/-1 verdict shared by
-/// the filter-check and critic operators.
-int ParseVerdict(const std::string& completion) {
-  if (clean::IsUnknown(completion)) return -1;
-  auto b = clean::ParseBool(completion);
-  if (!b.ok()) return -1;
-  return b.value() ? 1 : 0;
-}
-
-/// Converts one completion into a typed cell (shared by the scalar and
-/// batched attribute paths).
-Result<Value> CleanAttributeCompletion(const std::string& completion,
-                                       const catalog::ColumnDef& column,
-                                       const ExecutionOptions& options) {
-  if (!options.enable_cleaning) {
-    if (clean::IsUnknown(completion)) return Value::Null();
-    return Value::String(completion);
-  }
-  clean::DomainConstraint domain =
-      clean::DefaultDomainForColumn(column.name);
-  return clean::NormalizeCell(completion, column.type,
-                              options.enforce_domains ? &domain : nullptr);
-}
-
-/// The prompt set of one attribute-retrieval phase (shared by the sync
-/// and async dispatch paths, so both issue byte-identical prompts).
-std::vector<llm::Prompt> BuildAttributePrompts(
-    const catalog::TableDef& table, const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column) {
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(keys.size());
-  for (const std::string& key : keys) {
-    llm::AttributeGetIntent intent;
-    intent.concept_name = table.entity_type;
-    intent.key = key;
-    intent.attribute = column.name;
-    intent.attribute_description = column.description;
-    intent.expected_type = column.type;
-    prompts.push_back(llm::BuildAttributePrompt(intent));
-  }
-  return prompts;
-}
-
-/// The prompt set of one critic-verification phase.
-std::vector<llm::Prompt> BuildVerifyPrompts(
-    const catalog::TableDef& table, const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const std::vector<Value>& claimed) {
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    llm::VerifyIntent intent;
-    intent.concept_name = table.entity_type;
-    intent.key = keys[i];
-    intent.attribute = column.name;
-    intent.attribute_description = column.description;
-    intent.claimed = claimed[i];
-    prompts.push_back(llm::BuildVerifyPrompt(intent));
-  }
-  return prompts;
-}
-
-/// Cleans one attribute phase's completions into typed cells and optional
-/// provenance records (shared post-processing of the sync and async
-/// paths).
-Result<std::vector<Value>> CleanAttributeCompletions(
-    const std::vector<llm::Completion>& completions,
-    const std::vector<std::string>& prompt_texts,
-    const catalog::TableDef& table, const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const ExecutionOptions& options,
-    std::vector<CellProvenance>* provenances) {
-  std::vector<Value> values;
-  values.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    GALOIS_ASSIGN_OR_RETURN(
-        Value v,
-        CleanAttributeCompletion(completions[i].text, column, options));
-    if (provenances != nullptr) {
-      CellProvenance p;
-      p.table_alias = table.name;
-      p.key = keys[i];
-      p.column = column.name;
-      p.prompt = prompt_texts[i];
-      p.completion = completions[i].text;
-      p.value = v;
-      provenances->push_back(std::move(p));
-    }
-    values.push_back(std::move(v));
-  }
-  return values;
-}
-
+/// Parses yes/no/Unknown completions into the 1/0/-1 verdicts shared by
+/// the filter-check and critic phases.
 std::vector<int> ParseVerdicts(
     const std::vector<llm::Completion>& completions) {
   std::vector<int> verdicts;
   verdicts.reserve(completions.size());
   for (const llm::Completion& c : completions) {
-    verdicts.push_back(ParseVerdict(c.text));
+    if (clean::IsUnknown(c.text)) {
+      verdicts.push_back(-1);
+      continue;
+    }
+    auto b = clean::ParseBool(c.text);
+    verdicts.push_back(!b.ok() ? -1 : b.value() ? 1 : 0);
   }
   return verdicts;
 }
-
-}  // namespace
-
-namespace {
 
 /// Builds the page-k scan prompt (shared by the sequential and
 /// speculative paging paths, so both issue byte-identical prompts).
@@ -252,54 +164,24 @@ Result<std::vector<std::string>> LlmKeyScan(
   return keys;
 }
 
-Result<Value> LlmGetAttribute(llm::LanguageModel* model,
-                              const catalog::TableDef& table,
-                              const std::string& key,
-                              const catalog::ColumnDef& column,
-                              const ExecutionOptions& options,
-                              CellProvenance* provenance) {
-  llm::AttributeGetIntent intent;
-  intent.concept_name = table.entity_type;
-  intent.key = key;
-  intent.attribute = column.name;
-  intent.attribute_description = column.description;
-  intent.expected_type = column.type;
-  llm::Prompt prompt = llm::BuildAttributePrompt(intent);
-  GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(prompt));
-  if (provenance != nullptr) {
-    provenance->table_alias = table.name;
-    provenance->key = key;
-    provenance->column = column.name;
-    provenance->prompt = prompt.text;
-    provenance->completion = completion.text;
-  }
-  Value value;
-  if (!options.enable_cleaning) {
-    // Ablation: store the raw completion (still mapping "Unknown" to NULL
-    // so the relation stays well-formed).
-    value = clean::IsUnknown(completion.text)
-                ? Value::Null()
-                : Value::String(completion.text);
-  } else {
-    clean::DomainConstraint domain =
-        clean::DefaultDomainForColumn(column.name);
-    GALOIS_ASSIGN_OR_RETURN(
-        value, clean::NormalizeCell(completion.text, column.type,
-                                    options.enforce_domains ? &domain
-                                                            : nullptr));
-  }
-  if (provenance != nullptr) provenance->value = value;
-  return value;
-}
-
 Result<std::vector<Value>> LlmGetAttributeBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys,
     const catalog::ColumnDef& column, const ExecutionOptions& options,
     std::vector<CellProvenance>* provenances) {
-  std::vector<llm::Prompt> prompts =
-      BuildAttributePrompts(table, keys, column);
+  std::vector<llm::Prompt> prompts;
+  prompts.reserve(keys.size());
+  for (const std::string& key : keys) {
+    llm::AttributeGetIntent intent;
+    intent.concept_name = table.entity_type;
+    intent.key = key;
+    intent.attribute = column.name;
+    intent.attribute_description = column.description;
+    intent.expected_type = column.type;
+    prompts.push_back(llm::BuildAttributePrompt(intent));
+  }
+  // Only provenance reads the prompt texts; don't keep one long string
+  // per key on ordinary runs.
   std::vector<std::string> prompt_texts;
   if (provenances != nullptr) {
     prompt_texts.reserve(prompts.size());
@@ -309,45 +191,37 @@ Result<std::vector<Value>> LlmGetAttributeBatch(
                                 "attribute:" + column.name);
   GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
                           scheduler.Run(std::move(prompts)));
-  return CleanAttributeCompletions(completions, prompt_texts, table, keys,
-                                   column, options, provenances);
-}
 
-AttributePhase LlmGetAttributeBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const ExecutionOptions& options) {
-  std::vector<llm::Prompt> prompts =
-      BuildAttributePrompts(table, keys, column);
-  AttributePhase phase;
-  phase.table_ = &table;
-  phase.column_ = &column;
-  phase.keys_ = keys;
-  if (options.record_provenance) {
-    // Only provenance reads the prompt texts; don't duplicate one long
-    // string per key on ordinary runs.
-    phase.prompt_texts_.reserve(prompts.size());
-    for (const llm::Prompt& p : prompts) {
-      phase.prompt_texts_.push_back(p.text);
+  clean::DomainConstraint domain = clean::DefaultDomainForColumn(column.name);
+  std::vector<Value> values;
+  values.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string& completion = completions[i].text;
+    Value v;
+    if (!options.enable_cleaning) {
+      // Ablation: store the raw completion (still mapping "Unknown" to
+      // NULL so the relation stays well-formed).
+      v = clean::IsUnknown(completion) ? Value::Null()
+                                       : Value::String(completion);
+    } else {
+      GALOIS_ASSIGN_OR_RETURN(
+          v, clean::NormalizeCell(completion, column.type,
+                                  options.enforce_domains ? &domain
+                                                          : nullptr));
     }
+    if (provenances != nullptr) {
+      CellProvenance p;
+      p.table_alias = table.name;
+      p.key = keys[i];
+      p.column = column.name;
+      p.prompt = std::move(prompt_texts[i]);
+      p.completion = completion;
+      p.value = v;
+      provenances->push_back(std::move(p));
+    }
+    values.push_back(std::move(v));
   }
-  phase.options_ = options;
-  llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
-                                "attribute:" + column.name);
-  phase.handle_ = scheduler.RunAsync(std::move(prompts));
-  return phase;
-}
-
-Result<std::vector<Value>> AttributePhase::Join(
-    std::vector<CellProvenance>* provenances) {
-  GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
-                          handle_.Join());
-  // Prompt texts are only captured when the phase was started with
-  // record_provenance on; without them there is nothing to record.
-  std::vector<CellProvenance>* prov =
-      options_.record_provenance ? provenances : nullptr;
-  return CleanAttributeCompletions(completions, prompt_texts_, *table_,
-                                   keys_, *column_, options_, prov);
+  return values;
 }
 
 Result<std::vector<int>> LlmFilterCheckBatch(
@@ -379,69 +253,22 @@ Result<std::vector<int>> LlmVerifyCellBatch(
     return Status::InvalidArgument(
         "LlmVerifyCellBatch: keys/claimed size mismatch");
   }
-  std::vector<llm::Prompt> prompts =
-      BuildVerifyPrompts(table, keys, column, claimed);
+  std::vector<llm::Prompt> prompts;
+  prompts.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    llm::VerifyIntent intent;
+    intent.concept_name = table.entity_type;
+    intent.key = keys[i];
+    intent.attribute = column.name;
+    intent.attribute_description = column.description;
+    intent.claimed = claimed[i];
+    prompts.push_back(llm::BuildVerifyPrompt(intent));
+  }
   llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
                                 "verify:" + column.name);
   GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
                           scheduler.Run(std::move(prompts)));
   return ParseVerdicts(completions);
-}
-
-VerdictPhase LlmVerifyCellBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const std::vector<Value>& claimed,
-    const ExecutionOptions& options) {
-  VerdictPhase phase;
-  if (keys.size() != claimed.size()) {
-    phase.error_ = Status::InvalidArgument(
-        "LlmVerifyCellBatch: keys/claimed size mismatch");
-    return phase;
-  }
-  llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
-                                "verify:" + column.name);
-  phase.handle_ =
-      scheduler.RunAsync(BuildVerifyPrompts(table, keys, column, claimed));
-  return phase;
-}
-
-Result<std::vector<int>> VerdictPhase::Join() {
-  GALOIS_RETURN_IF_ERROR(error_);
-  GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
-                          handle_.Join());
-  return ParseVerdicts(completions);
-}
-
-Result<int> LlmVerifyCell(llm::LanguageModel* model,
-                          const catalog::TableDef& table,
-                          const std::string& key,
-                          const catalog::ColumnDef& column,
-                          const Value& claimed) {
-  llm::VerifyIntent intent;
-  intent.concept_name = table.entity_type;
-  intent.key = key;
-  intent.attribute = column.name;
-  intent.attribute_description = column.description;
-  intent.claimed = claimed;
-  llm::Prompt prompt = llm::BuildVerifyPrompt(intent);
-  GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(prompt));
-  return ParseVerdict(completion.text);
-}
-
-Result<int> LlmFilterCheck(llm::LanguageModel* model,
-                           const catalog::TableDef& table,
-                           const std::string& key,
-                           const llm::PromptFilter& filter) {
-  llm::FilterCheckIntent intent;
-  intent.concept_name = table.entity_type;
-  intent.key = key;
-  intent.filter = filter;
-  llm::Prompt prompt = llm::BuildFilterPrompt(intent);
-  GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(prompt));
-  return ParseVerdict(completion.text);
 }
 
 }  // namespace galois::core

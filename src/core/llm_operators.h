@@ -18,16 +18,18 @@ namespace galois::core {
 /// These functions are the prompt-issuing leaves of the Galois plan; the
 /// relational part of the plan runs on the classic engine.
 ///
-/// Every fan-out operator dispatches its prompts through one
-/// llm::BatchScheduler per phase: batched (CompleteBatch round trips split
-/// by ExecutionOptions::max_batch_size, up to
+/// Each operator is one synchronous phase over a list of keys; a single
+/// key is a one-element list. Every phase dispatches its prompts through
+/// one llm::BatchScheduler: batched (CompleteBatch round trips split by
+/// ExecutionOptions::max_batch_size, up to
 /// ExecutionOptions::parallel_batches in flight concurrently) when
 /// options.batch_prompts is on, sequential Complete calls otherwise. All
 /// modes issue the same deduplicated prompt set and return identical
 /// results; only the round trips — and, with parallelism, the wall-clock
 /// time — differ. Each scheduler carries a phase label
 /// ("filter-check:population") so a failed round trip names the phase and
-/// chunk in its error message.
+/// chunk in its error message. Which phases overlap is decided one layer
+/// up, by core::PhysicalPlan.
 
 /// The scheduler dispatch policy implied by the execution options.
 llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options);
@@ -71,127 +73,36 @@ Result<std::vector<std::string>> LlmKeyScan(
     const std::optional<llm::PromptFilter>& filter = std::nullopt,
     KeyScanStats* stats = nullptr, int64_t key_limit = -1);
 
-/// Attribute retrieval node: fetches `column` of the entity identified by
-/// `key` and converts the completion to a typed cell via the cleaning
-/// layer (or stores the raw string when cleaning is disabled). When
-/// `provenance` is non-null the raw prompt/completion are recorded there.
-Result<Value> LlmGetAttribute(llm::LanguageModel* model,
-                              const catalog::TableDef& table,
-                              const std::string& key,
-                              const catalog::ColumnDef& column,
-                              const ExecutionOptions& options,
-                              CellProvenance* provenance = nullptr);
-
-/// Attribute-retrieval phase: fetches `column` for every key in `keys`
-/// through the batch scheduler. Semantically identical to calling
-/// LlmGetAttribute per key. `provenances`, when non-null, receives one
-/// record per key.
+/// Attribute-retrieval phase: fetches `column` of every entity in `keys`
+/// through the batch scheduler and converts each completion to a typed
+/// cell via the cleaning layer (or keeps the raw string when cleaning is
+/// disabled). One value per key, in order. `provenances`, when non-null,
+/// receives one record per key with the raw prompt and completion.
 Result<std::vector<Value>> LlmGetAttributeBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys,
     const catalog::ColumnDef& column, const ExecutionOptions& options,
     std::vector<CellProvenance>* provenances = nullptr);
 
-/// An in-flight attribute-retrieval phase started by
-/// LlmGetAttributeBatchStart. Join blocks for the dispatched prompts and
-/// then cleans the completions into typed cells — the result (values,
-/// provenance records, errors) is identical to what the synchronous
-/// LlmGetAttributeBatch would have returned for the same arguments. Join
-/// must be called at most once. The phase owns copies of everything it
-/// needs except the model, table and column, which must outlive it.
-class AttributePhase {
- public:
-  AttributePhase() = default;
-  bool valid() const { return handle_.valid(); }
-  Result<std::vector<Value>> Join(
-      std::vector<CellProvenance>* provenances = nullptr);
-
- private:
-  friend AttributePhase LlmGetAttributeBatchStart(
-      llm::LanguageModel* model, const catalog::TableDef& table,
-      const std::vector<std::string>& keys,
-      const catalog::ColumnDef& column, const ExecutionOptions& options);
-
-  llm::PhaseHandle handle_;
-  const catalog::TableDef* table_ = nullptr;
-  const catalog::ColumnDef* column_ = nullptr;
-  std::vector<std::string> keys_;
-  std::vector<std::string> prompt_texts_;  // for provenance records
-  ExecutionOptions options_;
-};
-
-/// Async counterpart of LlmGetAttributeBatch: builds the same prompt set
-/// and dispatches it as a phase future (BatchScheduler::FlushAsync), so
-/// several columns retrieve concurrently. Collect the values with
-/// AttributePhase::Join.
-AttributePhase LlmGetAttributeBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const ExecutionOptions& options);
-
-/// An in-flight verdict phase (critic verification) started by
-/// LlmVerifyCellBatchStart; Join returns the same 1/0/-1 verdict vector
-/// as the synchronous LlmVerifyCellBatch. Join at most once.
-class VerdictPhase {
- public:
-  VerdictPhase() = default;
-  bool valid() const { return handle_.valid() || !error_.ok(); }
-  Result<std::vector<int>> Join();
-
- private:
-  friend VerdictPhase LlmVerifyCellBatchStart(
-      llm::LanguageModel* model, const catalog::TableDef& table,
-      const std::vector<std::string>& keys,
-      const catalog::ColumnDef& column,
-      const std::vector<Value>& claimed, const ExecutionOptions& options);
-
-  llm::PhaseHandle handle_;
-  Status error_ = Status::OK();  // argument errors surfaced at Join
-};
-
-/// Async counterpart of LlmVerifyCellBatch: dispatches the critic prompts
-/// as a phase future so a column's verification overlaps other columns'
-/// retrievals. Argument errors (keys/claimed size mismatch) are deferred
-/// to Join, keeping the error surface identical to the sync operator.
-VerdictPhase LlmVerifyCellBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const std::vector<Value>& claimed,
-    const ExecutionOptions& options);
-
-/// Filter-check phase over many keys; returns one verdict (1/0/-1) per
-/// key, in order.
+/// Selection-check phase: asks, per key, whether `filter` holds. Returns
+/// one verdict per key, in order: 1/0 for yes/no and -1 when the model
+/// answers "Unknown" (callers drop unknown keys, matching the
+/// closed-world behaviour of a selection).
 Result<std::vector<int>> LlmFilterCheckBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys, const llm::PromptFilter& filter,
     const ExecutionOptions& options);
 
-/// Critic verification (Section 6): asks a second prompt whether the
-/// claimed value is true. Returns 1 (confirmed), 0 (rejected) or -1
-/// (critic answered "Unknown" — treated as confirmation by callers, the
-/// critic abstains).
-Result<int> LlmVerifyCell(llm::LanguageModel* model,
-                          const catalog::TableDef& table,
-                          const std::string& key,
-                          const catalog::ColumnDef& column,
-                          const Value& claimed);
-
-/// Critic-verification phase: one verdict per (keys[i], claimed[i]) pair
-/// for `column`, dispatched through the batch scheduler. `keys` and
-/// `claimed` must have equal length.
+/// Critic-verification phase (Section 6): asks, per (keys[i],
+/// claimed[i]) pair, whether the claimed value of `column` is true.
+/// Returns one verdict per pair: 1 (confirmed), 0 (rejected) or -1 (the
+/// critic answered "Unknown" — treated as confirmation by callers, the
+/// critic abstains). `keys` and `claimed` must have equal length.
 Result<std::vector<int>> LlmVerifyCellBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys,
     const catalog::ColumnDef& column, const std::vector<Value>& claimed,
     const ExecutionOptions& options);
-
-/// Selection check: asks whether `filter` holds for `key`. Returns 1/0 for
-/// yes/no and -1 when the model answers "Unknown" (callers drop unknown
-/// keys, matching the closed-world behaviour of a selection).
-Result<int> LlmFilterCheck(llm::LanguageModel* model,
-                           const catalog::TableDef& table,
-                           const std::string& key,
-                           const llm::PromptFilter& filter);
 
 }  // namespace galois::core
 

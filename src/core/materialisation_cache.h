@@ -150,10 +150,9 @@ class MaterialisationSink {
 /// materialised bytes: table definition identity, the result-affecting
 /// ExecutionOptions (verify_cells, cleaning, domains, max_scan_pages)
 /// and the model name. Dispatch-only knobs (batch_prompts,
-/// max_batch_size, parallel_batches, pipeline_phases, prefetch_pages)
-/// are deliberately excluded — they never change results, so a
-/// sequential run can serve a pipelined or prefetched one and vice
-/// versa. The descriptor covers the pushed conjuncts in canonical
+/// max_batch_size, parallel_batches, prefetch_pages) are deliberately
+/// excluded — they never change results, so a serial run can serve an
+/// overlapped or prefetched one and vice versa. The descriptor covers the pushed conjuncts in canonical
 /// order, which conjunct (if any) was merged into the scan prompt, and
 /// the LIMIT-derived paging bound.
 ///

@@ -18,7 +18,7 @@ const char* PushdownPolicyName(PushdownPolicy p) {
 
 std::string ExecutionOptions::ToString() const {
   std::ostringstream os;
-  os << "pushdown=" << PushdownPolicyName(EffectivePushdown())
+  os << "pushdown=" << PushdownPolicyName(pushdown_policy)
      << " cleaning=" << (enable_cleaning ? "on" : "off")
      << " domains=" << (enforce_domains ? "on" : "off")
      << " llm_filters=" << (llm_filter_checks ? "on" : "off")
@@ -26,7 +26,6 @@ std::string ExecutionOptions::ToString() const {
      << " batching=" << (batch_prompts ? "on" : "off")
      << " max_batch=" << max_batch_size
      << " parallel_batches=" << parallel_batches
-     << " pipeline=" << (pipeline_phases ? "on" : "off")
      << " provenance=" << (record_provenance ? "on" : "off")
      << " max_pages=" << max_scan_pages
      << " prefetch=" << prefetch_pages;

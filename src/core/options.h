@@ -34,11 +34,6 @@ struct ExecutionOptions {
   /// large scans, while the accuracy penalty is per-prompt).
   size_t auto_pushdown_min_rows = 60;
 
-  /// The single source of truth for the pushdown decision. (The legacy
-  /// `pushdown_selections` bool is retired; set `pushdown_policy =
-  /// PushdownPolicy::kAlways` instead.)
-  PushdownPolicy EffectivePushdown() const { return pushdown_policy; }
-
   /// Verify every retrieved non-NULL cell with a second critic prompt and
   /// null the cells the critic rejects (Section 6, "Knowledge of the
   /// Unknown"). Costs one extra prompt per cell.
@@ -66,29 +61,24 @@ struct ExecutionOptions {
   /// grows accordingly while answers stay identical.
   size_t max_batch_size = 0;
 
-  /// How many batch round trips the scheduler may keep in flight at once
-  /// when batch_prompts is on. Above 1, each retrieval phase fans its
-  /// max_batch_size chunks out across the shared thread pool, so phases
-  /// with many chunks take roughly ceil(chunks / parallel_batches) round
-  /// trips of wall-clock time instead of `chunks`. Results, Add-order,
-  /// dedupe and the CostMeter are identical to sequential dispatch — the
-  /// model must merely tolerate concurrent CompleteBatch calls
-  /// (SimulatedLlm and PromptCache do). Values < 1 are treated as 1.
+  /// Whether the query may call the model from several threads at once,
+  /// and how many round trips each phase keeps in flight. Above 1:
+  ///  - within a phase, with batch_prompts on, the max_batch_size chunks
+  ///    fan out across the shared thread pool, up to this many at once,
+  ///    so a phase of many chunks takes roughly
+  ///    ceil(chunks / parallel_batches) round trips of wall-clock time;
+  ///  - across phases, core::PhysicalPlan overlaps what is independent:
+  ///    the LLM tables of a join, and within a table the per-column
+  ///    attribute -> verify chains, so wall-clock time drops from the
+  ///    *sum* of the phase latencies towards the *max* along the longest
+  ///    chain.
+  /// At 1 every phase runs on the calling thread in the paper
+  /// prototype's order (speculative scan pages aside, see
+  /// prefetch_pages). Results, provenance order and the CostMeter are
+  /// the same at every value; the model must tolerate concurrent
+  /// Complete/CompleteBatch calls above 1 (see llm::LanguageModel).
+  /// Values < 1 are treated as 1.
   int parallel_batches = 1;
-
-  /// Pipeline independent retrieval phases instead of running them as a
-  /// ladder of blocking barriers: the LLM tables of a join materialise
-  /// concurrently, and within one table every needed-column attribute
-  /// phase (plus its critic-verify follow-up) is dispatched as an async
-  /// phase future (BatchScheduler::FlushAsync) instead of column by
-  /// column. Results, provenance order and the CostMeter are identical to
-  /// the sequential ladder — only wall-clock time changes, roughly from
-  /// the *sum* of the phase latencies to the *max* along the longest
-  /// dependency chain. Off by default to mirror the paper prototype's
-  /// strictly sequential plan. Orthogonal to batch_prompts /
-  /// parallel_batches, which act *within* one phase; the combination
-  /// multiplies.
-  bool pipeline_phases = false;
 
   /// Run the cleaning step (Section 4, workflow step 3): normalise numeric
   /// formats, parse dates, coerce types. When off, raw completion strings
@@ -106,14 +96,17 @@ struct ExecutionOptions {
   /// Speculative key-scan paging depth: while page k's completion is
   /// being parsed, keep up to this many further page round trips in
   /// flight (0 disables — the paper prototype's strictly sequential
-  /// paging). Dispatch-only: the surviving key set, the CostMeter and
-  /// the pages bought are identical when the scan terminates at the
-  /// max_scan_pages cap; when the model signals "no more results" early,
-  /// the pages already speculated are still paid for, joined, and left
-  /// in the prompt cache rather than discarded (counted as overfetched
-  /// in QueryOutput). Excluded from the materialisation-cache base key,
-  /// like the other dispatch knobs. Disabled for LIMIT-bounded scans,
-  /// which must never buy pages past the bound.
+  /// paging). The speculative pages call the model from phase-pool
+  /// threads, so above 0 the model must tolerate concurrent calls even
+  /// at parallel_batches == 1. Dispatch-only: the surviving key set, the
+  /// CostMeter and the pages bought are identical when the scan
+  /// terminates at the max_scan_pages cap; when the model signals "no
+  /// more results" early, the pages already speculated are still paid
+  /// for, joined, and left in the prompt cache rather than discarded
+  /// (counted as overfetched in QueryOutput). Excluded from the
+  /// materialisation-cache base key, like the other dispatch knobs.
+  /// Disabled for LIMIT-bounded scans, which must never buy pages past
+  /// the bound.
   int prefetch_pages = 0;
 
   /// Execute per-key selection checks with the LLM (the paper's filter

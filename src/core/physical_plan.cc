@@ -43,24 +43,84 @@ CellSelection SelectNonNullCells(
   return sel;
 }
 
-/// Applies one column's critic verdicts (shared by the sequential and
-/// pipelined retrieval paths, so their rejection/provenance semantics
-/// cannot diverge): rejected cells become NULL — the critic treats them
-/// as hallucinations — and the provenance records, when kept, are tagged.
-void ApplyVerdicts(const std::vector<int>& verdicts,
-                   const CellSelection& cells, std::vector<Value>* values,
-                   std::vector<CellProvenance>* provenances) {
+/// One needed column of an LLM table, retrieved and (optionally)
+/// verified: a value per surviving key and, when provenance is recorded,
+/// a record per key.
+struct RetrievedColumn {
+  std::vector<Value> values;
+  std::vector<CellProvenance> provenances;
+};
+
+/// A column's attribute -> verify chain: retrieves `column` for every
+/// key, then, with verify_cells, asks the critic about its non-NULL
+/// cells in one phase. Rejected cells become NULL — the critic treats
+/// them as hallucinations — and their provenance records are tagged.
+Result<RetrievedColumn> RetrieveColumn(llm::LanguageModel* attr_model,
+                                       llm::LanguageModel* verify_model,
+                                       const catalog::TableDef& def,
+                                       const catalog::ColumnDef& column,
+                                       const std::vector<std::string>& keys,
+                                       const ExecutionOptions& options) {
+  RetrievedColumn out;
+  std::vector<CellProvenance>* prov =
+      options.record_provenance ? &out.provenances : nullptr;
+  GALOIS_ASSIGN_OR_RETURN(
+      out.values,
+      LlmGetAttributeBatch(attr_model, def, keys, column, options, prov));
+  if (!options.verify_cells) return out;
+  CellSelection cells = SelectNonNullCells(out.values, keys);
+  if (cells.idx.empty()) return out;
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<int> verdicts,
+      LlmVerifyCellBatch(verify_model, def, cells.keys, column,
+                         cells.values, options));
   for (size_t v = 0; v < cells.idx.size(); ++v) {
     size_t i = cells.idx[v];
-    if (provenances != nullptr) (*provenances)[i].verified = true;
+    if (prov != nullptr) (*prov)[i].verified = true;
     if (verdicts[v] == 0) {
-      (*values)[i] = Value::Null();
-      if (provenances != nullptr) {
-        (*provenances)[i].rejected = true;
-        (*provenances)[i].value = Value::Null();
+      out.values[i] = Value::Null();
+      if (prov != nullptr) {
+        (*prov)[i].rejected = true;
+        (*prov)[i].value = Value::Null();
       }
     }
   }
+  return out;
+}
+
+/// Starts one phase task of the plan. When the options allow concurrent
+/// model calls (parallel_batches > 1) it runs on the phase pool;
+/// otherwise it is deferred to its Join, so joining a plan's tasks in
+/// order runs them one after another on the calling thread — the paper
+/// prototype's ladder, prompt for prompt.
+template <typename T>
+TaskHandle<Result<T>> StartPhaseTask(const ExecutionOptions& options,
+                                     std::function<Result<T>()> fn) {
+  if (options.parallel_batches > 1) {
+    return TaskHandle<Result<T>>::Launch(ThreadPool::SharedPhase(),
+                                         std::move(fn));
+  }
+  return TaskHandle<Result<T>>::Deferred(std::move(fn));
+}
+
+/// Joins `tasks` in order. At the first failure the rest are cancelled —
+/// a task not yet started never runs, a running one is waited for — and
+/// that failure is returned: the error of the earliest failing task, the
+/// one the serial ladder stops at. Every task has been joined or
+/// cancelled when this returns, so tasks may borrow the caller's state.
+template <typename T>
+Result<std::vector<T>> JoinInOrder(std::vector<TaskHandle<Result<T>>> tasks) {
+  std::vector<T> out;
+  out.reserve(tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    Result<T> r = tasks[i].Join();
+    if (!r.ok()) {
+      for (size_t j = i + 1; j < tasks.size(); ++j) tasks[j].Cancel();
+      return r.status();
+    }
+    out.push_back(std::move(r).value());
+  }
+  return out;
 }
 
 /// Records an LLM operator's outcome on its DAG node: the nested tap's
@@ -158,9 +218,8 @@ planner::BindingOptions BindingOptionsFor(const ExecutionOptions& options) {
   planner::BindingOptions b;
   b.llm_filter_checks = options.llm_filter_checks;
   b.merge_filter_into_scan =
-      options.EffectivePushdown() == PushdownPolicy::kAlways;
-  b.merge_filter_auto =
-      options.EffectivePushdown() == PushdownPolicy::kAuto;
+      options.pushdown_policy == PushdownPolicy::kAlways;
+  b.merge_filter_auto = options.pushdown_policy == PushdownPolicy::kAuto;
   b.auto_pushdown_min_rows = options.auto_pushdown_min_rows;
   b.scan_rows_may_drop = options.verify_cells;
   return b;
@@ -542,81 +601,6 @@ Result<Relation> PhysicalPlan::MaterialiseDb(TableGroup& group) {
   return rel;
 }
 
-Result<std::vector<std::vector<Value>>>
-PhysicalPlan::RetrieveColumnsPipelined(
-    const TableGroup& group, llm::LanguageModel* attr_model,
-    llm::LanguageModel* verify_model,
-    const std::vector<std::string>& surviving, ExecutionTrace* trace) {
-  const catalog::TableDef& def = *group.def;
-  const size_t n = group.needed_columns.size();
-  const bool prov = options_.record_provenance;
-
-  // Dispatch every column's attribute phase up front; they all run
-  // concurrently on the phase pool.
-  std::vector<AttributePhase> attr_phases(n);
-  for (size_t i = 0; i < n; ++i) {
-    attr_phases[i] = LlmGetAttributeBatchStart(
-        attr_model, def, surviving, *group.needed_columns[i], options_);
-  }
-
-  // Join columns in order; each column's critic-verify follow-up is
-  // dispatched as soon as its values are in, overlapping later columns'
-  // retrievals. The error reported is the one with the lowest rank in
-  // the sequential op order (attr_0, verify_0, attr_1, ...), so the
-  // pipelined and sequential paths fail identically — though, as with
-  // concurrent chunk dispatch, phases already in flight when an error
-  // surfaces still complete and bill. On error, this table's per-cell
-  // provenance is dropped rather than partially recorded.
-  std::vector<std::vector<Value>> columns(n);
-  std::vector<std::vector<CellProvenance>> provenances(n);
-  std::vector<VerdictPhase> verify_phases(n);
-  std::vector<CellSelection> cells(n);
-  Status first_error = Status::OK();
-  size_t first_error_rank = 2 * n;  // past every op
-  for (size_t i = 0; i < n; ++i) {
-    Result<std::vector<Value>> values =
-        attr_phases[i].Join(prov ? &provenances[i] : nullptr);
-    if (!values.ok()) {
-      if (2 * i < first_error_rank) {
-        first_error = values.status();
-        first_error_rank = 2 * i;
-      }
-      continue;
-    }
-    columns[i] = std::move(values).value();
-    if (!options_.verify_cells || !first_error.ok()) continue;
-    cells[i] = SelectNonNullCells(columns[i], surviving);
-    if (!cells[i].idx.empty()) {
-      verify_phases[i] = LlmVerifyCellBatchStart(
-          verify_model, def, cells[i].keys, *group.needed_columns[i],
-          cells[i].values, options_);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!verify_phases[i].valid()) continue;
-    Result<std::vector<int>> verdicts = verify_phases[i].Join();
-    if (!verdicts.ok()) {
-      if (2 * i + 1 < first_error_rank) {
-        first_error = verdicts.status();
-        first_error_rank = 2 * i + 1;
-      }
-      continue;
-    }
-    ApplyVerdicts(*verdicts, cells[i], &columns[i],
-                  prov ? &provenances[i] : nullptr);
-  }
-  GALOIS_RETURN_IF_ERROR(first_error);
-  if (prov) {
-    for (size_t i = 0; i < n; ++i) {
-      for (CellProvenance& p : provenances[i]) {
-        p.table_alias = group.alias;
-        trace->cells.push_back(std::move(p));
-      }
-    }
-  }
-  return columns;
-}
-
 Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
                                               llm::LanguageModel* model,
                                               ExecutionTrace* trace) {
@@ -689,7 +673,7 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   // grouped so the scheduler can dispatch each phase as a batch. Batched
   // and sequential dispatch return identical keys: the model's verdicts
   // are stable per (key, filter). Filter phases chain on each other's
-  // survivors, so they stay sequential even under pipeline_phases.
+  // survivors, so they always run one after another.
   std::vector<std::string> surviving = keys;
   for (size_t f = first_check; f < group.llm_filters.size(); ++f) {
     if (surviving.empty()) break;
@@ -716,62 +700,48 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
     trace->scans.push_back(std::move(scan));
   }
 
-  // 3. Attribute completion: one scheduler phase per needed column
-  // retrieves the whole column, optionally followed by a critic
-  // verification phase over its non-NULL cells (Section 6 extensions).
-  // With pipeline_phases the per-column phase chains run concurrently;
-  // the sequential ladder below is the paper prototype's order. Either
-  // way, retrieval bills through one per-operator tap and verification
-  // through another, so the DAG attributes their spend separately.
-  GALOIS_ASSIGN_OR_RETURN(Schema schema, GroupSchema(group));
-  Relation rel(std::move(schema));
+  // 3. Attribute completion: one phase task per needed column retrieves
+  // the whole column, optionally followed by a critic verification phase
+  // over its non-NULL cells (Section 6 extensions). The column chains are
+  // independent, so they overlap when parallel_batches > 1 and otherwise
+  // run in column order (see StartPhaseTask). Retrieval bills through
+  // one per-operator tap and verification through another, so the DAG
+  // attributes their spend separately.
   llm::CostTap retrieve_tap(model);
   llm::CostTap cell_verify_tap(model);
-  std::vector<std::vector<Value>> columns;
-  if (options_.pipeline_phases && group.needed_columns.size() > 1) {
-    GALOIS_ASSIGN_OR_RETURN(
-        columns, RetrieveColumnsPipelined(group, &retrieve_tap,
-                                          &cell_verify_tap, surviving,
-                                          trace));
-  } else {
-    columns.reserve(group.needed_columns.size());
-    for (const catalog::ColumnDef* col : group.needed_columns) {
-      std::vector<CellProvenance> provenances;
-      std::vector<CellProvenance>* prov_ptr =
-          options_.record_provenance ? &provenances : nullptr;
-      GALOIS_ASSIGN_OR_RETURN(
-          std::vector<Value> values,
-          LlmGetAttributeBatch(&retrieve_tap, def, surviving, *col,
-                               options_, prov_ptr));
-      if (options_.verify_cells) {
-        // Verify the column's non-NULL cells in one phase.
-        CellSelection cells = SelectNonNullCells(values, surviving);
-        if (!cells.idx.empty()) {
-          GALOIS_ASSIGN_OR_RETURN(
-              std::vector<int> verdicts,
-              LlmVerifyCellBatch(&cell_verify_tap, def, cells.keys, *col,
-                                 cells.values, options_));
-          ApplyVerdicts(verdicts, cells, &values, prov_ptr);
-        }
+  std::vector<TaskHandle<Result<RetrievedColumn>>> chains;
+  chains.reserve(group.needed_columns.size());
+  for (const catalog::ColumnDef* col : group.needed_columns) {
+    chains.push_back(StartPhaseTask<RetrievedColumn>(
+        options_, [this, &retrieve_tap, &cell_verify_tap, &def, col,
+                   &surviving] {
+          return RetrieveColumn(&retrieve_tap, &cell_verify_tap, def, *col,
+                                surviving, options_);
+        }));
+  }
+  GALOIS_ASSIGN_OR_RETURN(std::vector<RetrievedColumn> columns,
+                          JoinInOrder(std::move(chains)));
+  if (options_.record_provenance) {
+    for (RetrievedColumn& column : columns) {
+      for (CellProvenance& p : column.provenances) {
+        p.table_alias = group.alias;
+        trace->cells.push_back(std::move(p));
       }
-      if (prov_ptr != nullptr) {
-        for (CellProvenance& p : provenances) {
-          p.table_alias = group.alias;
-          trace->cells.push_back(std::move(p));
-        }
-      }
-      columns.push_back(std::move(values));
     }
   }
   FinishLlmOp(group.retrieve_node, retrieve_tap, surviving.size());
   FinishLlmOp(group.cell_verify_node, cell_verify_tap, surviving.size());
+  GALOIS_ASSIGN_OR_RETURN(Schema schema, GroupSchema(group));
+  Relation rel(std::move(schema));
   for (size_t r = 0; r < surviving.size(); ++r) {
     Tuple row;
     row.reserve(1 + columns.size());
     row.push_back(Value::String(surviving[r]));
     // Move the cells out of the column vectors: each value is consumed
     // exactly once, and completions can be long strings.
-    for (auto& column : columns) row.push_back(std::move(column[r]));
+    for (RetrievedColumn& column : columns) {
+      row.push_back(std::move(column.values[r]));
+    }
     rel.AddRowUnchecked(std::move(row));
   }
   return rel;
@@ -889,62 +859,39 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     pending.push_back(i);
   }
 
-  if (options_.pipeline_phases && pending.size() > 1) {
-    // Independent tables materialise concurrently, one task per table on
-    // the phase pool. Each task records provenance into its own trace;
-    // the traces merge in FROM order afterwards, so the combined trace is
-    // identical to the sequential path's. On error every task is still
-    // joined (abandoning one would leave prompts in flight) and the
-    // error of the first table in FROM order is reported —
-    // deterministically the one the sequential path reports. Tasks touch
-    // disjoint table groups (and the thread-safe query tap), so the
-    // per-operator stats need no locking.
-    std::vector<ExecutionTrace> traces(pending.size());
-    std::vector<TaskHandle<Result<Relation>>> tasks;
-    tasks.reserve(pending.size());
-    for (size_t t = 0; t < pending.size(); ++t) {
-      TableGroup* group = &groups_[pending[t]];
-      ExecutionTrace* trace = &traces[t];
-      tasks.push_back(TaskHandle<Result<Relation>>::Launch(
-          ThreadPool::SharedPhase(), [this, model, group, trace] {
-            return MaterialiseLlm(*group, model, trace);
-          }));
-    }
-    Status first_error = Status::OK();
-    for (size_t t = 0; t < pending.size(); ++t) {
-      Result<Relation> rel = tasks[t].Join();
-      if (!rel.ok()) {
-        if (first_error.ok()) first_error = rel.status();
-        continue;
-      }
-      materialised[pending[t]] = std::move(rel).value();
-    }
-    GALOIS_RETURN_IF_ERROR(first_error);
-    for (ExecutionTrace& trace : traces) {
-      for (ScanProvenance& s : trace.scans) {
-        out->trace.scans.push_back(std::move(s));
-      }
-      for (CellProvenance& c : trace.cells) {
-        out->trace.cells.push_back(std::move(c));
-      }
-    }
-  } else {
-    for (size_t i : pending) {
-      GALOIS_ASSIGN_OR_RETURN(
-          Relation rel, MaterialiseLlm(groups_[i], model, &out->trace));
-      materialised[i] = std::move(rel);
-    }
+  // Independent LLM tables: one phase task each (see StartPhaseTask),
+  // joined in FROM order. Each task records provenance into its own
+  // trace and the traces merge in FROM order, so the combined trace is
+  // the serial one. Tasks touch disjoint table groups (and the
+  // thread-safe query tap), so the per-operator stats need no locking.
+  std::vector<ExecutionTrace> traces(pending.size());
+  std::vector<TaskHandle<Result<Relation>>> tasks;
+  tasks.reserve(pending.size());
+  for (size_t t = 0; t < pending.size(); ++t) {
+    TableGroup* group = &groups_[pending[t]];
+    ExecutionTrace* trace = &traces[t];
+    tasks.push_back(StartPhaseTask<Relation>(
+        options_, [this, model, group, trace] {
+          return MaterialiseLlm(*group, model, trace);
+        }));
   }
-
-  for (size_t i : pending) {
-    out->scan_pages_prefetched += groups_[i].scan_stats.prefetched;
-    out->scan_pages_overfetched += groups_[i].scan_stats.overfetched;
-  }
-  if (use_cache) {
-    for (size_t i : pending) {
-      cache->Insert(base_keys[i], groups_[i].descriptor,
-                    groups_[i].needed_columns, *materialised[i]);
+  GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> fresh,
+                          JoinInOrder(std::move(tasks)));
+  for (size_t t = 0; t < pending.size(); ++t) {
+    const TableGroup& group = groups_[pending[t]];
+    for (ScanProvenance& s : traces[t].scans) {
+      out->trace.scans.push_back(std::move(s));
     }
+    for (CellProvenance& c : traces[t].cells) {
+      out->trace.cells.push_back(std::move(c));
+    }
+    out->scan_pages_prefetched += group.scan_stats.prefetched;
+    out->scan_pages_overfetched += group.scan_stats.overfetched;
+    if (use_cache) {
+      cache->Insert(base_keys[pending[t]], group.descriptor,
+                    group.needed_columns, fresh[t]);
+    }
+    materialised[pending[t]] = std::move(fresh[t]);
   }
 
   std::vector<Relation> rels;

@@ -81,10 +81,21 @@ struct PhysicalNode {
 /// Compile() lowers a logical plan that has been through
 /// planner::BindPhysicalAnnotations — the single source of truth for
 /// pushdown, consumed conjuncts, retrieve columns and the LIMIT paging
-/// bound. Execute() materialises every base table (concurrently under
-/// pipeline_phases, through the materialisation cache when attached),
-/// runs the relational tail, and records per-operator statistics on the
-/// DAG. Render() pretty-prints the DAG with those statistics.
+/// bound. Execute() materialises every base table (through the
+/// materialisation cache when attached), runs the relational tail, and
+/// records per-operator statistics on the DAG. Render() pretty-prints
+/// the DAG with those statistics.
+///
+/// Materialisation has one code path. Each pending LLM table, and within
+/// it each needed column's attribute -> verify chain, is one phase task,
+/// joined in FROM and column order. With parallel_batches > 1 the tasks
+/// overlap on ThreadPool::SharedPhase(); at 1 each runs when joined, on
+/// the calling thread, so the prompts go out in the paper prototype's
+/// ladder order: tables in FROM order; within a table the scan pages,
+/// key verification and filter checks, then attribute and verify for
+/// each column in turn. Either way the first failing task in that order
+/// supplies the error, and tasks not yet started when it surfaces never
+/// run.
 ///
 /// One PhysicalPlan executes one query: GaloisExecutor::Run compiles a
 /// fresh plan per call, so executor-level thread-safety is preserved
@@ -209,10 +220,6 @@ class PhysicalPlan {
   Result<Relation> MaterialiseLlm(TableGroup& group,
                                   llm::LanguageModel* model,
                                   ExecutionTrace* trace);
-  Result<std::vector<std::vector<Value>>> RetrieveColumnsPipelined(
-      const TableGroup& group, llm::LanguageModel* attr_model,
-      llm::LanguageModel* verify_model,
-      const std::vector<std::string>& surviving, ExecutionTrace* trace);
   Result<std::vector<Relation>> MaterialiseAll(llm::LanguageModel* model,
                                                MaterialisationCache* cache,
                                                QueryOutput* out);

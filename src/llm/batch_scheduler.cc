@@ -78,6 +78,18 @@ Result<std::vector<Completion>> BatchScheduler::DispatchBatched(
   std::vector<std::vector<Completion>> chunk_out(num_chunks);
   std::vector<Status> chunk_status(num_chunks, Status::OK());
 
+  // One round trip, shared by both dispatch modes so they fail alike;
+  // the caller adds the chunk context.
+  auto run_chunk = [&](size_t i) -> Status {
+    GALOIS_RETURN_IF_ERROR(CheckCancel(policy_.control));
+    GALOIS_ASSIGN_OR_RETURN(std::vector<Completion> completions,
+                            model_->CompleteBatch(chunks[i]));
+    GALOIS_RETURN_IF_ERROR(
+        CheckBatchShape(completions.size(), chunks[i].size()));
+    chunk_out[i] = std::move(completions);
+    return Status::OK();
+  };
+
   const size_t workers = std::min<size_t>(
       num_chunks,
       policy_.parallel_batches < 1
@@ -86,16 +98,8 @@ Result<std::vector<Completion>> BatchScheduler::DispatchBatched(
   if (workers <= 1) {
     // Sequential chunk dispatch: stop at the first failing round trip.
     for (size_t i = 0; i < num_chunks; ++i) {
-      Status cancel = CheckCancel(policy_.control);
-      if (!cancel.ok()) return Annotate(cancel, chunk_context(i));
-      Result<std::vector<Completion>> completions =
-          model_->CompleteBatch(chunks[i]);
-      if (!completions.ok()) {
-        return Annotate(completions.status(), chunk_context(i));
-      }
-      GALOIS_RETURN_IF_ERROR(
-          CheckBatchShape(completions->size(), chunks[i].size()));
-      chunk_out[i] = std::move(completions).value();
+      Status status = run_chunk(i);
+      if (!status.ok()) return Annotate(status, chunk_context(i));
     }
   } else {
     // Concurrent dispatch: `workers` tasks pull chunk indices from a
@@ -108,24 +112,7 @@ Result<std::vector<Completion>> BatchScheduler::DispatchBatched(
     auto run_chunks = [&]() {
       for (size_t i = next.fetch_add(1); i < num_chunks;
            i = next.fetch_add(1)) {
-        Status cancel = CheckCancel(policy_.control);
-        if (!cancel.ok()) {
-          chunk_status[i] = cancel;
-          continue;
-        }
-        Result<std::vector<Completion>> completions =
-            model_->CompleteBatch(chunks[i]);
-        if (completions.ok()) {
-          Status shape =
-              CheckBatchShape(completions->size(), chunks[i].size());
-          if (shape.ok()) {
-            chunk_out[i] = std::move(completions).value();
-          } else {
-            chunk_status[i] = shape;
-          }
-        } else {
-          chunk_status[i] = completions.status();
-        }
+        chunk_status[i] = run_chunk(i);
       }
     };
     std::vector<std::future<void>> futures;
@@ -191,10 +178,11 @@ Result<std::vector<Completion>> BatchScheduler::Run(
   return Flush();
 }
 
-PhaseHandle BatchScheduler::FlushAsync() {
+PhaseHandle BatchScheduler::RunAsync(std::vector<Prompt> prompts) {
   // The task captures everything by value (queue moved in, model pointer,
   // policy, phase label copied), so it stays valid however long the
   // caller holds the handle and whatever happens to this scheduler.
+  for (Prompt& p : prompts) Add(std::move(p));
   std::vector<Prompt> queued = std::move(pending_);
   pending_.clear();
   return PhaseHandle::Launch(
@@ -205,11 +193,6 @@ PhaseHandle BatchScheduler::FlushAsync() {
         scheduler.pending_ = std::move(pending);
         return scheduler.Flush();
       });
-}
-
-PhaseHandle BatchScheduler::RunAsync(std::vector<Prompt> prompts) {
-  for (Prompt& p : prompts) Add(std::move(p));
-  return FlushAsync();
 }
 
 }  // namespace galois::llm

@@ -14,8 +14,8 @@
 namespace galois::llm {
 
 /// A joinable handle to one asynchronously dispatched phase (see
-/// BatchScheduler::FlushAsync). Join returns exactly what the equivalent
-/// synchronous Flush would have returned — same completions, same Add
+/// BatchScheduler::RunAsync). Join returns exactly what the equivalent
+/// synchronous Run would have returned — same completions, same Add
 /// order, same error contract — and must be called at most once.
 using PhaseHandle = TaskHandle<Result<std::vector<Completion>>>;
 
@@ -68,7 +68,7 @@ struct BatchPolicy {
 /// joins every in-flight round trip before returning. Flush must not be
 /// called from inside a task of the *round-trip* pool (ThreadPool::
 /// Shared(); the wait could starve that pool). Running a Flush on the
-/// phase pool is fine and is exactly what FlushAsync does: phase tasks
+/// phase pool is fine and is exactly what RunAsync does: phase tasks
 /// wait on round-trip futures, never the converse (the two-tier rule in
 /// common/thread_pool.h).
 class BatchScheduler {
@@ -106,27 +106,22 @@ class BatchScheduler {
   /// first failure.
   Result<std::vector<Completion>> Flush();
 
-  /// Future-returning dispatch: moves the queued prompts into a
-  /// self-contained task on ThreadPool::SharedPhase() and returns a
-  /// handle the caller joins later. Several phases launched this way run
-  /// their Flushes concurrently — the pipelined executor uses this to
-  /// overlap independent column retrievals and table materialisations.
-  ///
-  /// The task owns copies of the model pointer, policy and phase label,
-  /// so the scheduler itself may be reused (its queue is empty again) or
-  /// destroyed before Join; only the model must outlive the handle.
-  /// Semantics are identical to Flush — same dedupe, chunking,
-  /// parallel_batches fan-out, Add-order results, accounting and error
-  /// contract; only the thread that executes the dispatch differs. Thanks
-  /// to TaskHandle's claim-on-join, launching more phases than the phase
-  /// pool has workers degrades to inline execution at Join, never to
-  /// deadlock.
-  PhaseHandle FlushAsync();
-
   /// Convenience: queue `prompts` and flush in one call.
   Result<std::vector<Completion>> Run(std::vector<Prompt> prompts);
 
-  /// Convenience: queue `prompts` and dispatch them asynchronously.
+  /// Future-returning Run: queues `prompts`, moves the whole queue into a
+  /// self-contained task on ThreadPool::SharedPhase() and returns a
+  /// handle the caller joins later. The speculative key scan uses it to keep page round trips in
+  /// flight while it consumes earlier pages.
+  ///
+  /// The task owns copies of the model pointer, policy and phase label,
+  /// so the scheduler may be reused or destroyed before Join; only the
+  /// model must outlive the handle. Semantics are identical to Run — same
+  /// dedupe, chunking, parallel_batches fan-out, Add-order results,
+  /// accounting and error contract; only the thread that executes the
+  /// dispatch differs. Thanks to TaskHandle's claim-on-join, launching
+  /// more phases than the phase pool has workers degrades to inline
+  /// execution at Join, never to deadlock.
   PhaseHandle RunAsync(std::vector<Prompt> prompts);
 
   /// Dispatches one dependent prompt immediately, outside any batch

@@ -162,12 +162,14 @@ int64_t CountTokens(const std::string& text);
 /// router -> resilience -> cache -> transport (docs/ARCHITECTURE.md,
 /// "Backends & routing").
 ///
-/// Concurrency contract: BatchScheduler overlaps CompleteBatch round
-/// trips when ExecutionOptions::parallel_batches > 1, so any model that
-/// may sit behind a scheduler must tolerate concurrent Complete and
-/// CompleteBatch calls (every shipped implementation and decorator
-/// does). Single-threaded custom models remain valid as long as they
-/// are only used with parallel_batches == 1.
+/// Concurrency contract: a model must tolerate concurrent Complete and
+/// CompleteBatch calls when ExecutionOptions::parallel_batches > 1 (the
+/// scheduler overlaps a phase's round trips and the physical plan
+/// overlaps independent phases) or prefetch_pages > 0 (speculative
+/// key-scan pages call it from phase-pool threads). Every shipped
+/// implementation and decorator does. A single-threaded custom model is
+/// valid with parallel_batches == 1 and prefetch_pages == 0: a query
+/// then calls it from one thread at a time.
 class LanguageModel {
  public:
   virtual ~LanguageModel() = default;

@@ -27,8 +27,9 @@ namespace galois::llm {
 /// the tap's meter and leaves the inner stack untouched.
 ///
 /// Thread-safety: Complete/CompleteBatch/cost may be called concurrently
-/// (the pipelined executor bills one query from several phase threads);
-/// the meter is guarded by a mutex and updated once per round trip.
+/// (with parallel_batches > 1 the executor bills one query from several
+/// phase threads); the meter is guarded by a mutex and updated once per
+/// round trip.
 ///
 /// Failed round trips add nothing to the tap even when the stack billed
 /// them internally (see LanguageModel::CompleteMetered); the stack-wide

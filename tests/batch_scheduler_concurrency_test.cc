@@ -1,4 +1,5 @@
-// Tests for concurrent batch dispatch: the common::ThreadPool, the
+// Tests for concurrent batch dispatch: the common::ThreadPool and its
+// TaskHandle (deferred and cancelled tasks), the
 // BatchScheduler's parallel_batches path (Add-order preservation,
 // sequential/parallel equivalence, the drop-on-error queue contract and
 // phase/chunk error attribution), thread-safe CostMeter accounting in
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -125,6 +127,17 @@ class BoomModel : public ConcurrentEchoModel {
   }
 };
 
+/// Returns one completion too few from every CompleteBatch call.
+class ShortBatchModel : public ConcurrentEchoModel {
+ public:
+  Result<std::vector<Completion>> CompleteBatch(
+      const std::vector<Prompt>& prompts) override {
+    auto out = ConcurrentEchoModel::CompleteBatch(prompts);
+    if (out.ok()) out->pop_back();
+    return out;
+  }
+};
+
 // --- ThreadPool ------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
@@ -160,6 +173,50 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   EXPECT_EQ(pool.num_threads(), 1u);
   auto f = pool.Submit([] {});
   f.wait();
+}
+
+TEST(ThreadPoolTest, DeferredHandleRunsOnceOnJoiningThread) {
+  std::atomic<int> runs{0};
+  std::thread::id ran_on;
+  auto task = [&runs, &ran_on] {
+    runs.fetch_add(1);
+    ran_on = std::this_thread::get_id();
+    return 42;
+  };
+  TaskHandle<int> joined = TaskHandle<int>::Deferred(task);
+  EXPECT_EQ(runs.load(), 0);  // nothing starts it before the join
+  EXPECT_EQ(joined.Join(), 42);
+  EXPECT_FALSE(joined.valid());
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // Neither a cancelled handle nor one dropped unjoined ever runs.
+  TaskHandle<int> cancelled = TaskHandle<int>::Deferred(task);
+  cancelled.Cancel();
+  EXPECT_FALSE(cancelled.valid());
+  { TaskHandle<int> dropped = TaskHandle<int>::Deferred(task); }
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(ThreadPoolTest, CancelledTaskNeverStartsOnPool) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  // The only worker is held by `blocker` while `queued` waits behind it.
+  TaskHandle<int> blocker = TaskHandle<int>::Launch(pool, [gate] {
+    gate.wait();
+    return 1;
+  });
+  std::atomic<int> runs{0};
+  TaskHandle<int> queued = TaskHandle<int>::Launch(pool, [&runs] {
+    runs.fetch_add(1);
+    return 2;
+  });
+  queued.Cancel();
+  release.set_value();
+  EXPECT_EQ(blocker.Join(), 1);
+  pool.Submit([] {}).wait();  // FIFO: `queued`'s slot has been drained
+  EXPECT_EQ(runs.load(), 0);
 }
 
 // --- BatchScheduler: parallel dispatch -------------------------------------
@@ -283,6 +340,34 @@ TEST(ConcurrentDispatchTest, ErrorNamesPhaseAndChunkAndDropsQueue) {
     auto next = scheduler.Flush();
     ASSERT_TRUE(next.ok());
     EXPECT_TRUE(next->empty());
+  }
+}
+
+TEST(ConcurrentDispatchTest, ShortBatchErrorNamesPhaseAndChunk) {
+  std::string serial_message;
+  for (int parallel : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel));
+    ShortBatchModel model;
+    BatchPolicy policy;
+    policy.batch = true;
+    policy.max_batch_size = 2;
+    policy.parallel_batches = parallel;
+    BatchScheduler scheduler(&model, policy, "attribute:capital");
+    auto out = scheduler.Run(MakePrompts({"a", "b", "c", "d"}));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kLlmError);
+    const std::string message = out.status().message();
+    EXPECT_NE(message.find("attribute:capital"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("chunk 1/2"), std::string::npos) << message;
+    EXPECT_NE(message.find("returned 1 completions for 2 prompts"),
+              std::string::npos)
+        << message;
+    if (parallel == 1) {
+      serial_message = message;
+    } else {
+      EXPECT_EQ(message, serial_message);
+    }
   }
 }
 

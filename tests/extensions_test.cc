@@ -27,6 +27,16 @@ const catalog::TableDef& CountryDef() {
   return *W().catalog().GetTable("country").value();
 }
 
+/// One critic verdict: the verification phase over a one-key list.
+Result<int> VerifyOne(llm::LanguageModel* model, const std::string& key,
+                      const catalog::ColumnDef& column, const Value& claimed) {
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<int> verdicts,
+      LlmVerifyCellBatch(model, CountryDef(), {key}, column, {claimed},
+                         ExecutionOptions()));
+  return verdicts.at(0);
+}
+
 // --- verification ---------------------------------------------------------
 
 TEST(VerifyPromptTest, TemplateText) {
@@ -49,14 +59,12 @@ TEST(VerifyCellTest, ConfirmsTrueClaimRejectsFalseClaim) {
   llm::SimulatedLlm model(&W().kb(), sharp, nullptr, 7);
   const catalog::ColumnDef* capital =
       CountryDef().FindColumn("capital").value();
-  EXPECT_EQ(LlmVerifyCell(&model, CountryDef(), "France", *capital,
-                          Value::String("Paris"))
-                .value(),
-            1);
-  EXPECT_EQ(LlmVerifyCell(&model, CountryDef(), "France", *capital,
-                          Value::String("Berlin"))
-                .value(),
-            0);
+  EXPECT_EQ(
+      VerifyOne(&model, "France", *capital, Value::String("Paris")).value(),
+      1);
+  EXPECT_EQ(
+      VerifyOne(&model, "France", *capital, Value::String("Berlin")).value(),
+      0);
 }
 
 TEST(VerifyCellTest, NumericToleranceAppliesToClaims) {
@@ -74,11 +82,8 @@ TEST(VerifyCellTest, NumericToleranceAppliesToClaims) {
       static_cast<int64_t>(truth.int_value() * 1.02));
   Value far = Value::Int(
       static_cast<int64_t>(truth.int_value() * 1.5));
-  EXPECT_EQ(
-      LlmVerifyCell(&model, CountryDef(), "Italy", *pop, close).value(),
-      1);
-  EXPECT_EQ(
-      LlmVerifyCell(&model, CountryDef(), "Italy", *pop, far).value(), 0);
+  EXPECT_EQ(VerifyOne(&model, "Italy", *pop, close).value(), 1);
+  EXPECT_EQ(VerifyOne(&model, "Italy", *pop, far).value(), 0);
 }
 
 TEST(VerifyCellTest, UnknownEntityAbstains) {
@@ -88,10 +93,9 @@ TEST(VerifyCellTest, UnknownEntityAbstains) {
   llm::SimulatedLlm model(&W().kb(), humble, nullptr, 7);
   const catalog::ColumnDef* capital =
       CountryDef().FindColumn("capital").value();
-  EXPECT_EQ(LlmVerifyCell(&model, CountryDef(), "France", *capital,
-                          Value::String("Paris"))
-                .value(),
-            -1);
+  EXPECT_EQ(
+      VerifyOne(&model, "France", *capital, Value::String("Paris")).value(),
+      -1);
 }
 
 TEST(VerifyCellTest, ImprovesContentAccuracy) {
@@ -234,16 +238,10 @@ TEST(ProvenanceTest, ToStringRendersReport) {
 
 // --- pushdown policy -------------------------------------------------------
 
-TEST(PushdownPolicyTest, NamesAndEffectivePolicy) {
+TEST(PushdownPolicyTest, Names) {
   EXPECT_STREQ(PushdownPolicyName(PushdownPolicy::kNever), "never");
   EXPECT_STREQ(PushdownPolicyName(PushdownPolicy::kAlways), "always");
   EXPECT_STREQ(PushdownPolicyName(PushdownPolicy::kAuto), "auto");
-  ExecutionOptions opts;
-  EXPECT_EQ(opts.EffectivePushdown(), PushdownPolicy::kNever);
-  opts.pushdown_policy = PushdownPolicy::kAlways;
-  EXPECT_EQ(opts.EffectivePushdown(), PushdownPolicy::kAlways);
-  opts.pushdown_policy = PushdownPolicy::kAuto;
-  EXPECT_EQ(opts.EffectivePushdown(), PushdownPolicy::kAuto);
 }
 
 TEST(PushdownPolicyTest, AutoPushesLargeScansOnly) {

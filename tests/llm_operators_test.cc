@@ -1,5 +1,6 @@
 // Tests for the LLM physical operators: key scan paging/termination,
-// attribute retrieval + cleaning, filter checks.
+// attribute retrieval + cleaning, filter checks (single keys go through
+// the phase functions as one-key lists).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,26 @@ const knowledge::SpiderLikeWorkload& W() {
 
 const catalog::TableDef& CountryDef() {
   return *W().catalog().GetTable("country").value();
+}
+
+/// One cell: the attribute-retrieval phase over a one-key list.
+Result<Value> GetOne(llm::LanguageModel* model, const std::string& key,
+                     const catalog::ColumnDef& column,
+                     const ExecutionOptions& opts) {
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<Value> values,
+      LlmGetAttributeBatch(model, CountryDef(), {key}, column, opts));
+  return values.at(0);
+}
+
+/// One verdict: the filter-check phase over a one-key list.
+Result<int> CheckOne(llm::LanguageModel* model, const std::string& key,
+                     const llm::PromptFilter& filter) {
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<int> verdicts,
+      LlmFilterCheckBatch(model, CountryDef(), {key}, filter,
+                          ExecutionOptions()));
+  return verdicts.at(0);
 }
 
 llm::ModelProfile FullCoverage() {
@@ -98,13 +119,13 @@ TEST(LlmGetAttributeTest, RetrievesAndCleans) {
   ExecutionOptions opts;
   const catalog::ColumnDef* capital =
       CountryDef().FindColumn("capital").value();
-  auto v = LlmGetAttribute(&model, CountryDef(), "France", *capital, opts);
+  auto v = GetOne(&model, "France", *capital, opts);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), Value::String("Paris"));
 
   const catalog::ColumnDef* pop =
       CountryDef().FindColumn("population").value();
-  auto p = LlmGetAttribute(&model, CountryDef(), "France", *pop, opts);
+  auto p = GetOne(&model, "France", *pop, opts);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value().type(), DataType::kInt64);
 }
@@ -118,7 +139,7 @@ TEST(LlmGetAttributeTest, NoisyFormatsStillTyped) {
   const catalog::ColumnDef* pop =
       CountryDef().FindColumn("population").value();
   for (const char* country : {"Italy", "Japan", "Kenya"}) {
-    auto v = LlmGetAttribute(&model, CountryDef(), country, *pop, opts);
+    auto v = GetOne(&model, country, *pop, opts);
     ASSERT_TRUE(v.ok());
     ASSERT_FALSE(v.value().is_null()) << country;
     EXPECT_EQ(v.value().type(), DataType::kInt64) << country;
@@ -133,7 +154,7 @@ TEST(LlmGetAttributeTest, CleaningDisabledReturnsRawString) {
   opts.enable_cleaning = false;
   const catalog::ColumnDef* pop =
       CountryDef().FindColumn("population").value();
-  auto v = LlmGetAttribute(&model, CountryDef(), "Italy", *pop, opts);
+  auto v = GetOne(&model, "Italy", *pop, opts);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value().type(), DataType::kString);
 }
@@ -146,7 +167,7 @@ TEST(LlmGetAttributeTest, UnknownEntityGivesNull) {
   ExecutionOptions opts;
   const catalog::ColumnDef* capital =
       CountryDef().FindColumn("capital").value();
-  auto v = LlmGetAttribute(&model, CountryDef(), "France", *capital, opts);
+  auto v = GetOne(&model, "France", *capital, opts);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v.value().is_null());
 }
@@ -157,10 +178,8 @@ TEST(LlmFilterCheckTest, AnswersMatchTruthWithPerfectModel) {
   europe.attribute = "continent";
   europe.op = "=";
   europe.value = Value::String("Europe");
-  EXPECT_EQ(
-      LlmFilterCheck(&model, CountryDef(), "Italy", europe).value(), 1);
-  EXPECT_EQ(
-      LlmFilterCheck(&model, CountryDef(), "Japan", europe).value(), 0);
+  EXPECT_EQ(CheckOne(&model, "Italy", europe).value(), 1);
+  EXPECT_EQ(CheckOne(&model, "Japan", europe).value(), 0);
 }
 
 TEST(LlmFilterCheckTest, NumericComparisons) {
@@ -171,11 +190,9 @@ TEST(LlmFilterCheckTest, NumericComparisons) {
   above.attribute = "population";
   above.op = ">";
   above.value = Value::Int(truth.int_value() - 1);
-  EXPECT_EQ(LlmFilterCheck(&model, CountryDef(), "Italy", above).value(),
-            1);
+  EXPECT_EQ(CheckOne(&model, "Italy", above).value(), 1);
   above.op = "<";
-  EXPECT_EQ(LlmFilterCheck(&model, CountryDef(), "Italy", above).value(),
-            0);
+  EXPECT_EQ(CheckOne(&model, "Italy", above).value(), 0);
 }
 
 TEST(LlmFilterCheckTest, UnknownEntityGivesMinusOne) {
@@ -187,8 +204,7 @@ TEST(LlmFilterCheckTest, UnknownEntityGivesMinusOne) {
   europe.attribute = "continent";
   europe.op = "=";
   europe.value = Value::String("Europe");
-  EXPECT_EQ(
-      LlmFilterCheck(&model, CountryDef(), "Italy", europe).value(), -1);
+  EXPECT_EQ(CheckOne(&model, "Italy", europe).value(), -1);
 }
 
 }  // namespace

@@ -99,7 +99,6 @@ TEST(MaterialisationCacheTest, BaseKeySeparatesResultAffectingState) {
   dispatch.batch_prompts = true;
   dispatch.max_batch_size = 4;
   dispatch.parallel_batches = 8;
-  dispatch.pipeline_phases = true;
   dispatch.prefetch_pages = 3;
   EXPECT_EQ(base, MaterialisationCache::BaseKey(def, dispatch, "chatgpt"));
 }

@@ -1,12 +1,21 @@
-// Pipelined-vs-sequential equivalence: ExecutionOptions::pipeline_phases
-// overlaps independent tables and column phases but must return the same
-// relations, the same CostMeter and the same provenance trace (ordering
-// included — per table in FROM order, per column in def order) as the
-// PR 2 sequential-phase ladder. Runs under the TSan CI job: the suite
-// doubles as a race hammer for the phase pool, the async operators and
-// the concurrent table tasks.
+// The one materialisation path of core::PhysicalPlan. At
+// parallel_batches = 1 a query calls its model from one thread, one call
+// at a time, in the paper prototype's ladder order, and stops at the
+// first failed prompt; at parallel_batches = 4 the same phases overlap
+// and fail with the same error. The cache cases run the overlapped
+// schedule through a shared PromptCache and MaterialisationCache. Runs
+// under the TSan CI job: the overlapped runs hammer the phase pool and
+// the concurrent table and column tasks.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/galois_executor.h"
 #include "core/materialisation_cache.h"
@@ -26,123 +35,238 @@ const knowledge::SpiderLikeWorkload& W() {
   return *w;
 }
 
-ExecutionOptions PipelineOptions(bool pipelined) {
+ExecutionOptions OverlappedOptions() {
   ExecutionOptions opts;
   opts.batch_prompts = true;
   opts.max_batch_size = 4;
   opts.parallel_batches = 4;
   opts.verify_cells = true;
   opts.record_provenance = true;
-  opts.pipeline_phases = pipelined;
   return opts;
 }
 
-/// Runs `sql` sequentially and pipelined on fresh same-seed models and
-/// checks relations, accounting and trace for equality.
-void ExpectEquivalent(const std::string& sql) {
-  llm::SimulatedLlm seq_model(&W().kb(), llm::ModelProfile::ChatGpt(),
-                              &W().catalog(), 7);
-  GaloisExecutor sequential(&seq_model, &W().catalog(),
-                            PipelineOptions(false));
-  auto rm_seq = sequential.RunSql(sql);
-  ASSERT_TRUE(rm_seq.ok()) << sql << ": " << rm_seq.status().ToString();
+/// Noise-free profile: every cell is known, so every column's critic
+/// phase has prompts to issue and the expected phase order is exact.
+llm::ModelProfile PerfectProfile() {
+  llm::ModelProfile p = llm::ModelProfile::ChatGpt();
+  p.name = "perfect";
+  p.coverage_floor = 1.0;
+  p.coverage_gain = 0.0;
+  p.unknown_rate = 0.0;
+  p.fake_entity_confidence = 0.0;
+  p.fact_accuracy = 1.0;
+  p.numeric_fact_accuracy = 1.0;
+  p.reference_style_noise = 0.0;
+  p.value_format_noise = 0.0;
+  p.verbosity = 0.0;
+  p.paging_fatigue = 0.0;
+  p.hallucinated_key_rate = 0.0;
+  p.pushdown_error = 0.0;
+  p.filter_check_error = 0.0;
+  return p;
+}
 
-  llm::SimulatedLlm pipe_model(&W().kb(), llm::ModelProfile::ChatGpt(),
-                               &W().catalog(), 7);
-  GaloisExecutor pipelined(&pipe_model, &W().catalog(),
-                           PipelineOptions(true));
-  auto rm_pipe = pipelined.RunSql(sql);
-  ASSERT_TRUE(rm_pipe.ok()) << sql << ": " << rm_pipe.status().ToString();
-
-  EXPECT_TRUE(rm_seq->relation.SameContents(rm_pipe->relation)) << sql;
-
-  // Identical accounting: pipelining moves wall-clock time only. The
-  // latency meter is a sum of per-round-trip doubles accumulated in
-  // completion order, so it is compared with a tolerance for FP
-  // reassociation; every count is exact.
-  const llm::CostMeter& seq = rm_seq->cost;
-  const llm::CostMeter& pipe = rm_pipe->cost;
-  EXPECT_EQ(seq.num_prompts, pipe.num_prompts) << sql;
-  EXPECT_EQ(seq.num_batches, pipe.num_batches) << sql;
-  EXPECT_EQ(seq.cache_hits, pipe.cache_hits) << sql;
-  EXPECT_EQ(seq.prompt_tokens, pipe.prompt_tokens) << sql;
-  EXPECT_EQ(seq.completion_tokens, pipe.completion_tokens) << sql;
-  EXPECT_NEAR(seq.simulated_latency_ms, pipe.simulated_latency_ms,
-              1e-6 * (1.0 + seq.simulated_latency_ms))
-      << sql;
-
-  // Identical provenance, ordering included.
-  const ExecutionTrace& ts = rm_seq->trace;
-  const ExecutionTrace& tp = rm_pipe->trace;
-  ASSERT_EQ(ts.scans.size(), tp.scans.size()) << sql;
-  for (size_t i = 0; i < ts.scans.size(); ++i) {
-    EXPECT_EQ(ts.scans[i].table_alias, tp.scans[i].table_alias) << sql;
-    EXPECT_EQ(ts.scans[i].pages, tp.scans[i].pages) << sql;
-    EXPECT_EQ(ts.scans[i].keys, tp.scans[i].keys) << sql;
-    EXPECT_EQ(ts.scans[i].filtered, tp.scans[i].filtered) << sql;
+/// "<concept> <phase>" of one prompt: "city scan", "country
+/// filter:continent", "city attribute:population", "city verify:name".
+std::string PhaseOf(const llm::Prompt& prompt) {
+  if (const auto* i = std::get_if<llm::KeyScanIntent>(&prompt.intent)) {
+    return i->concept_name + " scan";
   }
-  ASSERT_EQ(ts.cells.size(), tp.cells.size()) << sql;
-  for (size_t i = 0; i < ts.cells.size(); ++i) {
-    EXPECT_EQ(ts.cells[i].table_alias, tp.cells[i].table_alias) << sql;
-    EXPECT_EQ(ts.cells[i].key, tp.cells[i].key) << sql;
-    EXPECT_EQ(ts.cells[i].column, tp.cells[i].column) << sql;
-    EXPECT_EQ(ts.cells[i].prompt, tp.cells[i].prompt) << sql;
-    EXPECT_EQ(ts.cells[i].completion, tp.cells[i].completion) << sql;
-    EXPECT_EQ(ts.cells[i].value.ToString(), tp.cells[i].value.ToString())
-        << sql;
-    EXPECT_EQ(ts.cells[i].verified, tp.cells[i].verified) << sql;
-    EXPECT_EQ(ts.cells[i].rejected, tp.cells[i].rejected) << sql;
+  if (const auto* i = std::get_if<llm::FilterCheckIntent>(&prompt.intent)) {
+    return i->concept_name + " filter:" + i->filter.attribute;
   }
+  if (const auto* i = std::get_if<llm::AttributeGetIntent>(&prompt.intent)) {
+    return i->concept_name + " attribute:" + i->attribute;
+  }
+  if (const auto* i = std::get_if<llm::VerifyIntent>(&prompt.intent)) {
+    return i->concept_name + " verify:" + i->attribute;
+  }
+  return "freeform";
 }
 
-TEST(PipelineEquivalenceTest, MultiColumnSelection) {
-  ExpectEquivalent(
-      "SELECT name, capital, population, continent FROM country "
-      "WHERE continent = 'Europe'");
-}
+/// Forwards to a thread-safe model and records every round trip's phase
+/// in call order. It notes a call that starts while another is in flight
+/// and the set of threads that called it, so a test can assert that a
+/// query entered it from one thread at a time. FailPhase makes every
+/// round trip of one phase fail after being recorded.
+class RecordingModel : public llm::LanguageModel {
+ public:
+  explicit RecordingModel(llm::LanguageModel* inner) : inner_(inner) {}
 
-TEST(PipelineEquivalenceTest, TwoTableJoinMultiColumn) {
-  ExpectEquivalent(
-      "SELECT ci.name, ci.population, ci.mayor, co.capital, co.population "
-      "FROM city ci, country co WHERE ci.country = co.name");
-}
+  void FailPhase(std::string phase) { fail_phase_ = std::move(phase); }
 
-TEST(PipelineEquivalenceTest, JoinAggregateWithLlmFilter) {
-  ExpectEquivalent(
-      "SELECT co.continent, COUNT(*) FROM city ci, country co "
-      "WHERE ci.country = co.name AND co.population > 10000000 "
-      "GROUP BY co.continent");
-}
+  const std::string& name() const override { return inner_->name(); }
 
-TEST(PipelineEquivalenceTest, HybridLlmDbJoin) {
-  ExpectEquivalent(
-      "SELECT co.name, co.gdp, e.salary FROM LLM.country co, "
-      "DB.Employees e WHERE e.countryCode = co.code");
-}
+  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
+    InFlight guard(this);
+    GALOIS_RETURN_IF_ERROR(Record(prompt));
+    return inner_->Complete(prompt);
+  }
 
-TEST(PipelineEquivalenceTest, WholeWorkloadJoinsStayEquivalent) {
-  // Every multi-table workload query, pipelined vs sequential — the
-  // broad net that catches ordering assumptions the targeted cases miss.
-  int checked = 0;
-  for (const knowledge::QuerySpec& q : W().queries()) {
-    if (q.query_class != knowledge::QueryClass::kJoin &&
-        q.query_class != knowledge::QueryClass::kJoinAggregate) {
-      continue;
+  Result<std::vector<llm::Completion>> CompleteBatch(
+      const std::vector<llm::Prompt>& prompts) override {
+    InFlight guard(this);
+    // A round trip carries the prompts of one scheduler phase.
+    GALOIS_RETURN_IF_ERROR(Record(prompts.front()));
+    return inner_->CompleteBatch(prompts);
+  }
+
+  llm::CostMeter cost() const override { return inner_->cost(); }
+  void ResetCost() override { inner_->ResetCost(); }
+
+  std::vector<std::string> calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+  bool overlapped() const { return overlapped_.load(); }
+
+ private:
+  struct InFlight {
+    explicit InFlight(RecordingModel* m) : model(m) {
+      if (model->in_flight_.fetch_add(1) > 0) model->overlapped_ = true;
     }
-    ExpectEquivalent(q.sql);
-    if (++checked == 8) break;  // bounded for TSan runtime
+    ~InFlight() { model->in_flight_.fetch_sub(1); }
+    RecordingModel* model;
+  };
+
+  Status Record(const llm::Prompt& prompt) {
+    const std::string phase = PhaseOf(prompt);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_.push_back(phase);
+      threads_.insert(std::this_thread::get_id());
+    }
+    if (phase == fail_phase_) return Status::LlmError("no answer for " + phase);
+    return Status::OK();
   }
-  EXPECT_GE(checked, 4);
+
+  llm::LanguageModel* inner_;
+  std::string fail_phase_;
+  std::atomic<int> in_flight_{0};
+  std::atomic<bool> overlapped_{false};
+  mutable std::mutex mu_;
+  std::vector<std::string> calls_;
+  std::set<std::thread::id> threads_;
+};
+
+/// `calls` with runs of the same phase collapsed: the phase order.
+std::vector<std::string> PhaseOrder(const std::vector<std::string>& calls) {
+  std::vector<std::string> order;
+  for (const std::string& c : calls) {
+    if (order.empty() || order.back() != c) order.push_back(c);
+  }
+  return order;
 }
 
-TEST(PipelineEquivalenceTest, PipelinedPromptCacheStaysWarm) {
-  // The pipelined path through a shared PromptCache: concurrent phases
+/// The ladder of one LLM table: scan pages, key verify, filter checks,
+/// then attribute followed by verify for each needed column.
+void AppendLadder(const std::string& table,
+                  const std::vector<std::string>& filters,
+                  const std::vector<std::string>& columns,
+                  std::vector<std::string>* order) {
+  order->push_back(table + " scan");
+  order->push_back(table + " verify:name");
+  for (const std::string& f : filters) {
+    order->push_back(table + " filter:" + f);
+  }
+  for (const std::string& c : columns) {
+    order->push_back(table + " attribute:" + c);
+    order->push_back(table + " verify:" + c);
+  }
+}
+
+ExecutionOptions SerialOptions() {
+  ExecutionOptions opts = OverlappedOptions();
+  opts.parallel_batches = 1;
+  return opts;
+}
+
+/// Runs `sql` at parallel_batches = 1 and checks that every model call
+/// came from the calling thread, none overlapped another, and the phases
+/// went out in `want` order.
+void ExpectSerialLadder(const std::string& sql,
+                        const std::vector<std::string>& want) {
+  llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  RecordingModel model(&inner);
+  GaloisExecutor galois(&model, &W().catalog(), SerialOptions());
+  auto out = galois.RunSql(sql);
+  ASSERT_TRUE(out.ok()) << sql << ": " << out.status();
+  EXPECT_FALSE(model.overlapped()) << sql;
+  EXPECT_EQ(model.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()})
+      << sql;
+  EXPECT_EQ(PhaseOrder(model.calls()), want) << sql;
+}
+
+const char kJoinSql[] =
+    "SELECT ci.name, ci.population, co.capital FROM city ci, country co "
+    "WHERE ci.country = co.name AND co.continent = 'Europe'";
+
+TEST(PipelineEquivalenceTest, SerialThreeColumnQueryFollowsLadder) {
+  std::vector<std::string> want;
+  AppendLadder("country", {"continent"}, {"capital", "population", "gdp"},
+               &want);
+  ExpectSerialLadder(
+      "SELECT name, capital, population, gdp FROM country "
+      "WHERE continent = 'Europe'",
+      want);
+}
+
+TEST(PipelineEquivalenceTest, SerialJoinMaterialisesTablesInFromOrder) {
+  std::vector<std::string> want;
+  AppendLadder("city", {}, {"country", "population"}, &want);
+  AppendLadder("country", {"continent"}, {"capital"}, &want);
+  ExpectSerialLadder(kJoinSql, want);
+}
+
+TEST(PipelineEquivalenceTest, FailedPromptStopsTheQueryAtAnyParallelism) {
+  std::string serial_error;
+  for (int parallel_batches : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel_batches));
+    llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+    RecordingModel model(&inner);
+    model.FailPhase("city attribute:population");
+    ExecutionOptions opts = SerialOptions();
+    opts.parallel_batches = parallel_batches;
+    GaloisExecutor galois(&model, &W().catalog(), opts);
+    auto out = galois.RunSql(kJoinSql);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kLlmError);
+    EXPECT_NE(out.status().message().find("attribute:population"),
+              std::string::npos)
+        << out.status();
+    EXPECT_NE(out.status().message().find("no answer for"),
+              std::string::npos)
+        << out.status();
+    if (parallel_batches == 1) {
+      serial_error = out.status().ToString();
+      // The failed round trip was the last call the model saw: the rest
+      // of its phase, its critic pass and the country table never ran.
+      const std::vector<std::string> calls = model.calls();
+      ASSERT_FALSE(calls.empty());
+      EXPECT_EQ(calls.back(), "city attribute:population");
+      EXPECT_EQ(std::count(calls.begin(), calls.end(),
+                           "city attribute:population"),
+                1);
+      EXPECT_FALSE(model.overlapped());
+    } else {
+      EXPECT_EQ(out.status().ToString(), serial_error);
+    }
+  }
+}
+
+TEST(PipelineEquivalenceTest, OverlappedPromptCacheStaysWarm) {
+  // Overlapped phases through a shared PromptCache: concurrent phases
   // fill it cold and serve every fan-out prompt warm (exercised under
   // TSan to hammer cross-phase cache access).
   llm::SimulatedLlm inner(&W().kb(), llm::ModelProfile::ChatGpt(),
                           &W().catalog(), 7);
   llm::PromptCache cache(&inner);
-  ExecutionOptions opts = PipelineOptions(true);
+  ExecutionOptions opts = OverlappedOptions();
   opts.record_provenance = false;
   GaloisExecutor galois(&cache, &W().catalog(), opts);
   const char* sql =
@@ -156,12 +280,12 @@ TEST(PipelineEquivalenceTest, PipelinedPromptCacheStaysWarm) {
   EXPECT_GT(warm->cost.cache_hits, 0);
 }
 
-TEST(PipelineEquivalenceTest, PipelinedMaterialisationCacheWarmRerun) {
+TEST(PipelineEquivalenceTest, OverlappedMaterialisationCacheWarmRerun) {
   // Acceptance shape: a warm MaterialisationCache rerun of the same
   // multi-table query performs zero LLM round trips.
   llm::SimulatedLlm model(&W().kb(), llm::ModelProfile::ChatGpt(),
                           &W().catalog(), 7);
-  ExecutionOptions opts = PipelineOptions(true);
+  ExecutionOptions opts = OverlappedOptions();
   opts.record_provenance = false;
   GaloisExecutor galois(&model, &W().catalog(), opts);
   MaterialisationCache table_cache;

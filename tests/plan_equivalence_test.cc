@@ -1,14 +1,14 @@
 // Plan-driven execution equivalence: the physical operator DAG compiled
-// from planner::BuildLogicalPlan must reproduce the PR-5 hardwired
-// executor ladder byte for byte — relations, CostMeter and provenance
+// from planner::BuildLogicalPlan must reproduce the hardwired executor
+// ladder it replaced byte for byte — relations, CostMeter and provenance
 // trace — across the full 46-query workload.
 //
-// The sequential arm is checked against a recorded golden
-// (tests/golden/plan_equivalence.golden, produced by the ladder before
-// the refactor; regenerate with GALOIS_REGEN_PLAN_GOLDEN=1). The
-// pipelined arm is checked in-process against the sequential arm, full
-// equality included (latency with FP-reassociation tolerance only).
-// Runs under the TSan CI job: the pipelined arm hammers the phase pool
+// Both schedules are checked against one recorded golden
+// (tests/golden/plan_equivalence.golden, produced by the ladder;
+// regenerate with GALOIS_REGEN_PLAN_GOLDEN=1): parallel_batches = 1,
+// where every phase runs serially on the calling thread, and
+// parallel_batches = 4, where chunks, column chains and tables overlap.
+// Runs under the TSan CI job: the overlapped run hammers the phase pool
 // through the compiled operator DAG.
 
 #include <gtest/gtest.h>
@@ -39,14 +39,13 @@ const knowledge::SpiderLikeWorkload& W() {
   return *w;
 }
 
-ExecutionOptions GoldenOptions(bool pipelined) {
+ExecutionOptions GoldenOptions(int parallel_batches) {
   ExecutionOptions opts;
   opts.batch_prompts = true;
   opts.max_batch_size = 4;
-  opts.parallel_batches = 4;
+  opts.parallel_batches = parallel_batches;
   opts.verify_cells = true;
   opts.record_provenance = true;
-  opts.pipeline_phases = pipelined;
   return opts;
 }
 
@@ -62,8 +61,8 @@ uint64_t Fnv1a(uint64_t h, const std::string& s) {
 
 /// Canonical text rendering of one query's QueryOutput. Everything the
 /// equivalence bar covers is in here: schema, rows, exact cost counts,
-/// latency (sequential accumulation order is deterministic), scan and
-/// cell provenance including a hash of every prompt/completion pair.
+/// latency (to the printed precision), scan and cell provenance
+/// including a hash of every prompt/completion pair.
 std::string Canonicalise(const std::string& id, const std::string& sql,
                          const QueryOutput& out) {
   std::ostringstream os;
@@ -110,13 +109,14 @@ std::string GoldenPath() {
          "/tests/golden/plan_equivalence.golden";
 }
 
-/// The sequential arm of every workload query, canonicalised.
-std::string RenderWorkloadSequential() {
+/// Every workload query at `parallel_batches`, canonicalised.
+std::string RenderWorkload(int parallel_batches) {
   std::ostringstream os;
   for (const knowledge::QuerySpec& q : W().queries()) {
     llm::SimulatedLlm model(&W().kb(), llm::ModelProfile::ChatGpt(),
                             &W().catalog(), 7);
-    GaloisExecutor galois(&model, &W().catalog(), GoldenOptions(false));
+    GaloisExecutor galois(&model, &W().catalog(),
+                          GoldenOptions(parallel_batches));
     auto out = galois.RunSql(q.sql);
     if (!out.ok()) {
       os << "== q" << q.id << " ==\nsql: " << q.sql
@@ -128,22 +128,11 @@ std::string RenderWorkloadSequential() {
   return os.str();
 }
 
-TEST(PlanEquivalenceTest, SequentialWorkloadMatchesLadderGolden) {
-  std::string rendered = RenderWorkloadSequential();
-  if (std::getenv("GALOIS_REGEN_PLAN_GOLDEN") != nullptr) {
-    std::ofstream f(GoldenPath());
-    ASSERT_TRUE(f.good()) << "cannot write " << GoldenPath();
-    f << rendered;
-    GTEST_SKIP() << "golden regenerated at " << GoldenPath();
-  }
-  std::ifstream f(GoldenPath());
-  ASSERT_TRUE(f.good())
-      << "missing golden " << GoldenPath()
-      << " (regenerate with GALOIS_REGEN_PLAN_GOLDEN=1)";
-  std::ostringstream golden;
-  golden << f.rdbuf();
-  // Compare block by block so a mismatch names the query.
-  std::istringstream got(rendered), want(golden.str());
+/// Compares `rendered` with the golden block by block, so a mismatch
+/// names the query.
+void ExpectMatchesGolden(const std::string& rendered,
+                         const std::string& golden) {
+  std::istringstream got(rendered), want(golden);
   std::string got_line, want_line;
   std::string current_query;
   size_t line_no = 0;
@@ -164,39 +153,22 @@ TEST(PlanEquivalenceTest, SequentialWorkloadMatchesLadderGolden) {
   }
 }
 
-TEST(PlanEquivalenceTest, PipelinedWorkloadMatchesSequential) {
-  for (const knowledge::QuerySpec& q : W().queries()) {
-    const std::string qid = "q" + std::to_string(q.id);
-    SCOPED_TRACE(qid + ": " + q.sql);
-    llm::SimulatedLlm seq_model(&W().kb(), llm::ModelProfile::ChatGpt(),
-                                &W().catalog(), 7);
-    GaloisExecutor sequential(&seq_model, &W().catalog(),
-                              GoldenOptions(false));
-    auto rm_seq = sequential.RunSql(q.sql);
-    ASSERT_TRUE(rm_seq.ok()) << rm_seq.status().ToString();
-
-    llm::SimulatedLlm pipe_model(&W().kb(), llm::ModelProfile::ChatGpt(),
-                                 &W().catalog(), 7);
-    GaloisExecutor pipelined(&pipe_model, &W().catalog(),
-                             GoldenOptions(true));
-    auto rm_pipe = pipelined.RunSql(q.sql);
-    ASSERT_TRUE(rm_pipe.ok()) << rm_pipe.status().ToString();
-
-    EXPECT_TRUE(rm_seq->relation.SameContents(rm_pipe->relation));
-    const llm::CostMeter& seq = rm_seq->cost;
-    const llm::CostMeter& pipe = rm_pipe->cost;
-    EXPECT_EQ(seq.num_prompts, pipe.num_prompts);
-    EXPECT_EQ(seq.num_batches, pipe.num_batches);
-    EXPECT_EQ(seq.cache_hits, pipe.cache_hits);
-    EXPECT_EQ(seq.prompt_tokens, pipe.prompt_tokens);
-    EXPECT_EQ(seq.completion_tokens, pipe.completion_tokens);
-    EXPECT_NEAR(seq.simulated_latency_ms, pipe.simulated_latency_ms,
-                1e-6 * (1.0 + seq.simulated_latency_ms));
-    // Full trace equality via the canonical rendering (ordering
-    // included; latency excluded by construction — it is not a trace
-    // field).
-    EXPECT_EQ(Canonicalise(qid, q.sql, *rm_seq),
-              Canonicalise(qid, q.sql, *rm_pipe));
+TEST(PlanEquivalenceTest, WorkloadMatchesLadderGolden) {
+  if (std::getenv("GALOIS_REGEN_PLAN_GOLDEN") != nullptr) {
+    std::ofstream f(GoldenPath());
+    ASSERT_TRUE(f.good()) << "cannot write " << GoldenPath();
+    f << RenderWorkload(1);
+    GTEST_SKIP() << "golden regenerated at " << GoldenPath();
+  }
+  std::ifstream f(GoldenPath());
+  ASSERT_TRUE(f.good())
+      << "missing golden " << GoldenPath()
+      << " (regenerate with GALOIS_REGEN_PLAN_GOLDEN=1)";
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  for (int parallel_batches : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel_batches));
+    ExpectMatchesGolden(RenderWorkload(parallel_batches), golden.str());
   }
 }
 

@@ -1,7 +1,7 @@
 // Predicate-subsumption caching end to end: an overlapping range
 // workload where exact-fingerprint matching would hit ~0% is served
 // almost entirely by subsumption with zero LLM round trips and
-// byte-identical relations (sequential and pipelined), the reordered-
+// byte-identical relations (serial and overlapped phases), the reordered-
 // WHERE canonicalisation regression, the residual operator in Explain,
 // and a concurrent-sessions hammer over a shared cache.
 
@@ -66,11 +66,11 @@ std::vector<std::string> OverlappingQueries() {
 }
 
 TEST(PredicateSubsumptionTest, OverlappingWorkloadServedBySubsumption) {
-  for (bool pipelined : {false, true}) {
-    SCOPED_TRACE(pipelined ? "pipelined" : "sequential");
+  for (int parallel_batches : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel_batches));
     llm::SimulatedLlm model(&W().kb(), PerfectProfile(), &W().catalog(), 7);
     ExecutionOptions options;
-    options.pipeline_phases = pipelined;
+    options.parallel_batches = parallel_batches;
     GaloisExecutor cached(&model, &W().catalog(), options);
     MaterialisationCache cache;
     cached.set_materialisation_cache(&cache);

@@ -47,14 +47,13 @@ const std::vector<std::string>& Queries() {
   return queries;
 }
 
-/// Stressful-but-deterministic dispatch: batched, chunked, overlapped
-/// round trips and pipelined phases.
+/// Stressful-but-deterministic dispatch: batched, chunked, with round
+/// trips and phases overlapped (parallel_batches > 1).
 core::ExecutionOptions StressOptions() {
   core::ExecutionOptions options;
   options.batch_prompts = true;
   options.max_batch_size = 4;
   options.parallel_batches = 2;
-  options.pipeline_phases = true;
   options.verify_cells = true;
   return options;
 }
