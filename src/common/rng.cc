@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-
 namespace galois {
 
 uint64_t Rng::Next() {
@@ -25,15 +23,6 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
 }
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
-
-double Rng::NextGaussian(double mean, double stddev) {
-  // Box-Muller transform; one draw per call keeps the stream simple.
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 < 1e-300) u1 = 1e-300;
-  double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return mean + stddev * z;
-}
 
 Rng Rng::Fork(std::string_view label) const {
   return Rng(state_ ^ HashString(label));

@@ -29,9 +29,6 @@ class Rng {
   /// Bernoulli draw with probability `p` of true.
   bool NextBool(double p);
 
-  /// Gaussian (Box-Muller) with the given mean and standard deviation.
-  double NextGaussian(double mean, double stddev);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

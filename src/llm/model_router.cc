@@ -102,11 +102,6 @@ Status ModelRouter::ConfigureRoutes(
   return Status::OK();
 }
 
-void ModelRouter::ClearRoutes() {
-  std::lock_guard<std::mutex> lock(mu_);
-  routes_.clear();
-}
-
 std::vector<std::string> ModelRouter::backend_names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

@@ -70,8 +70,6 @@ class ModelRouter : public LanguageModel {
   /// routes first). On error the previous routes are restored.
   Status ConfigureRoutes(const std::map<std::string, std::string>& routes);
 
-  void ClearRoutes();
-
   /// Registered backend names, in registration order.
   std::vector<std::string> backend_names() const;
   /// Current routes as phase -> backend name (unrouted phases use the

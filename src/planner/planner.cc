@@ -563,15 +563,6 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
   std::vector<bool> needs_all(scans.size(), false);
   auto mark_needed = [&](const Expr& e) {
     sql::VisitExpr(e, [&](const Expr& node) {
-      if (node.kind == ExprKind::kStar) {
-        for (size_t i = 0; i < scans.size(); ++i) {
-          if (node.table.empty() ||
-              EqualsIgnoreCase(scans[i]->alias, node.table)) {
-            needs_all[i] = true;
-          }
-        }
-        return;
-      }
       if (node.kind != ExprKind::kColumnRef) return;
       int t = resolve(node);
       if (t < 0) return;  // select-alias refs etc.; the engine binds them
@@ -587,7 +578,19 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
     });
   };
   if (project != nullptr) {
-    for (const auto& e : project->exprs) mark_needed(*e);
+    // A `*` reads every column (of the scans it names) only as a select
+    // item: `SELECT *`, `SELECT t.*`. The `*` of COUNT(*) reads none.
+    for (const auto& e : project->exprs) {
+      if (e->kind != ExprKind::kStar) {
+        mark_needed(*e);
+        continue;
+      }
+      for (size_t i = 0; i < scans.size(); ++i) {
+        if (e->table.empty() || EqualsIgnoreCase(scans[i]->alias, e->table)) {
+          needs_all[i] = true;
+        }
+      }
+    }
   }
   for (PlanNode* j : joins) {
     if (j->predicate) mark_needed(*j->predicate);
@@ -680,47 +683,6 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
   }
 
   return consumed_count;
-}
-
-int PruneRetrievedColumns(PlanNode* root) {
-  // Gather every column name referenced anywhere above each Retrieve.
-  // Simple conservative approach: collect all column refs in the whole
-  // plan and drop retrieved columns never mentioned.
-  std::set<std::string> referenced;
-  std::function<void(const PlanNode&)> collect = [&](const PlanNode& n) {
-    if (n.predicate) {
-      sql::VisitExpr(*n.predicate, [&](const Expr& e) {
-        if (e.kind == ExprKind::kColumnRef) referenced.insert(
-            ToLower(e.column));
-      });
-    }
-    for (const auto& e : n.exprs) {
-      sql::VisitExpr(*e, [&](const Expr& node) {
-        if (node.kind == ExprKind::kColumnRef) {
-          referenced.insert(ToLower(node.column));
-        }
-      });
-    }
-    for (const auto& c : n.children) collect(*c);
-  };
-  collect(*root);
-  int pruned = 0;
-  std::function<void(PlanNode*)> prune = [&](PlanNode* n) {
-    if (n->op == PlanOp::kRetrieve) {
-      std::vector<std::string> kept;
-      for (const std::string& col : n->columns) {
-        if (referenced.count(ToLower(col)) > 0) {
-          kept.push_back(col);
-        } else {
-          ++pruned;
-        }
-      }
-      n->columns = std::move(kept);
-    }
-    for (auto& c : n->children) prune(c.get());
-  };
-  prune(root);
-  return pruned;
 }
 
 namespace {

@@ -168,9 +168,11 @@ struct BindingOptions {
 ///     prompt (merge_first_filter);
 ///   - recomputes every Retrieve node's columns with the executor's exact
 ///     resolution rules — catalog-validated, key excluded, consumed filter
-///     columns excluded, unqualified ambiguous refs unresolved, `*`
-///     anywhere in an expression materialises all columns — emitted in
-///     definition order (inserting or removing Retrieve nodes as needed);
+///     columns excluded, unqualified ambiguous refs unresolved; a `*`
+///     materialises every column of the scans it names only as a select
+///     item (`SELECT *`, `SELECT t.*`), while an aggregate's `*`
+///     (COUNT(*)) reads no column — emitted in definition order
+///     (inserting or removing Retrieve nodes as needed);
 ///   - derives scan_key_limit when the plan is exactly
 ///     Limit -> Project -> [Retrieve] -> Scan with nothing that could drop
 ///     or reorder rows in between (see PlanNode::scan_key_limit).
@@ -179,11 +181,6 @@ struct BindingOptions {
 Result<int> BindPhysicalAnnotations(PlanNode* root,
                                     const catalog::Catalog& catalog,
                                     const BindingOptions& options);
-
-/// Rewrite: removes Retrieve columns that no ancestor consumes
-/// (projection pruning; each pruned column saves |keys| prompts).
-/// Returns the number of pruned columns.
-int PruneRetrievedColumns(PlanNode* root);
 
 /// Pretty-prints the plan as an indented tree (Figure 3 rendering).
 std::string Explain(const PlanNode& root);

@@ -7,22 +7,6 @@
 
 namespace galois::sql {
 
-const char* AggregateFunctionName(AggregateFunction f) {
-  switch (f) {
-    case AggregateFunction::kCount:
-      return "COUNT";
-    case AggregateFunction::kSum:
-      return "SUM";
-    case AggregateFunction::kAvg:
-      return "AVG";
-    case AggregateFunction::kMin:
-      return "MIN";
-    case AggregateFunction::kMax:
-      return "MAX";
-  }
-  return "?";
-}
-
 namespace {
 
 const char* BinaryOpSymbol(BinaryOp op) {

@@ -36,12 +36,6 @@ enum class BinaryOp {
 
 enum class UnaryOp { kNot, kNegate };
 
-/// Names of the aggregate functions (subset used by SPJA queries).
-enum class AggregateFunction { kCount, kSum, kAvg, kMin, kMax };
-
-/// Renders "AVG" etc.
-const char* AggregateFunctionName(AggregateFunction f);
-
 /// A SQL expression tree node. A single struct (rather than a class
 /// hierarchy) keeps the parser and binder compact; `kind` selects which
 /// fields are meaningful.

@@ -14,18 +14,6 @@ constexpr int64_t kVacuumTargetDen = 4;
 
 }  // namespace
 
-const char* DurabilityName(Durability d) {
-  switch (d) {
-    case Durability::kNone:
-      return "none";
-    case Durability::kOnClose:
-      return "on-close";
-    case Durability::kAlways:
-      return "always";
-  }
-  return "unknown";
-}
-
 Result<std::unique_ptr<ResultStore>> ResultStore::Open(
     StoreOptions options) {
   if (options.path.empty()) {
@@ -275,11 +263,11 @@ void ResultStore::TouchPrompt(const std::string& model,
   if (it != live_.end()) it->second.last_used = ++tick_;
 }
 
-template <typename Fn>
-void ResultStore::ForEachLive(RecordType type, const Fn& fn) {
+std::vector<FrameResult> ResultStore::LiveFrames(RecordType type) {
   std::lock_guard<std::mutex> lock(mu_);
+  std::vector<FrameResult> frames;
   auto view = env_->OpenView(JournalPath(), options_.use_mmap);
-  if (!view.ok()) return;
+  if (!view.ok()) return frames;
   const char* data = view.value()->data();
   const size_t size = view.value()->size();
 
@@ -295,14 +283,16 @@ void ResultStore::ForEachLive(RecordType type, const Fn& fn) {
             [](const LiveEntry* a, const LiveEntry* b) {
               return a->last_used < b->last_used;
             });
+  frames.reserve(order.size());
   for (const LiveEntry* entry : order) {
     // Re-validate the frame from disk; a record that no longer parses
     // degrades to a miss, never to wrong bytes.
     FrameResult frame =
         DecodeFrame(data, size, static_cast<size_t>(entry->offset));
     if (frame.status != FrameStatus::kOk || frame.type != type) continue;
-    fn(frame);
+    frames.push_back(std::move(frame));
   }
+  return frames;
 }
 
 void ResultStore::ForEachMaterialisation(
@@ -310,7 +300,7 @@ void ResultStore::ForEachMaterialisation(
                              const std::string&,
                              const std::vector<std::string>&,
                              const std::vector<Tuple>&)>& fn) {
-  ForEachLive(RecordType::kMaterialisation, [&fn](const FrameResult& frame) {
+  for (const FrameResult& frame : LiveFrames(RecordType::kMaterialisation)) {
     std::vector<std::string> columns;
     std::vector<Tuple> rows;
     std::string base_key;
@@ -319,24 +309,24 @@ void ResultStore::ForEachMaterialisation(
       if (!DecodeMaterialisationWithDescriptor(frame.payload, &base_key,
                                                &descriptor, &columns,
                                                &rows)) {
-        return;
+        continue;
       }
     } else if (!DecodeMaterialisation(frame.payload, &columns, &rows)) {
-      return;
+      continue;
     }
     fn(frame.key, base_key, descriptor, columns, rows);
-  });
+  }
 }
 
 void ResultStore::ForEachPrompt(
     const std::function<void(const std::string&, const std::string&,
                              const std::string&)>& fn) {
-  ForEachLive(RecordType::kPrompt, [&fn](const FrameResult& frame) {
+  for (const FrameResult& frame : LiveFrames(RecordType::kPrompt)) {
     std::string model;
     std::string text;
-    if (!SplitPromptKey(frame.key, &model, &text)) return;
+    if (!SplitPromptKey(frame.key, &model, &text)) continue;
     fn(model, text, frame.payload);
-  });
+  }
 }
 
 void ResultStore::MaybeScheduleVacuum(std::unique_lock<std::mutex>* lock) {

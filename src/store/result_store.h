@@ -27,8 +27,6 @@ enum class Durability {
   kAlways,   // fsync after every appended record
 };
 
-const char* DurabilityName(Durability d);
-
 struct StoreOptions {
   /// Directory holding the journal (created if missing). Empty disables
   /// the store wherever a StoreOptions is embedded (DatabaseOptions).
@@ -119,8 +117,10 @@ class ResultStore {
 
   /// --- warm-start reads (recovered, live entries) ---------------------
   /// Invoked in least-recently-used-first order, so feeding an LRU-capped
-  /// cache leaves the most recent entries resident. Callbacks run under
-  /// the store mutex; they must not call back into the store.
+  /// cache leaves the most recent entries resident. The records are read
+  /// under the store mutex and the callbacks run after it is released, so
+  /// a callback may take another component's lock (a cache warm-starting
+  /// with its store hooks attached) without ordering it after the store's.
   ///
   /// `base_key`/`descriptor` are the structured cache-key halves of
   /// records written with them (kMaterialisationFlagHasDescriptor); both
@@ -207,9 +207,9 @@ class ResultStore {
   Status VacuumLocked();
   void MaybeScheduleVacuum(std::unique_lock<std::mutex>* lock);
 
-  /// Live entries of `type`, LRU-first, decoded from a fresh view.
-  template <typename Fn>
-  void ForEachLive(RecordType type, const Fn& fn);
+  /// Live frames of `type`, LRU-first, decoded from a fresh view under
+  /// mu_ and returned by value, so the ForEach* callbacks run unlocked.
+  std::vector<FrameResult> LiveFrames(RecordType type);
 
   StoreOptions options_;
   StoreEnv* env_ = nullptr;

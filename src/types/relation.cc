@@ -28,13 +28,6 @@ Status Relation::AddRow(Tuple row) {
   return Status::OK();
 }
 
-std::vector<Value> Relation::ColumnValues(size_t col) const {
-  std::vector<Value> out;
-  out.reserve(rows_.size());
-  for (const Tuple& t : rows_) out.push_back(t[col]);
-  return out;
-}
-
 void Relation::SortRows() {
   std::sort(rows_.begin(), rows_.end(), TupleLess);
 }

@@ -41,9 +41,6 @@ class Relation {
   /// Value at (row, col).
   const Value& At(size_t row, size_t col) const { return rows_[row][col]; }
 
-  /// Returns all values of one column.
-  std::vector<Value> ColumnValues(size_t col) const;
-
   /// Sorts rows lexicographically by all columns; gives relations a
   /// canonical order for comparison/printing.
   void SortRows();

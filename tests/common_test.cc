@@ -223,21 +223,6 @@ TEST(RngTest, BoolProbability) {
   EXPECT_NEAR(static_cast<double>(heads) / n, 0.25, 0.03);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(42);
-  double sum = 0.0, sq = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    double v = rng.NextGaussian(10.0, 2.0);
-    sum += v;
-    sq += v * v;
-  }
-  double mean = sum / n;
-  double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.1);
-  EXPECT_NEAR(var, 4.0, 0.3);
-}
-
 TEST(RngTest, ForkIndependentStreams) {
   Rng base(9);
   Rng a = base.Fork("alpha");

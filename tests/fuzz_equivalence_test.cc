@@ -279,6 +279,50 @@ TEST_P(FuzzEquivalenceTest, ReplanningIsDeterministic) {
   }
 }
 
+TEST_P(FuzzEquivalenceTest, CountStarBillsLikeItsKeyQuery) {
+  // Metamorphic: COUNT(*) reads no attribute, so over the same FROM and
+  // WHERE it pays exactly the prompts of selecting the first table's key
+  // (the scan and its filter checks), and it counts that query's rows.
+  QueryGenerator gen(static_cast<uint64_t>(GetParam()) * 6007 + 29);
+  llm::SimulatedLlm model(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  core::GaloisExecutor galois(&model, &W().catalog());
+  const std::string count_star = "SELECT COUNT(*)";
+  int checked = 0;
+  for (int i = 0; i < 100 && checked < 3; ++i) {
+    const std::string sql = gen.Generate();
+    if (sql.rfind(count_star + " FROM ", 0) != 0) continue;
+    SCOPED_TRACE(sql);
+    auto stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    auto def = W().catalog().GetTable(stmt->from[0].table);
+    ASSERT_TRUE(def.ok()) << def.status();
+    const std::string key_sql = "SELECT " + def.value()->key_column +
+                                sql.substr(count_star.size());
+    auto counted = galois.RunSql(sql);
+    ASSERT_TRUE(counted.ok()) << counted.status();
+    auto keys = galois.RunSql(key_sql);
+    ASSERT_TRUE(keys.ok()) << key_sql << ": " << keys.status();
+
+    const llm::CostMeter& a = counted->cost;
+    const llm::CostMeter& b = keys->cost;
+    EXPECT_GT(a.num_prompts, 0);
+    EXPECT_EQ(a.num_prompts, b.num_prompts);
+    EXPECT_EQ(a.prompt_tokens, b.prompt_tokens);
+    EXPECT_EQ(a.completion_tokens, b.completion_tokens);
+    EXPECT_EQ(a.simulated_latency_ms, b.simulated_latency_ms);
+    EXPECT_EQ(a.num_batches, b.num_batches);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.store_hits, b.store_hits);
+    EXPECT_EQ(a.by_model, b.by_model);
+
+    ASSERT_EQ(counted->relation.NumRows(), 1u);
+    EXPECT_EQ(counted->relation.rows()[0][0].ToString(),
+              std::to_string(keys->relation.NumRows()));
+    ++checked;
+  }
+  EXPECT_GT(checked, 0) << "the generator produced no COUNT(*) query";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalenceTest,
                          ::testing::Range(0, 12));
 

@@ -4,8 +4,9 @@
 //     byte-for-byte the merged scan prompt the pre-plan executor ladder
 //     produced (frozen literal below — do not regenerate);
 //   - annotation semantics: conjunct consumption / residual folding,
-//     the pushdown merge decision, retrieve reconciliation, and the
-//     legality rules of the LIMIT paging bound;
+//     the pushdown merge decision, retrieve reconciliation, which
+//     columns a `*` retrieves (all of its scans' as a select item, none
+//     inside COUNT(*)), and the legality rules of the LIMIT paging bound;
 //   - execution: a LIMIT-bounded key scan issues strictly fewer page
 //     round trips than the unbounded scan of the same table.
 
@@ -295,6 +296,86 @@ TEST(BindingTest, RetrieveReconciledWithConsumedFilterColumns) {
   ASSERT_NE(retrieve, nullptr);
   EXPECT_EQ(retrieve->columns,
             std::vector<std::string>{"population"});
+}
+
+// --- which columns a `*` retrieves -----------------------------------------
+
+/// The Retrieve columns bound for the scan `alias` (empty: no Retrieve).
+std::vector<std::string> RetrievedColumns(const planner::PlanNode& root,
+                                          const std::string& alias) {
+  if (root.op == planner::PlanOp::kRetrieve && root.alias == alias) {
+    return root.columns;
+  }
+  for (const auto& c : root.children) {
+    std::vector<std::string> found = RetrievedColumns(*c, alias);
+    if (!found.empty()) return found;
+  }
+  return {};
+}
+
+/// Every non-key column of `table`, in definition order.
+std::vector<std::string> NonKeyColumns(const std::string& table) {
+  auto def = W().catalog().GetTable(table);
+  EXPECT_TRUE(def.ok()) << def.status();
+  std::vector<std::string> out;
+  for (const catalog::ColumnDef& col : def.value()->columns) {
+    if (col.name != def.value()->key_column) out.push_back(col.name);
+  }
+  return out;
+}
+
+TEST(StarColumnsTest, CountStarBindsNoRetrieve) {
+  planner::PlanNodePtr plan = Annotated(
+      "SELECT COUNT(*) FROM country WHERE continent = 'Europe'",
+      planner::BindingOptions{});
+  EXPECT_EQ(FindOp(*plan, planner::PlanOp::kRetrieve), nullptr)
+      << planner::Explain(*plan);
+}
+
+TEST(StarColumnsTest, SelectStarRetrievesEveryColumnOfTheNamedScans) {
+  planner::BindingOptions binding;
+  planner::PlanNodePtr plan = Annotated("SELECT * FROM country", binding);
+  EXPECT_EQ(RetrievedColumns(*plan, "country"), NonKeyColumns("country"));
+
+  // `co.*` names one scan of the join: the other retrieves only the join
+  // column it is read for.
+  plan = Annotated(
+      "SELECT co.* FROM city ci JOIN country co ON ci.country = co.name",
+      binding);
+  EXPECT_EQ(RetrievedColumns(*plan, "co"), NonKeyColumns("country"));
+  EXPECT_EQ(RetrievedColumns(*plan, "ci"),
+            std::vector<std::string>{"country"});
+}
+
+TEST(StarColumnsTest, CountStarInHavingAndOrderByAddsNoColumn) {
+  planner::BindingOptions binding;
+  const std::vector<std::string> continent{"continent"};
+  EXPECT_EQ(RetrievedColumns(
+                *Annotated("SELECT continent FROM country GROUP BY continent "
+                           "HAVING COUNT(*) > 5",
+                           binding),
+                "country"),
+            continent);
+  EXPECT_EQ(RetrievedColumns(
+                *Annotated("SELECT continent, COUNT(*) FROM country "
+                           "GROUP BY continent ORDER BY COUNT(*) DESC",
+                           binding),
+                "country"),
+            continent);
+}
+
+TEST(StarColumnsTest, AggregateArgumentsAndGroupColumnsAreRetrieved) {
+  planner::BindingOptions binding;
+  EXPECT_EQ(RetrievedColumns(
+                *Annotated("SELECT COUNT(DISTINCT country) FROM city", binding),
+                "city"),
+            std::vector<std::string>{"country"});
+  // The group column is read although no select item names it.
+  EXPECT_EQ(RetrievedColumns(*Annotated("SELECT COUNT(*) FROM country "
+                                        "GROUP BY continent",
+                                        binding),
+                             "country"),
+            std::vector<std::string>{"continent"});
 }
 
 TEST(BindingTest, LimitBoundLegality) {

@@ -144,21 +144,6 @@ TEST(PlannerTest, DbFilterNotRewritten) {
   EXPECT_EQ(OptimizeLlmFilters(plan.get(), false), 0);
 }
 
-TEST(PlannerTest, PruneRetrievedColumns) {
-  // Build a plan, then artificially add an unused retrieved column.
-  PlanNodePtr plan =
-      Plan("SELECT name, capital FROM country WHERE continent = 'Asia'");
-  PlanNode* retrieve = const_cast<PlanNode*>(
-      FindOp(*plan, PlanOp::kRetrieve));
-  ASSERT_NE(retrieve, nullptr);
-  retrieve->columns.push_back("currency");  // nothing references it
-  int pruned = PruneRetrievedColumns(plan.get());
-  EXPECT_EQ(pruned, 1);
-  for (const std::string& col : retrieve->columns) {
-    EXPECT_NE(col, "currency");
-  }
-}
-
 TEST(PlannerTest, ExplainRendersTree) {
   PlanNodePtr plan =
       Plan("SELECT name FROM country WHERE continent = 'Europe'");

@@ -281,6 +281,14 @@ TEST(PredicateSubsumptionTest, ConcurrentSessionsHammerSharedCache) {
     expected.push_back(std::move(*want));
   }
 
+  // The widest query completes first, so every later lookup of a
+  // narrower query finds it: the subsumption reuse asserted below does
+  // not depend on how the concurrent rounds interleave.
+  Session warm = (*db)->CreateSession();
+  auto widest = warm.Query(queries[0]);
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_TRUE(widest->relation.SameContents(expected[0]));
+
   constexpr int kRounds = 4;
   std::vector<Session> sessions;
   std::vector<AsyncQuery> inflight;
@@ -303,7 +311,7 @@ TEST(PredicateSubsumptionTest, ConcurrentSessionsHammerSharedCache) {
   EXPECT_GT(subsumed, 0);
   auto stats = (*db)->materialisation_cache()->stats();
   EXPECT_EQ(stats.lookups,
-            static_cast<int64_t>(kRounds * queries.size()));
+            static_cast<int64_t>(kRounds * queries.size()) + 1);
   EXPECT_GT(stats.predicate_subsumption_hits, 0);
 }
 

@@ -78,13 +78,6 @@ TEST(RelationTest, AddRowChecksArity) {
   EXPECT_EQ(r.NumRows(), 1u);
 }
 
-TEST(RelationTest, ColumnValues) {
-  Relation r = MakeRelation();
-  std::vector<Value> names = r.ColumnValues(0);
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0].string_value(), "Italy");
-}
-
 TEST(RelationTest, SortRowsCanonical) {
   Relation r = MakeRelation();
   r.SortRows();
