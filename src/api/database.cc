@@ -296,18 +296,7 @@ Result<QueryResult> Session::RunSnapshot(
   core::GaloisExecutor executor(db->model_, db->catalog_, snapshot);
   executor.set_materialisation_cache(db->table_cache_);
   GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out, executor.RunSql(sql));
-  QueryResult result;
-  result.relation = std::move(out.relation);
-  result.cost = std::move(out.cost);
-  result.trace = std::move(out.trace);
-  result.table_cache_lookups = out.table_cache_lookups;
-  result.table_cache_hits = out.table_cache_hits;
-  result.table_cache_exact_hits = out.table_cache_exact_hits;
-  result.table_cache_subsumption_hits = out.table_cache_subsumption_hits;
-  result.table_cache_store_hits = out.table_cache_store_hits;
-  result.scan_pages_prefetched = out.scan_pages_prefetched;
-  result.scan_pages_overfetched = out.scan_pages_overfetched;
-  result.physical_plan = std::move(out.physical_plan);
+  QueryResult result{std::move(out)};
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();

@@ -34,50 +34,16 @@ namespace cluster {
 class ClusterCoordinator;
 }
 
-/// The result of one query, as one self-contained value: the relation
-/// plus this query's own measurements. Nothing here aliases shared
-/// state, so results from concurrent sessions never interfere — the
-/// replacement for the old per-executor `last_cost()/last_trace()/
-/// last_table_cache_*` side-channels, which allowed one in-flight query
-/// per executor and no safe sharing.
-struct QueryResult {
-  Relation relation;
-
-  /// Exactly this query's LLM spend (per-backend breakdown included),
-  /// attributed per round trip — correct under any number of concurrent
-  /// queries against the same Database.
-  llm::CostMeter cost;
-
-  /// Per-cell provenance; populated only when the session's options set
-  /// record_provenance.
-  core::ExecutionTrace trace;
-
-  /// Materialisation-cache traffic of this query (0/0 when the Database
-  /// has no cache). Hits split by kind: exact hits matched the cached
-  /// (base key, predicate descriptor) byte-for-byte; subsumption hits
-  /// were served from an entry cached under a weaker filter with the
-  /// residual conjuncts re-checked in memory — still zero LLM round
-  /// trips. `table_cache_store_hits` counts the hits served by entries
-  /// warm-started from the persistent store — tables this process never
-  /// paid an LLM round trip for; prompt-level store hits are in
-  /// cost.store_hits.
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-
-  /// Speculative key-scan paging (ExecutionOptions::prefetch_pages):
-  /// pages whose round trip was in flight before the previous page had
-  /// been consumed, and the subset bought past the terminating page
-  /// (paid for, parked in the prompt cache). Both 0 with prefetch off.
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
-
-  /// Rendering of the executed physical operator DAG with per-operator
-  /// rows / round trips / cost (the shell's `.explain` output).
-  std::string physical_plan;
-
+/// The result of one query, as one self-contained value: the engine's
+/// core::QueryOutput (relation, this query's own cost meter, provenance
+/// trace, physical-plan report and core::QueryCounters) plus the measured
+/// wall clock. Nothing here aliases shared state, so results from
+/// concurrent sessions never interfere — the replacement for the old
+/// per-executor `last_cost()/last_trace()/last_table_cache_*`
+/// side-channels, which allowed one in-flight query per executor and no
+/// safe sharing. The trace is populated only when the session's options
+/// set record_provenance.
+struct QueryResult : core::QueryOutput {
   /// Measured wall-clock time of the query.
   double wall_ms = 0.0;
 };

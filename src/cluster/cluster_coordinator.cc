@@ -215,19 +215,7 @@ Result<QueryResult> ClusterCoordinator::RunLocal(
   core::GaloisExecutor executor(db_->model(), &db_->catalog(), snapshot);
   executor.set_materialisation_cache(db_->materialisation_cache());
   GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out, executor.RunSql(sql));
-  QueryResult result;
-  result.relation = std::move(out.relation);
-  result.cost = std::move(out.cost);
-  result.trace = std::move(out.trace);
-  result.table_cache_lookups = out.table_cache_lookups;
-  result.table_cache_hits = out.table_cache_hits;
-  result.table_cache_exact_hits = out.table_cache_exact_hits;
-  result.table_cache_subsumption_hits = out.table_cache_subsumption_hits;
-  result.table_cache_store_hits = out.table_cache_store_hits;
-  result.scan_pages_prefetched = out.scan_pages_prefetched;
-  result.scan_pages_overfetched = out.scan_pages_overfetched;
-  result.physical_plan = std::move(out.physical_plan);
-  return result;
+  return QueryResult{std::move(out)};
 }
 
 Result<QueryResult> ClusterCoordinator::Query(
@@ -280,11 +268,8 @@ Result<QueryResult> ClusterCoordinator::Query(
     const size_t preferred = PreferredNode(shard.table);
     for (int64_t s = 0; s < slices_per_shard; ++s) {
       Dispatch d;
+      static_cast<core::ShardSpec&>(d.request) = shard;
       d.request.sql = sql;
-      d.request.table = shard.table;
-      d.request.alias = shard.alias;
-      d.request.columns = shard.columns;
-      d.request.descriptor = shard.descriptor;
       d.request.slice_index = s;
       d.request.slice_count = slices_per_shard;
       d.request.deadline_ms = deadline_ms;
@@ -323,8 +308,7 @@ Result<QueryResult> ClusterCoordinator::Query(
   // overlay the partial relations into a local merge run (which spends
   // zero prompts — every materialisation was billed on the nodes).
   llm::CostMeter cost;
-  int64_t lookups = 0, hits = 0, exact = 0, subsumption = 0, store = 0;
-  int64_t prefetched = 0, overfetched = 0;
+  core::QueryCounters counters;
   std::vector<core::TableOverlay> overlays;
   overlays.reserve(shards.size());
   size_t next = 0;
@@ -334,13 +318,7 @@ Result<QueryResult> ClusterCoordinator::Query(
     for (int64_t s = 0; s < slices_per_shard; ++s) {
       net::PartialQueryResponse& r = responses[next++].value();
       cost += r.cost;
-      lookups += r.table_cache_lookups;
-      hits += r.table_cache_hits;
-      exact += r.table_cache_exact_hits;
-      subsumption += r.table_cache_subsumption_hits;
-      store += r.table_cache_store_hits;
-      prefetched += r.scan_pages_prefetched;
-      overfetched += r.scan_pages_overfetched;
+      counters += r;
       slices.push_back(std::move(r.relation));
     }
     core::TableOverlay overlay;
@@ -354,19 +332,9 @@ Result<QueryResult> ClusterCoordinator::Query(
                           merger.RunSqlWithOverlays(sql, std::move(overlays)));
   cost += out.cost;  // non-LLM residue of the merge run (normally zero)
 
-  QueryResult result;
-  result.relation = std::move(out.relation);
+  QueryResult result{std::move(out)};
   result.cost = std::move(cost);
-  result.trace = std::move(out.trace);
-  result.table_cache_lookups = lookups + out.table_cache_lookups;
-  result.table_cache_hits = hits + out.table_cache_hits;
-  result.table_cache_exact_hits = exact + out.table_cache_exact_hits;
-  result.table_cache_subsumption_hits =
-      subsumption + out.table_cache_subsumption_hits;
-  result.table_cache_store_hits = store + out.table_cache_store_hits;
-  result.scan_pages_prefetched = prefetched + out.scan_pages_prefetched;
-  result.scan_pages_overfetched = overfetched + out.scan_pages_overfetched;
-  result.physical_plan = std::move(out.physical_plan);
+  result += counters;
   return finish(std::move(result));
 }
 

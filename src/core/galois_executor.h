@@ -17,19 +17,68 @@ namespace galois::core {
 
 class MaterialisationCache;
 
+/// The per-query counters that say where a query's LLM cost was avoided,
+/// declared once. Every carrier takes this block as a public base —
+/// QueryOutput (and through it galois::QueryResult),
+/// net::PartialQueryResponse, net::ServerStats and eval::QueryOutcome —
+/// so copying it is one base assignment, summing it is one `+=`, and the
+/// GALP codec writes it through one helper pair. This is the one place
+/// to add a per-query counter.
+///
+/// Materialisation-cache traffic, all 0 when no cache is attached:
+/// `table_cache_lookups` counts the LLM tables looked up and
+/// `table_cache_hits` those served without any LLM round trip. Hits split
+/// by kind: `table_cache_exact_hits` matched the (base key, predicate
+/// descriptor) pair byte-for-byte; `table_cache_subsumption_hits` were
+/// served from an entry cached under a weaker filter, with the residual
+/// conjuncts re-applied in memory (still zero LLM round trips).
+/// `table_cache_store_hits` counts the hits served by entries the cache
+/// warm-started from the persistent store — tables this *process* never
+/// paid for; prompt-level store hits are in llm::CostMeter::store_hits.
+///
+/// Speculative key-scan paging (ExecutionOptions::prefetch_pages), both 0
+/// with prefetch off: `scan_pages_prefetched` counts the pages whose
+/// round trip was issued before the previous page's answer had been
+/// consumed, and `scan_pages_overfetched` the subset bought past the page
+/// that terminated the scan (paid for, parked in the prompt cache).
+struct QueryCounters {
+  int64_t table_cache_lookups = 0;
+  int64_t table_cache_hits = 0;
+  int64_t table_cache_exact_hits = 0;
+  int64_t table_cache_subsumption_hits = 0;
+  int64_t table_cache_store_hits = 0;
+  int64_t scan_pages_prefetched = 0;
+  int64_t scan_pages_overfetched = 0;
+
+  QueryCounters& operator+=(const QueryCounters& other) {
+    table_cache_lookups += other.table_cache_lookups;
+    table_cache_hits += other.table_cache_hits;
+    table_cache_exact_hits += other.table_cache_exact_hits;
+    table_cache_subsumption_hits += other.table_cache_subsumption_hits;
+    table_cache_store_hits += other.table_cache_store_hits;
+    scan_pages_prefetched += other.scan_pages_prefetched;
+    scan_pages_overfetched += other.scan_pages_overfetched;
+    return *this;
+  }
+};
+static_assert(sizeof(QueryCounters) == 7 * sizeof(int64_t),
+              "a new counter must be summed in QueryCounters::operator+= "
+              "and keyed in the GALP codec (net/protocol.cc)");
+
 /// Everything one query execution produced, as a self-contained value:
 /// the relation plus the query's own cost meter, provenance trace,
-/// physical-plan report and materialisation-cache traffic. Returned by
-/// GaloisExecutor::Run, and the engine-level half of the public
-/// galois::QueryResult. Because the result is a value (not accessors on
-/// the executor), concurrent queries against one executor can never read
-/// each other's measurements.
-struct QueryOutput {
+/// physical-plan report and counters. Returned by GaloisExecutor::Run;
+/// the public galois::QueryResult is this plus the measured wall clock.
+/// Because the result is a value (not accessors on the executor),
+/// concurrent queries against one executor can never read each other's
+/// measurements.
+struct QueryOutput : QueryCounters {
   Relation relation;
 
-  /// Exactly this query's LLM spend, attributed per round trip through a
-  /// per-query llm::CostTap — correct even when other queries bill the
-  /// same shared model stack concurrently.
+  /// Exactly this query's LLM spend (per-backend breakdown included),
+  /// attributed per round trip through a per-query llm::CostTap —
+  /// correct even when other queries bill the same shared model stack
+  /// concurrently.
   llm::CostMeter cost;
 
   /// Per-cell provenance; populated only when
@@ -40,29 +89,6 @@ struct QueryOutput {
   /// rows / round trips / cost (PhysicalPlan::Render) — what the shell's
   /// `.explain` shows for the last query.
   std::string physical_plan;
-
-  /// Materialisation-cache traffic of this query: LLM tables looked up,
-  /// and tables served without any LLM round trip. Both 0 when no cache
-  /// is attached. Hits split by kind: `table_cache_exact_hits` matched
-  /// the (base key, predicate descriptor) pair byte-for-byte;
-  /// `table_cache_subsumption_hits` were served from an entry cached
-  /// under a weaker filter, with the residual conjuncts re-applied in
-  /// memory (still zero LLM round trips). `table_cache_store_hits`
-  /// counts the hits served by entries the cache warm-started from the
-  /// persistent store — tables this *process* never paid for.
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-
-  /// Speculative key-scan paging (ExecutionOptions::prefetch_pages):
-  /// pages whose round trip was issued before the previous page's answer
-  /// had been consumed, and the subset bought past the page that
-  /// terminated the scan (paid for, parked in the prompt cache). Both 0
-  /// when prefetch is off.
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 };
 
 /// One LLM base table of a compiled plan, described precisely enough for
@@ -71,7 +97,8 @@ struct QueryOutput {
 /// spending a single prompt. Everything that decides what the
 /// materialisation produces is captured: the catalog table, the FROM
 /// alias (which qualifies the output schema), the needed non-key columns
-/// in definition order, and the canonical predicate descriptor
+/// in definition order (the key column is implied, and always first in
+/// the materialised relation), and the canonical predicate descriptor
 /// (PredicateDescriptor::Encode() bytes — pushed/checked conjuncts plus
 /// the LIMIT paging bound). A byte-for-byte match means coordinator and
 /// node agree on catalog and planner version; a mismatch is version
@@ -94,15 +121,15 @@ struct TableOverlay {
 };
 
 /// A shard execution request as a cluster node receives it off the wire:
-/// the full query (the node re-plans it against its own catalog), the
-/// shard spec to validate the local plan against, and an optional
-/// contiguous key-range slice [slice_index, slice_count).
-struct ShardRequest {
+/// the shard spec to validate the local plan against, the full query
+/// (the node re-plans it against its own catalog), and an optional
+/// key-range slice.
+struct ShardRequest : ShardSpec {
   std::string sql;
-  std::string table;
-  std::string alias;
-  std::vector<std::string> columns;
-  std::string descriptor;
+  /// Key-range slice [slice_index, slice_count): the node runs the full
+  /// key scan, keeps the slice_index-th contiguous slice of the scanned
+  /// key list, and runs the per-key phases on that slice only.
+  /// slice_count == 1 means the whole table.
   int64_t slice_index = 0;
   int64_t slice_count = 1;
 };

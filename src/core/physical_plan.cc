@@ -203,6 +203,17 @@ std::string StatsSummary(const OperatorStats& s) {
   return os.str();
 }
 
+/// Counts one materialisation-cache lookup and, on a hit, its kinds.
+void CountLookup(const MaterialisationLookupInfo& info,
+                 QueryCounters* counters) {
+  ++counters->table_cache_lookups;
+  if (!info.hit) return;
+  ++counters->table_cache_hits;
+  if (info.exact) ++counters->table_cache_exact_hits;
+  if (info.predicate_subsumed) ++counters->table_cache_subsumption_hits;
+  if (info.from_store) ++counters->table_cache_store_hits;
+}
+
 void RenderRec(const PhysicalNode& node, int depth,
                std::ostringstream* os) {
   *os << std::string(static_cast<size_t>(depth) * 2, ' ') << node.label
@@ -824,16 +835,12 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     if (use_cache) {
       base_keys[i] =
           MaterialisationCache::BaseKey(*group.def, options_, model->name());
-      ++out->table_cache_lookups;
       MaterialisationLookupInfo info;
       std::optional<Relation> hit =
           cache->Lookup(base_keys[i], group.descriptor, *group.def,
                         group.needed_columns, group.alias, &info);
+      CountLookup(info, out);
       if (hit.has_value()) {
-        ++out->table_cache_hits;
-        if (info.exact) ++out->table_cache_exact_hits;
-        if (info.predicate_subsumed) ++out->table_cache_subsumption_hits;
-        if (info.from_store) ++out->table_cache_store_hits;
         // The cached phases produced the entry's rows; on a subsumption
         // hit the residual filter then narrows them, and shows up as
         // its own operator above the group.
@@ -1053,16 +1060,12 @@ Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardRequest& request,
   if (use_cache) {
     base_key =
         MaterialisationCache::BaseKey(*group->def, options_, model->name());
-    ++out.table_cache_lookups;
     MaterialisationLookupInfo info;
     std::optional<Relation> hit =
         cache->Lookup(base_key, group->descriptor, *group->def,
                       group->needed_columns, group->alias, &info);
+    CountLookup(info, &out);
     if (hit.has_value()) {
-      ++out.table_cache_hits;
-      if (info.exact) ++out.table_cache_exact_hits;
-      if (info.predicate_subsumed) ++out.table_cache_subsumption_hits;
-      if (info.from_store) ++out.table_cache_store_hits;
       out.relation = std::move(*hit);
       return out;
     }

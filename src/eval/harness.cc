@@ -71,13 +71,7 @@ Result<std::vector<QueryOutcome>> RunExperiment(
           CardinalityDiffPercent(rd.NumRows(), rm.relation.NumRows());
       outcome.galois_match = MatchCells(rd, rm.relation);
       outcome.galois_cost = std::move(rm.cost);
-      outcome.table_cache_lookups = rm.table_cache_lookups;
-      outcome.table_cache_hits = rm.table_cache_hits;
-      outcome.table_cache_exact_hits = rm.table_cache_exact_hits;
-      outcome.table_cache_subsumption_hits = rm.table_cache_subsumption_hits;
-      outcome.table_cache_store_hits = rm.table_cache_store_hits;
-      outcome.scan_pages_prefetched = rm.scan_pages_prefetched;
-      outcome.scan_pages_overfetched = rm.scan_pages_overfetched;
+      static_cast<core::QueryCounters&>(outcome) = rm;
     }
     if (config.run_nl_qa) {
       GALOIS_ASSIGN_OR_RETURN(

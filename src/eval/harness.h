@@ -36,8 +36,10 @@ struct ExperimentConfig {
   std::string store_path;
 };
 
-/// Per-query measurements.
-struct QueryOutcome {
+/// Per-query measurements. The core::QueryCounters base holds the Galois
+/// run's counters (all 0 when neither the materialisation cache nor
+/// prefetch is on; the store hits need store_path).
+struct QueryOutcome : core::QueryCounters {
   int query_id = 0;
   knowledge::QueryClass query_class = knowledge::QueryClass::kSelection;
   size_t rd_rows = 0;
@@ -53,21 +55,6 @@ struct QueryOutcome {
   /// overlap — the pair shows how much of the simulated budget
   /// concurrency actually recovers.
   double galois_wall_ms = 0.0;
-  /// Materialisation-cache traffic of this query (0/0 when the cache is
-  /// disabled): LLM tables looked up, and tables served without any LLM
-  /// round trip — split into exact-descriptor hits and predicate-
-  /// subsumption hits (served from an entry cached under a weaker
-  /// filter). `table_cache_store_hits` counts the hits served by
-  /// entries recovered from the persistent store (store_path).
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-  /// Speculative key-scan paging: pages bought ahead of consumption, and
-  /// the subset bought past the terminating page.
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 
   // Baselines.
   std::optional<CellMatchResult> nl_match;

@@ -120,55 +120,40 @@ std::string FormatCostStats(const std::vector<QueryOutcome>& outcomes) {
                 static_cast<long long>(batching.cache_hits),
                 100.0 * batching.CacheHitRate());
   os << buf;
-  int64_t table_lookups = 0;
-  int64_t table_hits = 0;
-  int64_t table_exact_hits = 0;
-  int64_t table_subsumption_hits = 0;
-  int64_t pages_prefetched = 0;
-  int64_t pages_overfetched = 0;
-  for (const QueryOutcome& o : outcomes) {
-    table_lookups += o.table_cache_lookups;
-    table_hits += o.table_cache_hits;
-    table_exact_hits += o.table_cache_exact_hits;
-    table_subsumption_hits += o.table_cache_subsumption_hits;
-    pages_prefetched += o.scan_pages_prefetched;
-    pages_overfetched += o.scan_pages_overfetched;
-  }
-  if (table_lookups > 0) {
+  core::QueryCounters counters;
+  for (const QueryOutcome& o : outcomes) counters += o;
+  if (counters.table_cache_lookups > 0) {
     // Table-level reuse: whole materialisations served without any LLM
     // round trip (cross-query MaterialisationCache), split into exact
     // descriptor matches and predicate-subsumption serves.
     std::snprintf(buf, sizeof(buf),
                   "Materialisation cache: %lld table hits / %lld lookups "
                   "(%.0f%%), %lld exact + %lld by subsumption\n",
-                  static_cast<long long>(table_hits),
-                  static_cast<long long>(table_lookups),
-                  100.0 * static_cast<double>(table_hits) /
-                      static_cast<double>(table_lookups),
-                  static_cast<long long>(table_exact_hits),
-                  static_cast<long long>(table_subsumption_hits));
+                  static_cast<long long>(counters.table_cache_hits),
+                  static_cast<long long>(counters.table_cache_lookups),
+                  100.0 * static_cast<double>(counters.table_cache_hits) /
+                      static_cast<double>(counters.table_cache_lookups),
+                  static_cast<long long>(counters.table_cache_exact_hits),
+                  static_cast<long long>(
+                      counters.table_cache_subsumption_hits));
     os << buf;
   }
-  if (pages_prefetched > 0) {
+  if (counters.scan_pages_prefetched > 0) {
     // Speculative paging: pages bought ahead of consumption, and the
     // subset bought past the page that terminated its scan.
     std::snprintf(buf, sizeof(buf),
                   "Key-scan prefetch: %lld pages prefetched, %lld "
                   "overfetched\n",
-                  static_cast<long long>(pages_prefetched),
-                  static_cast<long long>(pages_overfetched));
+                  static_cast<long long>(counters.scan_pages_prefetched),
+                  static_cast<long long>(counters.scan_pages_overfetched));
     os << buf;
   }
-  int64_t store_table_hits = 0;
-  for (const QueryOutcome& o : outcomes) {
-    store_table_hits += o.table_cache_store_hits;
-  }
-  if (store_table_hits > 0 || totals.store_hits > 0) {
+  if (counters.table_cache_store_hits > 0 || totals.store_hits > 0) {
     // Cross-process reuse: work recovered from the persistent store —
     // this run never paid an LLM round trip for any of it.
     std::snprintf(buf, sizeof(buf),
                   "Persistent store: %lld table hits, %lld prompt hits\n",
-                  static_cast<long long>(store_table_hits),
+                  static_cast<long long>(counters.table_cache_store_hits),
                   static_cast<long long>(totals.store_hits));
     os << buf;
   }

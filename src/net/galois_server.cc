@@ -185,13 +185,7 @@ void GaloisServer::ServeQuery(int fd, const std::string& payload) {
       ++queries_ok_;
       total_wall_ms_ += qr.wall_ms;
       max_wall_ms_ = std::max(max_wall_ms_, qr.wall_ms);
-      table_cache_lookups_ += qr.table_cache_lookups;
-      table_cache_hits_ += qr.table_cache_hits;
-      table_cache_exact_hits_ += qr.table_cache_exact_hits;
-      table_cache_subsumption_hits_ += qr.table_cache_subsumption_hits;
-      table_cache_store_hits_ += qr.table_cache_store_hits;
-      scan_pages_prefetched_ += qr.scan_pages_prefetched;
-      scan_pages_overfetched_ += qr.scan_pages_overfetched;
+      counters_ += qr;
     }
     write_status = WriteFrame(fd, FrameType::kQueryResult,
                               QueryResultToJson(qr).Dump(),
@@ -258,14 +252,7 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
   core::GaloisExecutor executor(db_->model(), &db_->catalog(), snapshot);
   executor.set_materialisation_cache(db_->materialisation_cache());
 
-  core::ShardRequest shard;
-  shard.sql = request.value().sql;
-  shard.table = request.value().table;
-  shard.alias = request.value().alias;
-  shard.columns = request.value().columns;
-  shard.descriptor = request.value().descriptor;
-  shard.slice_index = request.value().slice_index;
-  shard.slice_count = request.value().slice_count;
+  const core::ShardRequest& shard = request.value();
   Result<core::QueryOutput> out = executor.RunShard(shard);
   ReleaseQuery();
 
@@ -286,24 +273,11 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
   response.slice_count = shard.slice_count;
   response.relation = std::move(out.value().relation);
   response.cost = out.value().cost;
-  response.table_cache_lookups = out.value().table_cache_lookups;
-  response.table_cache_hits = out.value().table_cache_hits;
-  response.table_cache_exact_hits = out.value().table_cache_exact_hits;
-  response.table_cache_subsumption_hits =
-      out.value().table_cache_subsumption_hits;
-  response.table_cache_store_hits = out.value().table_cache_store_hits;
-  response.scan_pages_prefetched = out.value().scan_pages_prefetched;
-  response.scan_pages_overfetched = out.value().scan_pages_overfetched;
+  static_cast<core::QueryCounters&>(response) = out.value();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++partials_ok_;
-    table_cache_lookups_ += response.table_cache_lookups;
-    table_cache_hits_ += response.table_cache_hits;
-    table_cache_exact_hits_ += response.table_cache_exact_hits;
-    table_cache_subsumption_hits_ += response.table_cache_subsumption_hits;
-    table_cache_store_hits_ += response.table_cache_store_hits;
-    scan_pages_prefetched_ += response.scan_pages_prefetched;
-    scan_pages_overfetched_ += response.scan_pages_overfetched;
+    counters_ += response;
   }
   Status write_status =
       WriteFrame(fd, FrameType::kPartialResult,
@@ -432,13 +406,7 @@ ServerStats GaloisServer::stats() const {
     s.partials_error = partials_error_;
     s.total_wall_ms = total_wall_ms_;
     s.max_wall_ms = max_wall_ms_;
-    s.table_cache_lookups = table_cache_lookups_;
-    s.table_cache_hits = table_cache_hits_;
-    s.table_cache_exact_hits = table_cache_exact_hits_;
-    s.table_cache_subsumption_hits = table_cache_subsumption_hits_;
-    s.table_cache_store_hits = table_cache_store_hits_;
-    s.scan_pages_prefetched = scan_pages_prefetched_;
-    s.scan_pages_overfetched = scan_pages_overfetched_;
+    static_cast<core::QueryCounters&>(s) = counters_;
   }
   s.draining = draining_.load();
   {

@@ -159,13 +159,8 @@ class GaloisServer {
   int64_t partials_error_ = 0;
   double total_wall_ms_ = 0.0;
   double max_wall_ms_ = 0.0;
-  int64_t table_cache_lookups_ = 0;
-  int64_t table_cache_hits_ = 0;
-  int64_t table_cache_exact_hits_ = 0;
-  int64_t table_cache_subsumption_hits_ = 0;
-  int64_t table_cache_store_hits_ = 0;
-  int64_t scan_pages_prefetched_ = 0;
-  int64_t scan_pages_overfetched_ = 0;
+  /// Every completed query's counters plus every served shard's.
+  core::QueryCounters counters_;
 };
 
 }  // namespace galois::net

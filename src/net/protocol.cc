@@ -1,6 +1,8 @@
 #include "net/protocol.h"
 
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "llm/http_llm.h"
 #include "llm/prompt_json.h"
@@ -73,6 +75,34 @@ Result<std::string> HexDecode(const std::string& hex) {
     out.push_back(static_cast<char>((hi << 4) | lo));
   }
   return out;
+}
+
+// The core::QueryCounters block rides flat in each payload that carries
+// it (kQueryResult, kPartialResult, kStatsResult), under these keys and
+// in this order; ServerStats::ToString prints the same names.
+using Counters = core::QueryCounters;
+constexpr std::pair<const char*, int64_t Counters::*> kCounterKeys[] = {
+    {"table_cache_lookups", &Counters::table_cache_lookups},
+    {"table_cache_hits", &Counters::table_cache_hits},
+    {"table_cache_exact_hits", &Counters::table_cache_exact_hits},
+    {"table_cache_subsumption_hits", &Counters::table_cache_subsumption_hits},
+    {"table_cache_store_hits", &Counters::table_cache_store_hits},
+    {"scan_pages_prefetched", &Counters::scan_pages_prefetched},
+    {"scan_pages_overfetched", &Counters::scan_pages_overfetched},
+};
+static_assert(std::size(kCounterKeys) * sizeof(int64_t) == sizeof(Counters),
+              "every core::QueryCounters field needs a wire key");
+
+void SetCounters(const Counters& counters, Json* j) {
+  for (const auto& [key, field] : kCounterKeys) {
+    j->Set(key, Json::Number(counters.*field));
+  }
+}
+
+void GetCounters(const Json& j, Counters* counters) {
+  for (const auto& [key, field] : kCounterKeys) {
+    counters->*field = j.GetInt(key);
+  }
 }
 
 }  // namespace
@@ -200,16 +230,7 @@ Json QueryResultToJson(const QueryResult& result) {
   Json j = Json::Object();
   j.Set("relation", RelationToJson(result.relation));
   j.Set("cost", CostMeterToJson(result.cost));
-  j.Set("table_cache_lookups", Json::Number(result.table_cache_lookups));
-  j.Set("table_cache_hits", Json::Number(result.table_cache_hits));
-  j.Set("table_cache_exact_hits", Json::Number(result.table_cache_exact_hits));
-  j.Set("table_cache_subsumption_hits",
-        Json::Number(result.table_cache_subsumption_hits));
-  j.Set("table_cache_store_hits",
-        Json::Number(result.table_cache_store_hits));
-  j.Set("scan_pages_prefetched", Json::Number(result.scan_pages_prefetched));
-  j.Set("scan_pages_overfetched",
-        Json::Number(result.scan_pages_overfetched));
+  SetCounters(result, &j);
   j.Set("wall_ms", Json::Number(result.wall_ms));
   if (!result.physical_plan.empty()) {
     j.Set("physical_plan", Json::String(result.physical_plan));
@@ -224,14 +245,7 @@ Result<QueryResult> QueryResultFromJson(const Json& j) {
   QueryResult result;
   GALOIS_ASSIGN_OR_RETURN(result.relation, RelationFromJson(j["relation"]));
   GALOIS_ASSIGN_OR_RETURN(result.cost, CostMeterFromJson(j["cost"]));
-  result.table_cache_lookups = j.GetInt("table_cache_lookups");
-  result.table_cache_hits = j.GetInt("table_cache_hits");
-  result.table_cache_exact_hits = j.GetInt("table_cache_exact_hits");
-  result.table_cache_subsumption_hits =
-      j.GetInt("table_cache_subsumption_hits");
-  result.table_cache_store_hits = j.GetInt("table_cache_store_hits");
-  result.scan_pages_prefetched = j.GetInt("scan_pages_prefetched");
-  result.scan_pages_overfetched = j.GetInt("scan_pages_overfetched");
+  GetCounters(j, &result);
   result.wall_ms = j.GetNumber("wall_ms");
   result.physical_plan = j.GetString("physical_plan");
   return result;
@@ -298,18 +312,7 @@ Json PartialQueryResponseToJson(const PartialQueryResponse& response) {
   j.Set("slice_count", Json::Number(response.slice_count));
   j.Set("relation", RelationToJson(response.relation));
   j.Set("cost", CostMeterToJson(response.cost));
-  j.Set("table_cache_lookups", Json::Number(response.table_cache_lookups));
-  j.Set("table_cache_hits", Json::Number(response.table_cache_hits));
-  j.Set("table_cache_exact_hits",
-        Json::Number(response.table_cache_exact_hits));
-  j.Set("table_cache_subsumption_hits",
-        Json::Number(response.table_cache_subsumption_hits));
-  j.Set("table_cache_store_hits",
-        Json::Number(response.table_cache_store_hits));
-  j.Set("scan_pages_prefetched",
-        Json::Number(response.scan_pages_prefetched));
-  j.Set("scan_pages_overfetched",
-        Json::Number(response.scan_pages_overfetched));
+  SetCounters(response, &j);
   return j;
 }
 
@@ -329,14 +332,7 @@ Result<PartialQueryResponse> PartialQueryResponseFromJson(const Json& j) {
   GALOIS_ASSIGN_OR_RETURN(response.relation,
                           RelationFromJson(j["relation"]));
   GALOIS_ASSIGN_OR_RETURN(response.cost, CostMeterFromJson(j["cost"]));
-  response.table_cache_lookups = j.GetInt("table_cache_lookups");
-  response.table_cache_hits = j.GetInt("table_cache_hits");
-  response.table_cache_exact_hits = j.GetInt("table_cache_exact_hits");
-  response.table_cache_subsumption_hits =
-      j.GetInt("table_cache_subsumption_hits");
-  response.table_cache_store_hits = j.GetInt("table_cache_store_hits");
-  response.scan_pages_prefetched = j.GetInt("scan_pages_prefetched");
-  response.scan_pages_overfetched = j.GetInt("scan_pages_overfetched");
+  GetCounters(j, &response);
   return response;
 }
 
@@ -387,17 +383,7 @@ Json ServerStatsToJson(const ServerStats& stats) {
   j.Set("total_wall_ms", Json::Number(stats.total_wall_ms));
   j.Set("max_wall_ms", Json::Number(stats.max_wall_ms));
   j.Set("queries_per_sec", Json::Number(stats.queries_per_sec));
-  j.Set("table_cache_lookups", Json::Number(stats.table_cache_lookups));
-  j.Set("table_cache_hits", Json::Number(stats.table_cache_hits));
-  j.Set("table_cache_exact_hits",
-        Json::Number(stats.table_cache_exact_hits));
-  j.Set("table_cache_subsumption_hits",
-        Json::Number(stats.table_cache_subsumption_hits));
-  j.Set("table_cache_store_hits",
-        Json::Number(stats.table_cache_store_hits));
-  j.Set("scan_pages_prefetched", Json::Number(stats.scan_pages_prefetched));
-  j.Set("scan_pages_overfetched",
-        Json::Number(stats.scan_pages_overfetched));
+  SetCounters(stats, &j);
   j.Set("spend", CostMeterToJson(stats.spend));
   j.Set("store_attached", Json::Bool(stats.store_attached));
   j.Set("store_file_bytes", Json::Number(stats.store_file_bytes));
@@ -431,14 +417,7 @@ Result<ServerStats> ServerStatsFromJson(const Json& j) {
   stats.total_wall_ms = j.GetNumber("total_wall_ms");
   stats.max_wall_ms = j.GetNumber("max_wall_ms");
   stats.queries_per_sec = j.GetNumber("queries_per_sec");
-  stats.table_cache_lookups = j.GetInt("table_cache_lookups");
-  stats.table_cache_hits = j.GetInt("table_cache_hits");
-  stats.table_cache_exact_hits = j.GetInt("table_cache_exact_hits");
-  stats.table_cache_subsumption_hits =
-      j.GetInt("table_cache_subsumption_hits");
-  stats.table_cache_store_hits = j.GetInt("table_cache_store_hits");
-  stats.scan_pages_prefetched = j.GetInt("scan_pages_prefetched");
-  stats.scan_pages_overfetched = j.GetInt("scan_pages_overfetched");
+  GetCounters(j, &stats);
   GALOIS_ASSIGN_OR_RETURN(stats.spend, CostMeterFromJson(j["spend"]));
   stats.store_attached = j.GetBool("store_attached");
   stats.store_file_bytes = j.GetInt("store_file_bytes");
@@ -478,13 +457,7 @@ std::string ServerStats::ToString() const {
   dline("queries_per_sec", queries_per_sec);
   dline("total_wall_ms", total_wall_ms);
   dline("max_wall_ms", max_wall_ms);
-  line("table_cache_lookups", table_cache_lookups);
-  line("table_cache_hits", table_cache_hits);
-  line("table_cache_exact_hits", table_cache_exact_hits);
-  line("table_cache_subsumption_hits", table_cache_subsumption_hits);
-  line("table_cache_store_hits", table_cache_store_hits);
-  line("scan_pages_prefetched", scan_pages_prefetched);
-  line("scan_pages_overfetched", scan_pages_overfetched);
+  for (const auto& [key, field] : kCounterKeys) line(key, this->*field);
   line("llm_prompts", spend.num_prompts);
   line("llm_batches", spend.num_batches);
   line("llm_prompt_tokens", spend.prompt_tokens);

@@ -8,6 +8,7 @@
 #include "api/database.h"
 #include "common/json.h"
 #include "common/result.h"
+#include "core/galois_executor.h"
 #include "llm/language_model.h"
 #include "types/relation.h"
 
@@ -22,7 +23,7 @@ namespace galois::net {
 /// (schema + rows, including int64/date payloads, which travel as
 /// strings exactly like the LLM wire codec's tagged values), same
 /// CostMeter (doubles dumped at %.17g round-trip losslessly), same
-/// cache/prefetch counters. That is what lets the e2e suite prove the
+/// core::QueryCounters. That is what lets the e2e suite prove the
 /// daemon byte-identical to the in-process facade. Provenance traces are
 /// deliberately NOT carried: provenance runs are a debugging mode and
 /// their traces hold engine-internal pointers; remote sessions run with
@@ -57,31 +58,18 @@ Result<QueryResult> QueryResultFromJson(const Json& j);
 
 /// One shard of a scatter-gathered query (FrameType::kPartialQuery):
 /// the coordinator asks a node to materialise exactly one LLM table of
-/// the query, optionally restricted to a contiguous key-range slice.
+/// the query (core::ShardRequest), optionally restricted to a key-range
+/// slice, within `deadline_ms`.
 ///
 /// The node re-plans `sql` against its own (identical) catalog and
 /// validates that the shard it finds under `alias` matches `table`,
 /// `columns` and `descriptor` byte-for-byte — a mismatch means the
 /// coordinator and node disagree about the catalog or planner version,
-/// which is a deterministic error, never retried. The descriptor is the
-/// table's canonical PredicateDescriptor::Encode() bytes (hex-encoded on
-/// the wire so arbitrary predicate values survive the JSON layer).
-struct PartialQueryRequest {
-  std::string sql;
-  std::string table;
-  std::string alias;
-  /// Needed column names in definition order (the key column is implied
-  /// and always first in the response relation).
-  std::vector<std::string> columns;
-  /// Canonical PredicateDescriptor::Encode() bytes (raw; the codec
-  /// hex-encodes them on the wire).
-  std::string descriptor;
-  /// Key-range slice [slice_index, slice_count): the node runs the full
-  /// key scan, keeps the slice_index-th contiguous slice of the scanned
-  /// key list, and runs the per-key phases on that slice only.
-  /// slice_count == 1 means the whole table.
-  int64_t slice_index = 0;
-  int64_t slice_count = 1;
+/// which is a deterministic error, never retried. The descriptor holds
+/// raw PredicateDescriptor::Encode() bytes; the codec hex-encodes them
+/// on the wire so arbitrary predicate values survive the JSON layer.
+struct PartialQueryRequest : core::ShardRequest {
+  /// 0 = none; the node clamps it like QueryRequest::deadline_ms.
   int64_t deadline_ms = 0;
 };
 
@@ -90,9 +78,9 @@ Result<PartialQueryRequest> PartialQueryRequestFromJson(const Json& j);
 
 /// A node's answer to a partial query (FrameType::kPartialResult): the
 /// shard's materialised relation (alias-qualified key + needed columns)
-/// plus the per-shard CostMeter slice and cache/prefetch counters the
-/// coordinator aggregates into the merged QueryResult.
-struct PartialQueryResponse {
+/// plus the per-shard CostMeter slice and counters the coordinator
+/// aggregates into the merged QueryResult.
+struct PartialQueryResponse : core::QueryCounters {
   std::string table;
   std::string alias;
   int64_t slice_index = 0;
@@ -101,13 +89,6 @@ struct PartialQueryResponse {
   /// Exactly this shard's spend (per-query CostTap, by-model slices
   /// included) — summing the shards' meters reproduces the facade's.
   llm::CostMeter cost;
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 };
 
 Json PartialQueryResponseToJson(const PartialQueryResponse& response);
@@ -125,9 +106,9 @@ Status StatusFromJson(const Json& j);
 
 /// Live daemon statistics (FrameType::kStatsResult) — the ctdb-style
 /// counter block. Spend is the whole model stack's meter (per-backend
-/// slices included); the cache/prefetch counters are accumulated over
-/// every completed query's QueryResult.
-struct ServerStats {
+/// slices included). The core::QueryCounters base sums every completed
+/// query's QueryResult and every served shard's PartialQueryResponse.
+struct ServerStats : core::QueryCounters {
   int64_t uptime_ms = 0;
   /// Whole seconds of uptime_ms — the scrape-friendly rendering cluster
   /// health checks grep for ("a node with uptime_s below the burst
@@ -164,14 +145,6 @@ struct ServerStats {
   double max_wall_ms = 0.0;
   /// queries_ok per second of uptime.
   double queries_per_sec = 0.0;
-
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 
   /// Stack-wide spend since the Database opened.
   llm::CostMeter spend;

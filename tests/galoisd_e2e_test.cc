@@ -75,6 +75,21 @@ std::unique_ptr<Database> OpenSimDb(bool table_cache = true) {
   return std::move(db).value();
 }
 
+/// Expects the seven per-query counters of `got` and `want` to match.
+void ExpectSameCounters(const core::QueryCounters& got,
+                        const core::QueryCounters& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.table_cache_lookups, want.table_cache_lookups) << where;
+  EXPECT_EQ(got.table_cache_hits, want.table_cache_hits) << where;
+  EXPECT_EQ(got.table_cache_exact_hits, want.table_cache_exact_hits) << where;
+  EXPECT_EQ(got.table_cache_subsumption_hits,
+            want.table_cache_subsumption_hits)
+      << where;
+  EXPECT_EQ(got.table_cache_store_hits, want.table_cache_store_hits) << where;
+  EXPECT_EQ(got.scan_pages_prefetched, want.scan_pages_prefetched) << where;
+  EXPECT_EQ(got.scan_pages_overfetched, want.scan_pages_overfetched) << where;
+}
+
 GaloisClient ConnectTo(int port) {
   ClientOptions copt;
   copt.port = port;
@@ -180,6 +195,7 @@ TEST(GaloisdE2eTest, WorkloadByteIdenticalOverTheWireVsInProcess) {
   Session local = local_db->CreateSession();
   GaloisClient client = ConnectTo(server.port());
 
+  core::QueryCounters received;  // what the client was sent, summed
   for (const knowledge::QuerySpec& query : W().queries()) {
     auto expected = local.Query(query.sql);
     ASSERT_TRUE(expected.ok()) << "q" << query.id << ": "
@@ -209,20 +225,9 @@ TEST(GaloisdE2eTest, WorkloadByteIdenticalOverTheWireVsInProcess) {
                 1e-6 * (1.0 + expected->cost.simulated_latency_ms))
         << "q" << query.id;
 
-    // Cache and prefetch counters travel too.
-    EXPECT_EQ(got->table_cache_lookups, expected->table_cache_lookups)
-        << "q" << query.id;
-    EXPECT_EQ(got->table_cache_hits, expected->table_cache_hits)
-        << "q" << query.id;
-    EXPECT_EQ(got->table_cache_exact_hits, expected->table_cache_exact_hits)
-        << "q" << query.id;
-    EXPECT_EQ(got->table_cache_subsumption_hits,
-              expected->table_cache_subsumption_hits)
-        << "q" << query.id;
-    EXPECT_EQ(got->scan_pages_prefetched, expected->scan_pages_prefetched)
-        << "q" << query.id;
-    EXPECT_EQ(got->scan_pages_overfetched, expected->scan_pages_overfetched)
-        << "q" << query.id;
+    // Cache and prefetch counters travel too, all seven of them.
+    ExpectSameCounters(*got, *expected, "q" + std::to_string(query.id));
+    received += *got;
 
     // The plan report and wall clock travel (values are machine-local).
     EXPECT_FALSE(got->physical_plan.empty()) << "q" << query.id;
@@ -238,6 +243,13 @@ TEST(GaloisdE2eTest, WorkloadByteIdenticalOverTheWireVsInProcess) {
   // The daemon's spend equals the facade's for the identical run.
   EXPECT_EQ(stats.spend.num_prompts,
             local_db->model()->cost().num_prompts);
+  // The daemon accumulates exactly the counters it shipped, and its
+  // stats frame carries the same seven values.
+  EXPECT_GT(received.table_cache_hits, 0);
+  ExpectSameCounters(stats, received, "server.stats()");
+  auto remote = client.Stats();
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  ExpectSameCounters(remote.value(), received, "client.Stats()");
 
   server.Shutdown();
 }

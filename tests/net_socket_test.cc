@@ -493,6 +493,28 @@ TEST(PartialQueryCodecTest, RequestRejectsBadDescriptorHex) {
             PartialQueryRequestFromJson(j).status().code());
 }
 
+/// Gives the seven counters distinct primes, so a dropped or swapped
+/// field cannot round-trip unnoticed.
+void SetDistinctCounters(core::QueryCounters* c) {
+  c->table_cache_lookups = 11;
+  c->table_cache_hits = 13;
+  c->table_cache_exact_hits = 17;
+  c->table_cache_subsumption_hits = 19;
+  c->table_cache_store_hits = 23;
+  c->scan_pages_prefetched = 29;
+  c->scan_pages_overfetched = 31;
+}
+
+void ExpectDistinctCounters(const core::QueryCounters& c, int64_t scale = 1) {
+  EXPECT_EQ(11 * scale, c.table_cache_lookups);
+  EXPECT_EQ(13 * scale, c.table_cache_hits);
+  EXPECT_EQ(17 * scale, c.table_cache_exact_hits);
+  EXPECT_EQ(19 * scale, c.table_cache_subsumption_hits);
+  EXPECT_EQ(23 * scale, c.table_cache_store_hits);
+  EXPECT_EQ(29 * scale, c.scan_pages_prefetched);
+  EXPECT_EQ(31 * scale, c.scan_pages_overfetched);
+}
+
 TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   PartialQueryResponse response;
   response.table = "country";
@@ -511,11 +533,7 @@ TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   response.cost.simulated_latency_ms = 41.25;
   response.cost.by_model["gpt"].num_prompts = 7;
   response.cost.by_model["gpt"].prompt_tokens = 120;
-  response.table_cache_lookups = 1;
-  response.table_cache_hits = 1;
-  response.table_cache_exact_hits = 1;
-  response.scan_pages_prefetched = 2;
-  response.scan_pages_overfetched = 1;
+  SetDistinctCounters(&response);
   auto parsed = Json::Parse(PartialQueryResponseToJson(response).Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   auto decoded = PartialQueryResponseFromJson(parsed.value());
@@ -534,13 +552,220 @@ TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   ASSERT_EQ(1u, decoded.value().cost.by_model.size());
   EXPECT_TRUE(response.cost.by_model.at("gpt") ==
               decoded.value().cost.by_model.at("gpt"));
-  EXPECT_EQ(response.table_cache_lookups, decoded.value().table_cache_lookups);
-  EXPECT_EQ(response.table_cache_exact_hits,
-            decoded.value().table_cache_exact_hits);
-  EXPECT_EQ(response.scan_pages_prefetched,
-            decoded.value().scan_pages_prefetched);
-  EXPECT_EQ(response.scan_pages_overfetched,
-            decoded.value().scan_pages_overfetched);
+  ExpectDistinctCounters(decoded.value());
+}
+
+// ---------------------------------------------------------------------------
+// The per-query counter block (core::QueryCounters) on every payload that
+// carries it.
+
+TEST(CounterCodecTest, PlusEqualsSumsEveryCounter) {
+  core::QueryCounters c;
+  SetDistinctCounters(&c);
+  c += c;
+  ExpectDistinctCounters(c, 2);
+}
+
+Relation SampleRelation() {
+  Relation rel(Schema({Column("name", DataType::kString, "c"),
+                       Column("GDP", DataType::kInt64, "c")}));
+  rel.AddRowUnchecked({Value::String("France"), Value::Int(2780)});
+  rel.AddRowUnchecked({Value::String("Japan"), Value::Null()});
+  return rel;
+}
+
+llm::CostMeter SampleMeter() {
+  llm::CostMeter meter;
+  meter.num_prompts = 7;
+  meter.prompt_tokens = 120;
+  meter.completion_tokens = 60;
+  meter.simulated_latency_ms = 41.25;
+  meter.cache_hits = 2;
+  meter.store_hits = 1;
+  meter.num_batches = 3;
+  meter.by_model["gpt"].num_prompts = 7;
+  meter.by_model["gpt"].prompt_tokens = 120;
+  return meter;
+}
+
+QueryResult SampleQueryResult() {
+  QueryResult result;
+  result.relation = SampleRelation();
+  result.cost = SampleMeter();
+  SetDistinctCounters(&result);
+  result.physical_plan = "Project\n  Scan(country)\n";
+  result.wall_ms = 3.5;
+  return result;
+}
+
+PartialQueryResponse SamplePartialResponse() {
+  PartialQueryResponse response;
+  response.table = "country";
+  response.alias = "c";
+  response.slice_index = 1;
+  response.slice_count = 2;
+  response.relation = SampleRelation();
+  response.cost = SampleMeter();
+  SetDistinctCounters(&response);
+  return response;
+}
+
+ServerStats SampleServerStats() {
+  ServerStats stats;
+  stats.uptime_ms = 4500;
+  stats.uptime_s = 4;
+  stats.draining = true;
+  stats.connections_accepted = 3;
+  stats.connections_active = 2;
+  stats.active_connections = 2;
+  stats.queries_started = 41;
+  stats.queries_ok = 37;
+  stats.queries_error = 1;
+  stats.queries_rejected = 2;
+  stats.responses_unsent = 1;
+  stats.partials_started = 5;
+  stats.partials_ok = 4;
+  stats.partials_error = 1;
+  stats.in_flight = 1;
+  stats.queued = 0;
+  stats.total_wall_ms = 96.5;
+  stats.max_wall_ms = 12.25;
+  stats.queries_per_sec = 8.25;
+  SetDistinctCounters(&stats);
+  stats.spend = SampleMeter();
+  stats.store_attached = true;
+  stats.store_file_bytes = 8192;
+  stats.store_live_materialisations = 6;
+  stats.store_live_prompts = 44;
+  return stats;
+}
+
+TEST(CounterCodecTest, QueryResultRoundTrip) {
+  QueryResult result = SampleQueryResult();
+  auto parsed = Json::Parse(QueryResultToJson(result).Dump());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto decoded = QueryResultFromJson(parsed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(result.relation.ToCsv(), decoded.value().relation.ToCsv());
+  EXPECT_EQ(CostMeterToJson(result.cost).Dump(),
+            CostMeterToJson(decoded.value().cost).Dump());
+  ExpectDistinctCounters(decoded.value());
+  EXPECT_EQ(result.physical_plan, decoded.value().physical_plan);
+  EXPECT_DOUBLE_EQ(result.wall_ms, decoded.value().wall_ms);
+}
+
+TEST(CounterCodecTest, ServerStatsRoundTrip) {
+  ServerStats stats = SampleServerStats();
+  auto parsed = Json::Parse(ServerStatsToJson(stats).Dump());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto decoded = ServerStatsFromJson(parsed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectDistinctCounters(decoded.value());
+  // Every other field survives too: the text rendering covers them all.
+  EXPECT_EQ(stats.ToString(), decoded.value().ToString());
+}
+
+// Byte pins: changing any of these literals changes the wire format (or
+// the stats text CI scrapes). The counter block rides flat, under fixed
+// keys, at a fixed position in each payload.
+constexpr char kPinnedQueryResult[] =
+    "{\"relation\":{\"columns\":[{\"name\":\"name\",\"type\":\"VARCHAR\","
+    "\"table\":\"c\"},{\"name\":\"GDP\",\"type\":\"INT\",\"table\":\"c\"}],"
+    "\"rows\":[[{\"t\":\"string\",\"v\":\"France\"},{\"t\":\"int\","
+    "\"v\":\"2780\"}],[{\"t\":\"string\",\"v\":\"Japan\"},"
+    "{\"t\":\"null\"}]]},\"cost\":{\"num_prompts\":7,\"prompt_tokens\":120,"
+    "\"completion_tokens\":60,\"simulated_latency_ms\":41.25,"
+    "\"cache_hits\":2,\"store_hits\":1,\"num_batches\":3,"
+    "\"by_model\":{\"gpt\":{\"num_prompts\":7,\"prompt_tokens\":120,"
+    "\"completion_tokens\":0,\"simulated_latency_ms\":0,\"num_batches\":0}}},"
+    "\"table_cache_lookups\":11,\"table_cache_hits\":13,"
+    "\"table_cache_exact_hits\":17,\"table_cache_subsumption_hits\":19,"
+    "\"table_cache_store_hits\":23,\"scan_pages_prefetched\":29,"
+    "\"scan_pages_overfetched\":31,\"wall_ms\":3.5,"
+    "\"physical_plan\":\"Project\\n  Scan(country)\\n\"}";
+
+constexpr char kPinnedPartialResponse[] =
+    "{\"table\":\"country\",\"alias\":\"c\",\"slice_index\":1,"
+    "\"slice_count\":2,\"relation\":{\"columns\":[{\"name\":\"name\","
+    "\"type\":\"VARCHAR\",\"table\":\"c\"},{\"name\":\"GDP\","
+    "\"type\":\"INT\",\"table\":\"c\"}],\"rows\":[[{\"t\":\"string\","
+    "\"v\":\"France\"},{\"t\":\"int\",\"v\":\"2780\"}],[{\"t\":\"string\","
+    "\"v\":\"Japan\"},{\"t\":\"null\"}]]},\"cost\":{\"num_prompts\":7,"
+    "\"prompt_tokens\":120,\"completion_tokens\":60,"
+    "\"simulated_latency_ms\":41.25,\"cache_hits\":2,\"store_hits\":1,"
+    "\"num_batches\":3,\"by_model\":{\"gpt\":{\"num_prompts\":7,"
+    "\"prompt_tokens\":120,\"completion_tokens\":0,"
+    "\"simulated_latency_ms\":0,\"num_batches\":0}}},"
+    "\"table_cache_lookups\":11,\"table_cache_hits\":13,"
+    "\"table_cache_exact_hits\":17,\"table_cache_subsumption_hits\":19,"
+    "\"table_cache_store_hits\":23,\"scan_pages_prefetched\":29,"
+    "\"scan_pages_overfetched\":31}";
+
+constexpr char kPinnedServerStats[] =
+    "{\"uptime_ms\":4500,\"uptime_s\":4,\"draining\":true,"
+    "\"connections_accepted\":3,\"connections_active\":2,"
+    "\"active_connections\":2,\"queries_started\":41,\"queries_ok\":37,"
+    "\"queries_error\":1,\"queries_rejected\":2,\"responses_unsent\":1,"
+    "\"partials_started\":5,\"partials_ok\":4,\"partials_error\":1,"
+    "\"in_flight\":1,\"queued\":0,\"total_wall_ms\":96.5,"
+    "\"max_wall_ms\":12.25,\"queries_per_sec\":8.25,"
+    "\"table_cache_lookups\":11,\"table_cache_hits\":13,"
+    "\"table_cache_exact_hits\":17,\"table_cache_subsumption_hits\":19,"
+    "\"table_cache_store_hits\":23,\"scan_pages_prefetched\":29,"
+    "\"scan_pages_overfetched\":31,\"spend\":{\"num_prompts\":7,"
+    "\"prompt_tokens\":120,\"completion_tokens\":60,"
+    "\"simulated_latency_ms\":41.25,\"cache_hits\":2,\"store_hits\":1,"
+    "\"num_batches\":3,\"by_model\":{\"gpt\":{\"num_prompts\":7,"
+    "\"prompt_tokens\":120,\"completion_tokens\":0,"
+    "\"simulated_latency_ms\":0,\"num_batches\":0}}},\"store_attached\":true,"
+    "\"store_file_bytes\":8192,\"store_live_materialisations\":6,"
+    "\"store_live_prompts\":44}";
+
+constexpr char kPinnedStatsText[] =
+    "galoisd statistics:\n"
+    "  uptime_ms                        4500\n"
+    "  uptime_s                         4\n"
+    "  draining                         1\n"
+    "  connections_accepted             3\n"
+    "  connections_active               2\n"
+    "  active_connections               2\n"
+    "  queries_started                  41\n"
+    "  queries_ok                       37\n"
+    "  queries_error                    1\n"
+    "  queries_rejected                 2\n"
+    "  responses_unsent                 1\n"
+    "  partials_started                 5\n"
+    "  partials_ok                      4\n"
+    "  partials_error                   1\n"
+    "  in_flight                        1\n"
+    "  queued                           0\n"
+    "  queries_per_sec                  8.25\n"
+    "  total_wall_ms                    96.50\n"
+    "  max_wall_ms                      12.25\n"
+    "  table_cache_lookups              11\n"
+    "  table_cache_hits                 13\n"
+    "  table_cache_exact_hits           17\n"
+    "  table_cache_subsumption_hits     19\n"
+    "  table_cache_store_hits           23\n"
+    "  scan_pages_prefetched            29\n"
+    "  scan_pages_overfetched           31\n"
+    "  llm_prompts                      7\n"
+    "  llm_batches                      3\n"
+    "  llm_prompt_tokens                120\n"
+    "  llm_completion_tokens            60\n"
+    "  llm_cache_hits                   2\n"
+    "  llm_store_hits                   1\n"
+    "  spend[gpt]: 7 prompts, 120+0 tokens\n"
+    "  store_attached                   1\n"
+    "  store_file_bytes                 8192\n"
+    "  store_live_materialisations      6\n"
+    "  store_live_prompts               44\n";
+TEST(CounterCodecTest, PayloadBytesArePinned) {
+  EXPECT_EQ(kPinnedQueryResult, QueryResultToJson(SampleQueryResult()).Dump());
+  EXPECT_EQ(kPinnedPartialResponse,
+            PartialQueryResponseToJson(SamplePartialResponse()).Dump());
+  EXPECT_EQ(kPinnedServerStats, ServerStatsToJson(SampleServerStats()).Dump());
+  EXPECT_EQ(kPinnedStatsText, SampleServerStats().ToString());
 }
 
 TEST(PartialQueryCodecTest, TruncatedPartialFrameIsIoError) {
