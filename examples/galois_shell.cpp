@@ -137,10 +137,12 @@ void PrintHelp() {
       "  .pushdown <never|always|auto>    selection pushdown policy\n"
       "  .verify <on|off>         critic verification of every cell\n"
       "  .batch <on|off>          batched prompt round trips\n"
-      "  .parallel <n> [chunk]    round trips in flight per phase (needs\n"
-      "                           .batch on); above 1 also overlaps\n"
-      "                           independent phases (tables, column\n"
-      "                           chains); chunk sets max_batch_size\n"
+      "  .parallel <n> [chunk]    round trips in flight per phase (default\n"
+      "                           4; needs .batch on); above 1 also\n"
+      "                           overlaps independent phases (tables,\n"
+      "                           column chains) over a thread-safe model;\n"
+      "                           1 is the serial ladder; chunk sets\n"
+      "                           max_batch_size\n"
       "  .prefetch <n>            speculative key-scan pages in flight\n"
       "                           ahead of consumption; 0 disables\n"
       "  .sessions <n>            run each statement as n concurrent\n"

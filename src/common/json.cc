@@ -18,74 +18,105 @@ const Json& NullSentinel() {
 
 Json Json::Bool(bool v) {
   Json j;
-  j.type_ = Type::kBool;
-  j.bool_ = v;
+  j.value_ = v;
   return j;
 }
 
 Json Json::Number(double v) {
   Json j;
-  j.type_ = Type::kNumber;
-  j.number_ = v;
+  j.value_ = v;
   return j;
 }
 
 Json Json::String(std::string v) {
   Json j;
-  j.type_ = Type::kString;
-  j.string_ = std::move(v);
+  j.value_ = std::move(v);
   return j;
 }
 
 Json Json::Array() {
   Json j;
-  j.type_ = Type::kArray;
+  j.value_ = Items();
   return j;
 }
 
 Json Json::Object() {
   Json j;
-  j.type_ = Type::kObject;
+  j.value_ = Members();
   return j;
 }
 
+bool Json::bool_value() const {
+  const bool* v = std::get_if<bool>(&value_);
+  return v != nullptr && *v;
+}
+
+double Json::number_value() const {
+  const double* v = std::get_if<double>(&value_);
+  return v != nullptr ? *v : 0.0;
+}
+
+const std::string& Json::string_value() const {
+  static const std::string* kEmpty = new std::string();
+  const std::string* v = std::get_if<std::string>(&value_);
+  return v != nullptr ? *v : *kEmpty;
+}
+
+size_t Json::size() const {
+  const Items* items = this->items();
+  return items != nullptr ? items->size() : 0;
+}
+
 const Json& Json::at(size_t i) const {
-  if (i >= array_.size()) return NullSentinel();
-  return array_[i];
+  const Items* items = this->items();
+  if (items == nullptr || i >= items->size()) return NullSentinel();
+  return (*items)[i];
+}
+
+void Json::Append(Json v) {
+  if (!is_array()) value_ = Items();
+  std::get<Items>(value_).push_back(std::move(v));
 }
 
 std::vector<std::string> Json::Keys() const {
   std::vector<std::string> keys;
-  keys.reserve(object_.size());
-  for (const auto& [k, v] : object_) {
+  const Members* members = this->members();
+  if (members == nullptr) return keys;
+  keys.reserve(members->size());
+  for (const auto& [k, v] : *members) {
     keys.push_back(k);
   }
   return keys;
 }
 
 bool Json::Has(const std::string& key) const {
-  for (const auto& [k, v] : object_) {
+  const Members* members = this->members();
+  if (members == nullptr) return false;
+  for (const auto& [k, v] : *members) {
     if (k == key) return true;
   }
   return false;
 }
 
 const Json& Json::operator[](const std::string& key) const {
-  for (const auto& [k, v] : object_) {
+  const Members* members = this->members();
+  if (members == nullptr) return NullSentinel();
+  for (const auto& [k, v] : *members) {
     if (k == key) return v;
   }
   return NullSentinel();
 }
 
 void Json::Set(const std::string& key, Json v) {
-  type_ = Type::kObject;
-  for (auto& [k, existing] : object_) {
+  if (!is_object()) value_ = Members();
+  Members& members = std::get<Members>(value_);
+  for (auto& [k, existing] : members) {
     if (k == key) {
       existing = std::move(v);
       return;
     }
   }
-  object_.emplace_back(key, std::move(v));
+  members.emplace_back(key, std::move(v));
 }
 
 std::string Json::GetString(const std::string& key,
@@ -136,37 +167,38 @@ std::string JsonEscape(const std::string& s) {
 }
 
 void Json::DumpTo(std::string* out) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull:
       *out += "null";
       break;
     case Type::kBool:
-      *out += bool_ ? "true" : "false";
+      *out += bool_value() ? "true" : "false";
       break;
     case Type::kNumber: {
       // Integral doubles print without a fraction so token counts and
       // indices round-trip textually ("42", not "42.000000").
-      if (number_ == std::floor(number_) && std::fabs(number_) < 1e15) {
+      const double number = number_value();
+      if (number == std::floor(number) && std::fabs(number) < 1e15) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(number_));
+                      static_cast<long long>(number));
         *out += buf;
       } else {
         char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", number_);
+        std::snprintf(buf, sizeof(buf), "%.17g", number);
         *out += buf;
       }
       break;
     }
     case Type::kString:
       *out += '"';
-      *out += JsonEscape(string_);
+      *out += JsonEscape(string_value());
       *out += '"';
       break;
     case Type::kArray: {
       *out += '[';
       bool first = true;
-      for (const Json& v : array_) {
+      for (const Json& v : *items()) {
         if (!first) *out += ',';
         first = false;
         v.DumpTo(out);
@@ -177,7 +209,7 @@ void Json::DumpTo(std::string* out) const {
     case Type::kObject: {
       *out += '{';
       bool first = true;
-      for (const auto& [k, v] : object_) {
+      for (const auto& [k, v] : *members()) {
         if (!first) *out += ',';
         first = false;
         *out += '"';

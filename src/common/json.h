@@ -2,9 +2,9 @@
 #define GALOIS_COMMON_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -18,11 +18,16 @@ namespace galois {
 /// what an OpenAI-style chat-completions payload needs. Numbers are stored
 /// as double; int64 values that must survive the wire losslessly (packed
 /// dates, populations) are transmitted as strings by the prompt codec.
+///
+/// A node holds exactly one of the six kinds (a std::variant, 40 bytes on
+/// LP64), so a round trip's document costs what its values need: an
+/// object member is its key plus one node, not a slot for every kind.
 class Json {
  public:
+  /// In the order of the variant's alternatives.
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Json() : type_(Type::kNull) {}
+  Json() = default;
 
   static Json Null() { return Json(); }
   static Json Bool(bool v);
@@ -32,27 +37,29 @@ class Json {
   static Json Array();
   static Json Object();
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_bool() const { return type_ == Type::kBool; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_object() const { return type() == Type::kObject; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_bool() const { return type() == Type::kBool; }
 
   /// Typed accessors; wrong-type access returns a neutral default (0,
   /// false, "") so callers validate with the predicates above.
-  bool bool_value() const { return bool_; }
-  double number_value() const { return number_; }
-  const std::string& string_value() const { return string_; }
+  bool bool_value() const;
+  double number_value() const;
+  const std::string& string_value() const;
 
-  /// Array access.
-  size_t size() const { return array_.size(); }
+  /// Array access. size() is 0 for non-arrays; Append turns a non-array
+  /// into an empty array first.
+  size_t size() const;
   const Json& at(size_t i) const;
-  void Append(Json v) { array_.push_back(std::move(v)); }
+  void Append(Json v);
 
   /// Object access. `Get` returns a shared null sentinel on absent keys,
-  /// so lookups chain without null checks: j["a"]["b"].is_string().
+  /// so lookups chain without null checks: j["a"]["b"].is_string(). Set
+  /// turns a non-object into an empty object first.
   bool Has(const std::string& key) const;
   const Json& operator[](const std::string& key) const;
   void Set(const std::string& key, Json v);
@@ -79,17 +86,21 @@ class Json {
   static Result<Json> Parse(const std::string& text);
 
  private:
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
+  using Items = std::vector<Json>;
   // Insertion-ordered object representation: lookup is linear, which is
   // fine at wire-payload sizes (a handful of keys per object).
-  std::vector<std::pair<std::string, Json>> object_;
+  using Members = std::vector<std::pair<std::string, Json>>;
+
+  const Items* items() const { return std::get_if<Items>(&value_); }
+  const Members* members() const { return std::get_if<Members>(&value_); }
 
   void DumpTo(std::string* out) const;
+
+  std::variant<std::monostate, bool, double, std::string, Items, Members>
+      value_;
 };
+
+static_assert(sizeof(Json) <= 48, "a Json node holds one kind, not six");
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included). Control characters become \u00XX.

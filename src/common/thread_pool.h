@@ -15,16 +15,21 @@
 
 namespace galois {
 
-/// A small fixed-size thread pool for overlapping I/O-bound work —
-/// primarily the concurrent `CompleteBatch` round trips issued by
-/// `llm::BatchScheduler` when `parallel_batches > 1`.
+/// A small thread pool for overlapping I/O-bound work — primarily the
+/// concurrent `CompleteBatch` round trips issued by `llm::BatchScheduler`
+/// and the phase tasks of `core::PhysicalPlan` when `parallel_batches > 1`.
 ///
-/// Tasks are plain `std::function<void()>` thunks executed FIFO by a fixed
-/// set of worker threads created in the constructor. The pool never grows
-/// or shrinks; excess submissions queue until a worker frees up. Because
-/// the intended workload is round-trip latency (network waits, simulated
-/// sleeps) rather than CPU, the pool size is deliberately independent of
-/// `std::thread::hardware_concurrency()`.
+/// Tasks are plain `std::function<void()>` thunks executed FIFO by worker
+/// threads that start on demand: the constructor starts none, and Submit
+/// starts one only when the task it queues finds no idle worker, up to
+/// the cap. A pool that is never given a task costs no thread. Workers,
+/// once started, stay until the pool is destroyed; submissions past the
+/// cap queue until a worker frees up. On demand matters because each
+/// worker that runs keeps its own malloc arena: a process that overlaps
+/// two phases should pay for one extra thread, not for the whole cap.
+/// Because the intended workload is round-trip latency (network waits,
+/// simulated sleeps) rather than CPU, the cap is deliberately independent
+/// of `std::thread::hardware_concurrency()`.
 ///
 /// Thread safety: `Submit` may be called from any thread, including
 /// concurrently. Tasks must not block on the completion of *other* pool
@@ -39,7 +44,7 @@ namespace galois {
 /// carry completion, not errors.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (at least 1).
+  /// A pool of at most `num_threads` workers (at least 1), none started.
   explicit ThreadPool(size_t num_threads);
 
   /// Drains nothing: queued-but-unstarted tasks are abandoned (their
@@ -50,13 +55,18 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues `fn` for execution and returns a future that becomes ready
-  /// when it finishes.
+  /// when it finishes. Starts a worker when the queued tasks outnumber the
+  /// idle workers and the cap allows.
   std::future<void> Submit(std::function<void()> fn);
 
-  size_t num_threads() const { return threads_.size(); }
+  /// The cap on workers.
+  size_t num_threads() const { return max_threads_; }
+
+  /// Workers started so far (at most num_threads()).
+  size_t num_started() const;
 
   /// The process-wide shared pool used by the batch scheduler for
-  /// CompleteBatch round trips. Created lazily on first use with
+  /// CompleteBatch round trips. Created lazily on first use with a cap of
   /// kSharedThreads workers and intentionally never destroyed (avoids
   /// static-destruction-order races with worker threads at exit).
   static ThreadPool& Shared();
@@ -69,13 +79,14 @@ class ThreadPool {
   /// The process-wide pool for *phase-level* tasks: speculative key-scan
   /// pages dispatched via BatchScheduler::RunAsync and, when
   /// parallel_batches > 1, the per-table and per-column phase tasks of
-  /// core::PhysicalPlan. Kept separate from Shared() because a phase task
+  /// core::PhysicalPlan (all but the first of each group, which runs on
+  /// the joining thread). Kept separate from Shared() because a phase task
   /// blocks on round-trip futures: the two-tier split guarantees a
   /// waiting phase can never occupy a worker the round trips underneath
   /// it need. Same lifetime rules as Shared().
   static ThreadPool& SharedPhase();
 
-  /// Size of the phase pool: bounds how many phases (table tasks, column
+  /// Cap of the phase pool: bounds how many phases (table tasks, column
   /// chains, scan pages) overlap. TaskHandle's claim-on-join makes
   /// saturation safe — a joiner runs unstarted work inline — so this is a
   /// throughput knob, not a correctness bound.
@@ -84,9 +95,11 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  std::mutex mu_;
+  const size_t max_threads_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::packaged_task<void()>> queue_;
+  size_t idle_ = 0;  // started workers waiting for a task
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

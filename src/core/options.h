@@ -62,7 +62,10 @@ struct ExecutionOptions {
   size_t max_batch_size = 0;
 
   /// Whether the query may call the model from several threads at once,
-  /// and how many round trips each phase keeps in flight. Above 1:
+  /// and how many round trips each phase keeps in flight. Overlap is the
+  /// default, and it needs a thread-safe stack: over a model that does
+  /// not declare llm::LanguageModel::thread_safe(), GaloisExecutor runs
+  /// the query at 1 whatever this says. Above 1:
   ///  - within a phase, with batch_prompts on, the max_batch_size chunks
   ///    fan out across the shared thread pool, up to this many at once,
   ///    so a phase of many chunks takes roughly
@@ -74,11 +77,10 @@ struct ExecutionOptions {
   ///    chain.
   /// At 1 every phase runs on the calling thread in the paper
   /// prototype's order (speculative scan pages aside, see
-  /// prefetch_pages). Results, provenance order and the CostMeter are
-  /// the same at every value; the model must tolerate concurrent
-  /// Complete/CompleteBatch calls above 1 (see llm::LanguageModel).
-  /// Values < 1 are treated as 1.
-  int parallel_batches = 1;
+  /// prefetch_pages); tests and benches that need that ladder pin it.
+  /// Results, provenance order and the CostMeter are the same at every
+  /// value. Values < 1 are treated as 1.
+  int parallel_batches = 4;
 
   /// Run the cleaning step (Section 4, workflow step 3): normalise numeric
   /// formats, parse dates, coerce types. When off, raw completion strings
@@ -97,8 +99,9 @@ struct ExecutionOptions {
   /// being parsed, keep up to this many further page round trips in
   /// flight (0 disables — the paper prototype's strictly sequential
   /// paging). The speculative pages call the model from phase-pool
-  /// threads, so above 0 the model must tolerate concurrent calls even
-  /// at parallel_batches == 1. Dispatch-only: the surviving key set, the
+  /// threads even at parallel_batches == 1, so above 0 the model stack
+  /// must declare thread_safe(): over a serial stack the query fails
+  /// with kInvalidArgument. Dispatch-only: the surviving key set, the
   /// CostMeter and the pages bought are identical when the scan
   /// terminates at the max_scan_pages cap; when the model signals "no
   /// more results" early, the pages already speculated are still paid

@@ -88,15 +88,18 @@ Result<RetrievedColumn> RetrieveColumn(llm::LanguageModel* attr_model,
   return out;
 }
 
-/// Starts one phase task of the plan. When the options allow concurrent
-/// model calls (parallel_batches > 1) it runs on the phase pool;
-/// otherwise it is deferred to its Join, so joining a plan's tasks in
-/// order runs them one after another on the calling thread — the paper
-/// prototype's ladder, prompt for prompt.
+/// Starts one phase task of the plan. The first task of a group (`index`
+/// 0) is deferred to its Join and so runs on the joining thread. When the
+/// options allow concurrent model calls (parallel_batches > 1) the
+/// others run on the phase pool, so a fan-out of k tasks occupies at most
+/// k - 1 pool workers. Otherwise they are deferred too, and joining a
+/// plan's tasks in order runs them one after another on the calling
+/// thread — the paper prototype's ladder, prompt for prompt.
 template <typename T>
 TaskHandle<Result<T>> StartPhaseTask(const ExecutionOptions& options,
+                                     size_t index,
                                      std::function<Result<T>()> fn) {
-  if (options.parallel_batches > 1) {
+  if (index > 0 && options.parallel_batches > 1) {
     return TaskHandle<Result<T>>::Launch(ThreadPool::SharedPhase(),
                                          std::move(fn));
   }
@@ -724,8 +727,8 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   chains.reserve(group.needed_columns.size());
   for (const catalog::ColumnDef* col : group.needed_columns) {
     chains.push_back(StartPhaseTask<RetrievedColumn>(
-        options_, [this, &retrieve_tap, &cell_verify_tap, &def, col,
-                   &surviving] {
+        options_, chains.size(),
+        [this, &retrieve_tap, &cell_verify_tap, &def, col, &surviving] {
           return RetrieveColumn(&retrieve_tap, &cell_verify_tap, def, *col,
                                 surviving, options_);
         }));
@@ -878,7 +881,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     TableGroup* group = &groups_[pending[t]];
     ExecutionTrace* trace = &traces[t];
     tasks.push_back(StartPhaseTask<Relation>(
-        options_, [this, model, group, trace] {
+        options_, t, [this, model, group, trace] {
           return MaterialiseLlm(*group, model, trace);
         }));
   }

@@ -89,7 +89,8 @@ struct PhysicalNode {
 /// Materialisation has one code path. Each pending LLM table, and within
 /// it each needed column's attribute -> verify chain, is one phase task,
 /// joined in FROM and column order. With parallel_batches > 1 the tasks
-/// overlap on ThreadPool::SharedPhase(); at 1 each runs when joined, on
+/// overlap: the first of each group runs on the joining thread and the
+/// others on ThreadPool::SharedPhase(). At 1 each runs when joined, on
 /// the calling thread, so the prompts go out in the paper prototype's
 /// ladder order: tables in FROM order; within a table the scan pages,
 /// key verification and filter checks, then attribute and verify for

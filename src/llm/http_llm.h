@@ -77,6 +77,7 @@ class HttpLlm : public LanguageModel {
   explicit HttpLlm(HttpLlmOptions options);
 
   const std::string& name() const override { return name_; }
+  bool thread_safe() const override { return true; }
 
   Result<Completion> Complete(const Prompt& prompt) override;
 

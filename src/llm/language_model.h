@@ -161,21 +161,27 @@ int64_t CountTokens(const std::string& text);
 /// recommended production stack composes them as
 /// router -> resilience -> cache -> transport (docs/ARCHITECTURE.md,
 /// "Backends & routing").
-///
-/// Concurrency contract: a model must tolerate concurrent Complete and
-/// CompleteBatch calls when ExecutionOptions::parallel_batches > 1 (the
-/// scheduler overlaps a phase's round trips and the physical plan
-/// overlaps independent phases) or prefetch_pages > 0 (speculative
-/// key-scan pages call it from phase-pool threads). Every shipped
-/// implementation and decorator does. A single-threaded custom model is
-/// valid with parallel_batches == 1 and prefetch_pages == 0: a query
-/// then calls it from one thread at a time.
 class LanguageModel {
  public:
   virtual ~LanguageModel() = default;
 
   /// Human-readable model name ("GPT-3.5-turbo").
   virtual const std::string& name() const = 0;
+
+  /// The concurrency contract, declared by the type: true when the model
+  /// tolerates concurrent Complete/CompleteBatch/cost calls from several
+  /// threads. False by default, so a custom model is serial unless it
+  /// says otherwise. SimulatedLlm and HttpLlm return true; CostTap,
+  /// PromptCache and ResilientLlm forward their inner model's answer,
+  /// and ModelRouter returns the AND over its backends.
+  ///
+  /// The model only declares; core::GaloisExecutor alone decides what to
+  /// overlap. Over a stack that is not thread-safe it runs the query at
+  /// parallel_batches 1 — one call at a time, from the calling thread,
+  /// in the paper prototype's ladder order — and rejects
+  /// prefetch_pages > 0 with kInvalidArgument, since speculative scan
+  /// pages call the model from phase-pool threads.
+  virtual bool thread_safe() const { return false; }
 
   /// Executes one prompt in one round trip. Errors use
   /// StatusCode::kLlmError for model-side failures.

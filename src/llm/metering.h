@@ -1,6 +1,8 @@
 #ifndef GALOIS_LLM_METERING_H_
 #define GALOIS_LLM_METERING_H_
 
+#include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -27,9 +29,16 @@ namespace galois::llm {
 /// the tap's meter and leaves the inner stack untouched.
 ///
 /// Thread-safety: Complete/CompleteBatch/cost may be called concurrently
-/// (with parallel_batches > 1 the executor bills one query from several
+/// (over a thread-safe stack the executor bills one query from several
 /// phase threads); the meter is guarded by a mutex and updated once per
-/// round trip.
+/// round trip. thread_safe() forwards the inner stack's answer.
+///
+/// The meter is independent of completion order: overlapped round trips
+/// finish in any order, and a sum of doubles depends on its order in the
+/// last bits. The tap therefore sums simulated latency as integer
+/// picoseconds, for the aggregate and for every by_model slice, and
+/// converts to milliseconds in cost(), so the same round trips give a
+/// bit-identical meter however they interleave.
 ///
 /// Failed round trips add nothing to the tap even when the stack billed
 /// them internally (see LanguageModel::CompleteMetered); the stack-wide
@@ -40,6 +49,7 @@ class CostTap : public LanguageModel {
   explicit CostTap(LanguageModel* inner) : inner_(inner) {}
 
   const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return inner_->thread_safe(); }
 
   Result<Completion> Complete(const Prompt& prompt) override {
     return CompleteMetered(prompt, nullptr);
@@ -68,7 +78,11 @@ class CostTap : public LanguageModel {
 
   LanguageModel* inner_;
   mutable std::mutex mu_;
-  CostMeter tapped_;  // guarded by mu_
+  // Guarded by mu_. tapped_'s simulated_latency_ms fields are order-
+  // dependent double sums; cost() replaces them with the exact sums below.
+  CostMeter tapped_;
+  int64_t latency_ps_ = 0;
+  std::map<std::string, int64_t> slice_latency_ps_;
 };
 
 }  // namespace galois::llm

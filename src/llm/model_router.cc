@@ -36,6 +36,7 @@ Status ModelRouter::AddBackend(const std::string& backend,
   if (backend.empty() || model == nullptr) {
     return Status::InvalidArgument("router: backend needs a name and a model");
   }
+  const bool backend_thread_safe = model->thread_safe();
   std::lock_guard<std::mutex> lock(mu_);
   for (const Backend& b : backends_) {
     if (b.backend_name == backend) {
@@ -44,6 +45,7 @@ Status ModelRouter::AddBackend(const std::string& backend,
     }
   }
   backends_.push_back(Backend{backend, model});
+  thread_safe_ = thread_safe_ && backend_thread_safe;
   if (backends_.size() == 1) default_index_ = 0;
   name_ = "router(" + backends_[default_index_].backend_name + ")";
   return Status::OK();
@@ -145,6 +147,11 @@ const std::string& ModelRouter::name() const {
   // router (AddBackend/SetDefaultBackend) before issuing traffic, not
   // concurrently with it; only then is the reference stable.
   return name_;
+}
+
+bool ModelRouter::thread_safe() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return thread_safe_;
 }
 
 Result<Completion> ModelRouter::Complete(const Prompt& prompt) {

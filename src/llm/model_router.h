@@ -47,8 +47,8 @@ const std::vector<std::string>& RoutablePhases();
 /// Thread-safety: routing-table mutations are mutex-guarded, and
 /// Complete/CompleteBatch only read it, so routing is safe under
 /// parallel_batches; reconfigure between queries, not mid-flight (an
-/// in-flight phase may use either route). The backends themselves must
-/// tolerate concurrent calls, same as behind a BatchScheduler.
+/// in-flight phase may use either route). Whether the backends tolerate
+/// concurrent calls is theirs to declare: thread_safe() is their AND.
 class ModelRouter : public LanguageModel {
  public:
   ModelRouter();
@@ -89,6 +89,10 @@ class ModelRouter : public LanguageModel {
   /// (configure before issuing traffic).
   const std::string& name() const override;
 
+  /// True only when every registered backend is: one serial backend
+  /// makes the whole router serial.
+  bool thread_safe() const override;
+
   Result<Completion> Complete(const Prompt& prompt) override;
   Result<std::vector<Completion>> CompleteBatch(
       const std::vector<Prompt>& prompts) override;
@@ -117,6 +121,7 @@ class ModelRouter : public LanguageModel {
   std::map<std::string, size_t> routes_;          // phase -> backends_ index
   size_t default_index_ = 0;
   std::string name_;  // recomputed on registration/default changes
+  bool thread_safe_ = true;  // AND over the registered backends
 };
 
 }  // namespace galois::llm

@@ -51,9 +51,9 @@ struct PromptCacheHooks {
 /// inner model (a benign cache stampede for deterministic models: last
 /// insert wins, both callers get the same answer; the scheduler's
 /// in-flush dedupe keeps concurrent chunks of one phase disjoint, so the
-/// stampede can only happen across independent flushes). The inner model
-/// must itself tolerate concurrent Complete/CompleteBatch/cost calls
-/// when used with parallel_batches > 1.
+/// stampede can only happen across independent flushes). thread_safe()
+/// forwards the inner model's answer: the cache adds no serial state, and
+/// cannot make a serial model concurrent.
 class PromptCache : public LanguageModel {
  public:
   /// `inner` must outlive the cache.
@@ -62,6 +62,7 @@ class PromptCache : public LanguageModel {
   /// Reports the inner model's name — the cache is invisible to
   /// identification.
   const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return inner_->thread_safe(); }
 
   /// Serves `prompt` from cache or forwards it to the inner model and
   /// memoises the answer. Errors from the inner model pass through

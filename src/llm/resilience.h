@@ -93,6 +93,7 @@ const char* CircuitStateName(CircuitState s);
 /// threads. Blocking (rate-limit waits, backoff) happens on the calling
 /// thread — under the scheduler that is a round-trip pool worker, which
 /// is exactly the thread whose round trip is being delayed.
+/// thread_safe() forwards the inner model's answer.
 class ResilientLlm : public LanguageModel {
  public:
   /// `inner` must outlive the decorator.
@@ -100,6 +101,7 @@ class ResilientLlm : public LanguageModel {
 
   /// Transparent to identification, like PromptCache.
   const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return inner_->thread_safe(); }
 
   Result<Completion> Complete(const Prompt& prompt) override;
   Result<std::vector<Completion>> CompleteBatch(

@@ -55,6 +55,7 @@ class SimulatedLlm : public LanguageModel {
                uint64_t seed = 7);
 
   const std::string& name() const override { return profile_.name; }
+  bool thread_safe() const override { return true; }
 
   /// One round trip for one prompt. Safe to call concurrently.
   Result<Completion> Complete(const Prompt& prompt) override;

@@ -3,7 +3,8 @@
 // BatchScheduler's parallel_batches path (Add-order preservation,
 // sequential/parallel equivalence, the drop-on-error queue contract and
 // phase/chunk error attribution), thread-safe CostMeter accounting in
-// SimulatedLlm, and a PromptCache::CompleteBatch hammer intended to run
+// SimulatedLlm and CostTap, the thread_safe() contract through the
+// decorators, and a PromptCache::CompleteBatch hammer intended to run
 // under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -21,7 +22,11 @@
 #include "core/galois_executor.h"
 #include "knowledge/workload.h"
 #include "llm/batch_scheduler.h"
+#include "llm/http_llm.h"
+#include "llm/metering.h"
+#include "llm/model_router.h"
 #include "llm/prompt_cache.h"
+#include "llm/resilience.h"
 #include "llm/simulated_llm.h"
 
 namespace galois::llm {
@@ -138,7 +143,52 @@ class ShortBatchModel : public ConcurrentEchoModel {
   }
 };
 
+/// Reports one scripted usage delta per Complete call, in order. It does
+/// not declare thread_safe().
+class ScriptedUsageModel : public LanguageModel {
+ public:
+  explicit ScriptedUsageModel(std::vector<CostMeter> deltas = {})
+      : deltas_(std::move(deltas)) {}
+
+  const std::string& name() const override { return name_; }
+  Result<Completion> Complete(const Prompt& prompt) override {
+    return CompleteMetered(prompt, nullptr);
+  }
+  Result<Completion> CompleteMetered(const Prompt&,
+                                     CostMeter* usage) override {
+    if (usage != nullptr) *usage += deltas_.at(next_);
+    ++next_;
+    return Completion{"ok"};
+  }
+  CostMeter cost() const override { return CostMeter(); }
+  void ResetCost() override {}
+
+ private:
+  std::string name_ = "scripted";
+  std::vector<CostMeter> deltas_;
+  size_t next_ = 0;
+};
+
 // --- ThreadPool ------------------------------------------------------------
+
+TEST(ThreadPoolTest, StartsWorkersOnlyWhenNoneIsIdle) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.num_started(), 0u);  // given no task, it starts no thread
+  pool.Submit([] {}).wait();
+  EXPECT_EQ(pool.num_started(), 1u);
+
+  // Tasks that hold their worker each find none idle, up to the cap.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::vector<std::future<void>> held;
+  for (int i = 0; i < 8; ++i) {
+    held.push_back(pool.Submit([gate] { gate.wait(); }));
+  }
+  EXPECT_EQ(pool.num_started(), 4u);
+  release.set_value();
+  for (auto& f : held) f.wait();
+  EXPECT_EQ(pool.num_started(), 4u);
+}
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
@@ -442,6 +492,68 @@ TEST(ConcurrentDispatchTest, SimulatedLlmMeterIsExactUnderConcurrency) {
   // of completion order (summation order may differ by float ulps).
   EXPECT_NEAR(parallel_cost.simulated_latency_ms,
               sequential_cost.simulated_latency_ms, 1e-6);
+}
+
+TEST(CostTapTest, MeterIsIndependentOfCompletionOrder) {
+  // As doubles, (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: overlapped round
+  // trips that complete in another order must still meter the same bits.
+  ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
+  auto deltas = [](std::vector<double> latencies_ms) {
+    std::vector<CostMeter> out;
+    for (double ms : latencies_ms) {
+      CostMeter d;
+      d.num_prompts = 1;
+      d.simulated_latency_ms = ms;
+      d.FillSelfSlice("scripted");
+      out.push_back(d);
+    }
+    return out;
+  };
+  ScriptedUsageModel forward_model(deltas({0.1, 0.2, 0.3}));
+  ScriptedUsageModel reverse_model(deltas({0.3, 0.2, 0.1}));
+  CostTap forward(&forward_model);
+  CostTap reverse(&reverse_model);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(forward.Complete(MakePrompt("p")).ok());
+    ASSERT_TRUE(reverse.Complete(MakePrompt("p")).ok());
+  }
+  const CostMeter a = forward.cost();
+  const CostMeter b = reverse.cost();
+  EXPECT_EQ(a.num_prompts, 3);
+  EXPECT_EQ(a.simulated_latency_ms, b.simulated_latency_ms);
+  ASSERT_EQ(a.by_model.size(), 1u);
+  EXPECT_TRUE(a.by_model == b.by_model);
+
+  forward.ResetCost();
+  EXPECT_EQ(forward.cost().simulated_latency_ms, 0.0);
+  EXPECT_TRUE(forward.cost().by_model.empty());
+}
+
+// --- the thread_safe() contract ----------------------------------------------
+
+TEST(ThreadSafeContractTest, DecoratorsForwardAndTheRouterAndsItsBackends) {
+  auto workload = knowledge::SpiderLikeWorkload::Create();
+  ASSERT_TRUE(workload.ok());
+  SimulatedLlm safe(&workload->kb(), ModelProfile::ChatGpt(),
+                    &workload->catalog(), 7);
+  ScriptedUsageModel serial;
+  EXPECT_TRUE(safe.thread_safe());
+  EXPECT_TRUE(HttpLlm(HttpLlmOptions()).thread_safe());
+  EXPECT_FALSE(serial.thread_safe());
+
+  for (LanguageModel* inner : std::vector<LanguageModel*>{&safe, &serial}) {
+    SCOPED_TRACE(inner->name());
+    EXPECT_EQ(CostTap(inner).thread_safe(), inner->thread_safe());
+    EXPECT_EQ(PromptCache(inner).thread_safe(), inner->thread_safe());
+    EXPECT_EQ(ResilientLlm(inner, ResilienceOptions()).thread_safe(),
+              inner->thread_safe());
+  }
+
+  ModelRouter router;
+  ASSERT_TRUE(router.AddBackend("safe", &safe).ok());
+  EXPECT_TRUE(router.thread_safe());
+  ASSERT_TRUE(router.AddBackend("serial", &serial).ok());
+  EXPECT_FALSE(router.thread_safe());
 }
 
 // --- PromptCache hammer (ThreadSanitizer target) ----------------------------

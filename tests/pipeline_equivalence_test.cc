@@ -2,10 +2,12 @@
 // parallel_batches = 1 a query calls its model from one thread, one call
 // at a time, in the paper prototype's ladder order, and stops at the
 // first failed prompt; at parallel_batches = 4 the same phases overlap
-// and fail with the same error. The cache cases run the overlapped
-// schedule through a shared PromptCache and MaterialisationCache. Runs
-// under the TSan CI job: the overlapped runs hammer the phase pool and
-// the concurrent table and column tasks.
+// and fail with the same error. A model that does not declare
+// thread_safe() keeps the ladder at any parallel_batches, and refuses
+// speculative scan pages. The cache cases run the overlapped schedule
+// through a shared PromptCache and MaterialisationCache. Runs under the
+// TSan CI job: the overlapped runs hammer the phase pool and the
+// concurrent table and column tasks.
 
 #include <gtest/gtest.h>
 
@@ -88,7 +90,8 @@ std::string PhaseOf(const llm::Prompt& prompt) {
 /// in call order. It notes a call that starts while another is in flight
 /// and the set of threads that called it, so a test can assert that a
 /// query entered it from one thread at a time. FailPhase makes every
-/// round trip of one phase fail after being recorded.
+/// round trip of one phase fail after being recorded. It does not
+/// declare thread_safe(), so the executor treats it as serial.
 class RecordingModel : public llm::LanguageModel {
  public:
   explicit RecordingModel(llm::LanguageModel* inner) : inner_(inner) {}
@@ -153,6 +156,13 @@ class RecordingModel : public llm::LanguageModel {
   std::set<std::thread::id> threads_;
 };
 
+/// A RecordingModel that declares it tolerates concurrent calls.
+class ThreadSafeRecordingModel : public RecordingModel {
+ public:
+  using RecordingModel::RecordingModel;
+  bool thread_safe() const override { return true; }
+};
+
 /// `calls` with runs of the same phase collapsed: the phase order.
 std::vector<std::string> PhaseOrder(const std::vector<std::string>& calls) {
   std::vector<std::string> order;
@@ -185,14 +195,15 @@ ExecutionOptions SerialOptions() {
   return opts;
 }
 
-/// Runs `sql` at parallel_batches = 1 and checks that every model call
-/// came from the calling thread, none overlapped another, and the phases
-/// went out in `want` order.
+/// Runs `sql` with `opts` over a RecordingModel and checks that every
+/// model call came from the calling thread, none overlapped another, and
+/// the phases went out in `want` order.
 void ExpectSerialLadder(const std::string& sql,
-                        const std::vector<std::string>& want) {
+                        const std::vector<std::string>& want,
+                        const ExecutionOptions& opts = SerialOptions()) {
   llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
   RecordingModel model(&inner);
-  GaloisExecutor galois(&model, &W().catalog(), SerialOptions());
+  GaloisExecutor galois(&model, &W().catalog(), opts);
   auto out = galois.RunSql(sql);
   ASSERT_TRUE(out.ok()) << sql << ": " << out.status();
   EXPECT_FALSE(model.overlapped()) << sql;
@@ -205,6 +216,11 @@ void ExpectSerialLadder(const std::string& sql,
 const char kJoinSql[] =
     "SELECT ci.name, ci.population, co.capital FROM city ci, country co "
     "WHERE ci.country = co.name AND co.continent = 'Europe'";
+
+/// A two-table join with one needed column per table.
+const char kSmallJoinSql[] =
+    "SELECT ci.name, co.capital FROM city ci, country co "
+    "WHERE ci.country = co.name";
 
 TEST(PipelineEquivalenceTest, SerialThreeColumnQueryFollowsLadder) {
   std::vector<std::string> want;
@@ -221,6 +237,42 @@ TEST(PipelineEquivalenceTest, SerialJoinMaterialisesTablesInFromOrder) {
   AppendLadder("city", {}, {"country", "population"}, &want);
   AppendLadder("country", {"continent"}, {"capital"}, &want);
   ExpectSerialLadder(kJoinSql, want);
+}
+
+TEST(PipelineEquivalenceTest, SerialModelKeepsTheLadderAtParallelFour) {
+  // The model does not declare thread_safe(), so parallel_batches = 4
+  // still calls it from one thread, one call at a time, in ladder order.
+  std::vector<std::string> want;
+  AppendLadder("city", {}, {"country", "population"}, &want);
+  AppendLadder("country", {"continent"}, {"capital"}, &want);
+  ExpectSerialLadder(kJoinSql, want, OverlappedOptions());
+}
+
+TEST(PipelineEquivalenceTest, ThreadSafeModelOverlapsJoinAtDefaultOptions) {
+  // Every round trip blocks for 2 ms of wall time, so the two tables'
+  // calls overlap by construction, not by scheduling luck.
+  llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  inner.set_wall_latency_ms(2.0);
+  ThreadSafeRecordingModel model(&inner);
+  GaloisExecutor galois(&model, &W().catalog());
+  auto out = galois.RunSql(kSmallJoinSql);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(model.overlapped());
+  EXPECT_GT(model.threads().size(), 1u);
+}
+
+TEST(PipelineEquivalenceTest, PrefetchOverSerialModelFailsFast) {
+  llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  RecordingModel model(&inner);
+  ExecutionOptions opts = SerialOptions();
+  opts.prefetch_pages = 2;
+  GaloisExecutor galois(&model, &W().catalog(), opts);
+  auto out = galois.RunSql(kJoinSql);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(out.status().message().find("prefetch_pages"), std::string::npos)
+      << out.status();
+  EXPECT_TRUE(model.calls().empty());
 }
 
 TEST(PipelineEquivalenceTest, FailedPromptStopsTheQueryAtAnyParallelism) {
