@@ -11,23 +11,7 @@ namespace galois::core {
 GaloisExecutor::GaloisExecutor(llm::LanguageModel* model,
                                const catalog::Catalog* catalog,
                                ExecutionOptions options)
-    : model_(model),
-      catalog_(catalog),
-      options_(std::move(options)),
-      thread_safe_(model->thread_safe()) {
-  // A stack that has not declared itself thread-safe runs the ladder.
-  if (!thread_safe_) options_.parallel_batches = 1;
-}
-
-Status GaloisExecutor::CheckModelConcurrency() const {
-  if (options_.prefetch_pages > 0 && !thread_safe_) {
-    return Status::InvalidArgument(
-        "prefetch_pages > 0 calls the model from phase-pool threads, but "
-        "model '" + model_->name() + "' does not declare thread_safe(); "
-        "set prefetch_pages to 0");
-  }
-  return Status::OK();
-}
+    : model_(model), catalog_(catalog), options_(options) {}
 
 Result<QueryOutput> GaloisExecutor::RunSql(const std::string& sql) const {
   GALOIS_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
@@ -75,7 +59,6 @@ Result<std::vector<ShardSpec>> GaloisExecutor::PlanShards(
 Result<QueryOutput> GaloisExecutor::RunShard(
     const ShardRequest& request) const {
   llm::CostTap tap(model_);
-  GALOIS_RETURN_IF_ERROR(CheckModelConcurrency());
   GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
   GALOIS_ASSIGN_OR_RETURN(PhysicalPlan physical,
                           CompileSql(request.sql, catalog_, options_));
@@ -89,7 +72,6 @@ Result<QueryOutput> GaloisExecutor::RunShard(
 Result<QueryOutput> GaloisExecutor::RunSqlWithOverlays(
     const std::string& sql, std::vector<TableOverlay> overlays) const {
   llm::CostTap tap(model_);
-  GALOIS_RETURN_IF_ERROR(CheckModelConcurrency());
   GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
   GALOIS_ASSIGN_OR_RETURN(PhysicalPlan physical,
                           CompileSql(sql, catalog_, options_));
@@ -108,7 +90,6 @@ Result<QueryOutput> GaloisExecutor::Run(
   // queries bill the same shared model stack concurrently.
   llm::CostTap tap(model_);
 
-  GALOIS_RETURN_IF_ERROR(CheckModelConcurrency());
   GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
 
   // Plan-driven execution: logical plan -> physical annotations ->

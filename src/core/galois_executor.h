@@ -197,10 +197,6 @@ class GaloisExecutor {
   /// `model` and `catalog` must outlive the executor. `options` are fixed
   /// for the executor's lifetime — per-query variation is the Session's
   /// job (it snapshots its options into a fresh executor per query).
-  /// This is where a query's options meet its model: when the model does
-  /// not declare thread_safe(), parallel_batches is set to 1 here, so the
-  /// query calls the model from one thread in ladder order, and with
-  /// prefetch_pages > 0 every query fails with kInvalidArgument.
   GaloisExecutor(llm::LanguageModel* model,
                  const catalog::Catalog* catalog,
                  ExecutionOptions options = ExecutionOptions());
@@ -240,8 +236,6 @@ class GaloisExecutor {
   Result<QueryOutput> RunSqlWithOverlays(
       const std::string& sql, std::vector<TableOverlay> overlays) const;
 
-  /// The options queries run with: as given, except parallel_batches is
-  /// 1 over a stack that is not thread-safe.
   const ExecutionOptions& options() const { return options_; }
 
   /// Attaches a cross-query materialisation cache (nullptr detaches).
@@ -257,15 +251,9 @@ class GaloisExecutor {
   }
 
  private:
-  /// kInvalidArgument when the options need concurrent model calls that
-  /// the model did not declare it can take (prefetch_pages > 0 over a
-  /// serial stack).
-  Status CheckModelConcurrency() const;
-
   llm::LanguageModel* model_;
   const catalog::Catalog* catalog_;
   ExecutionOptions options_;
-  bool thread_safe_;  // model_->thread_safe(), read once
   MaterialisationCache* materialisation_cache_ = nullptr;
 };
 

@@ -64,8 +64,8 @@ struct ExecutionOptions {
   /// Whether the query may call the model from several threads at once,
   /// and how many round trips each phase keeps in flight. Overlap is the
   /// default, and it needs a thread-safe stack: over a model that does
-  /// not declare llm::LanguageModel::thread_safe(), GaloisExecutor runs
-  /// the query at 1 whatever this says. Above 1:
+  /// not declare llm::LanguageModel::thread_safe(), core::PhysicalPlan
+  /// runs the query at 1 whatever this says. Above 1:
   ///  - within a phase, with batch_prompts on, the max_batch_size chunks
   ///    fan out across the shared thread pool, up to this many at once,
   ///    so a phase of many chunks takes roughly

@@ -88,6 +88,22 @@ Result<RetrievedColumn> RetrieveColumn(llm::LanguageModel* attr_model,
   return out;
 }
 
+/// Fits `options` to what `model` declared about concurrent calls. Over
+/// a stack that is not thread-safe the query runs at parallel_batches 1,
+/// and prefetch_pages > 0 is refused: speculative scan pages call the
+/// model from phase-pool threads at any parallel_batches.
+Status FitToModel(const llm::LanguageModel& model, ExecutionOptions* options) {
+  if (model.thread_safe()) return Status::OK();
+  if (options->prefetch_pages > 0) {
+    return Status::InvalidArgument(
+        "prefetch_pages > 0 calls the model from phase-pool threads, but "
+        "model '" + model.name() + "' does not declare thread_safe(); "
+        "set prefetch_pages to 0");
+  }
+  options->parallel_batches = 1;
+  return Status::OK();
+}
+
 /// Starts one phase task of the plan. The first task of a group (`index`
 /// 0) is deferred to its Join and so runs on the joining thread. When the
 /// options allow concurrent model calls (parallel_batches > 1) the
@@ -914,6 +930,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
 
 Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
                                           MaterialisationCache* cache) {
+  GALOIS_RETURN_IF_ERROR(FitToModel(*model, &options_));
   QueryOutput out;
   GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> rels,
                           MaterialiseAll(model, cache, &out));
@@ -1018,6 +1035,7 @@ void PhysicalPlan::SetOverlays(std::vector<TableOverlay> overlays) {
 Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardRequest& request,
                                                llm::LanguageModel* model,
                                                MaterialisationCache* cache) {
+  GALOIS_RETURN_IF_ERROR(FitToModel(*model, &options_));
   TableGroup* group = nullptr;
   for (TableGroup& g : groups_) {
     if (g.alias == request.alias) {

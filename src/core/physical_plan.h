@@ -88,15 +88,16 @@ struct PhysicalNode {
 ///
 /// Materialisation has one code path. Each pending LLM table, and within
 /// it each needed column's attribute -> verify chain, is one phase task,
-/// joined in FROM and column order. With parallel_batches > 1 the tasks
-/// overlap: the first of each group runs on the joining thread and the
-/// others on ThreadPool::SharedPhase(). At 1 each runs when joined, on
-/// the calling thread, so the prompts go out in the paper prototype's
-/// ladder order: tables in FROM order; within a table the scan pages,
-/// key verification and filter checks, then attribute and verify for
-/// each column in turn. Either way the first failing task in that order
-/// supplies the error, and tasks not yet started when it surfaces never
-/// run.
+/// joined in FROM and column order. With parallel_batches > 1, over a
+/// model that declares thread_safe(), the tasks overlap: the first of
+/// each group runs on the joining thread and the others on
+/// ThreadPool::SharedPhase(). At 1, or over a serial model, each runs
+/// when joined, on the calling thread, so the prompts go out in the
+/// paper prototype's ladder order: tables in FROM order; within a table
+/// the scan pages, key verification and filter checks, then attribute
+/// and verify for each column in turn. Either way the first failing task
+/// in that order supplies the error, and tasks not yet started when it
+/// surfaces never run.
 ///
 /// One PhysicalPlan executes one query: GaloisExecutor::Run compiles a
 /// fresh plan per call, so executor-level thread-safety is preserved
@@ -119,6 +120,12 @@ class PhysicalPlan {
   /// cache counters; QueryOutput::cost and ::physical_plan are the
   /// caller's to fill (it owns the tap and the render timing). Call at
   /// most once per compiled plan.
+  ///
+  /// This is where a query's options meet its model. When `model` does
+  /// not declare thread_safe(), the plan runs at parallel_batches 1,
+  /// whatever the options say, so the model is called from this thread
+  /// in ladder order; with prefetch_pages > 0 the call fails with
+  /// kInvalidArgument before any prompt. ExecuteShard does the same.
   Result<QueryOutput> Execute(llm::LanguageModel* model,
                               MaterialisationCache* cache);
 

@@ -175,12 +175,12 @@ class LanguageModel {
   /// PromptCache and ResilientLlm forward their inner model's answer,
   /// and ModelRouter returns the AND over its backends.
   ///
-  /// The model only declares; core::GaloisExecutor alone decides what to
-  /// overlap. Over a stack that is not thread-safe it runs the query at
-  /// parallel_batches 1 — one call at a time, from the calling thread,
-  /// in the paper prototype's ladder order — and rejects
-  /// prefetch_pages > 0 with kInvalidArgument, since speculative scan
-  /// pages call the model from phase-pool threads.
+  /// The model only declares; core::PhysicalPlan, where a query's options
+  /// meet its model, alone decides what to overlap. Over a stack that is
+  /// not thread-safe it runs the query at parallel_batches 1 — one call
+  /// at a time, from the calling thread, in the paper prototype's ladder
+  /// order — and rejects prefetch_pages > 0 with kInvalidArgument, since
+  /// speculative scan pages call the model from phase-pool threads.
   virtual bool thread_safe() const { return false; }
 
   /// Executes one prompt in one round trip. Errors use

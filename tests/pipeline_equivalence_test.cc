@@ -4,7 +4,8 @@
 // first failed prompt; at parallel_batches = 4 the same phases overlap
 // and fail with the same error. A model that does not declare
 // thread_safe() keeps the ladder at any parallel_batches, and refuses
-// speculative scan pages. The cache cases run the overlapped schedule
+// speculative scan pages, also when a caller executes the physical plan
+// without GaloisExecutor. The cache cases run the overlapped schedule
 // through a shared PromptCache and MaterialisationCache. Runs under the
 // TSan CI job: the overlapped runs hammer the phase pool and the
 // concurrent table and column tasks.
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -21,9 +23,12 @@
 
 #include "core/galois_executor.h"
 #include "core/materialisation_cache.h"
+#include "core/physical_plan.h"
 #include "knowledge/workload.h"
 #include "llm/prompt_cache.h"
 #include "llm/simulated_llm.h"
+#include "planner/planner.h"
+#include "sql/parser.h"
 
 namespace galois::core {
 namespace {
@@ -91,7 +96,7 @@ std::string PhaseOf(const llm::Prompt& prompt) {
 /// and the set of threads that called it, so a test can assert that a
 /// query entered it from one thread at a time. FailPhase makes every
 /// round trip of one phase fail after being recorded. It does not
-/// declare thread_safe(), so the executor treats it as serial.
+/// declare thread_safe(), so a query calls it serially.
 class RecordingModel : public llm::LanguageModel {
  public:
   explicit RecordingModel(llm::LanguageModel* inner) : inner_(inner) {}
@@ -248,6 +253,38 @@ TEST(PipelineEquivalenceTest, SerialModelKeepsTheLadderAtParallelFour) {
   ExpectSerialLadder(kJoinSql, want, OverlappedOptions());
 }
 
+/// Parse, logical plan, physical annotations and compile: the steps
+/// GaloisExecutor::Run takes before it executes the plan.
+Result<PhysicalPlan> CompilePlan(const std::string& sql,
+                                 const ExecutionOptions& opts) {
+  GALOIS_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
+  GALOIS_ASSIGN_OR_RETURN(planner::PlanNodePtr plan,
+                          planner::BuildLogicalPlan(stmt, W().catalog()));
+  GALOIS_RETURN_IF_ERROR(
+      planner::BindPhysicalAnnotations(plan.get(), W().catalog(),
+                                       BindingOptionsFor(opts))
+          .status());
+  return PhysicalPlan::Compile(std::move(plan), &W().catalog(), opts);
+}
+
+TEST(PipelineEquivalenceTest, DirectPlanCallerKeepsTheLadderOverSerialModel) {
+  // The plan, not the executor, fits the options to the model, so a
+  // caller that executes a compiled plan itself gets the ladder too.
+  std::vector<std::string> want;
+  AppendLadder("city", {}, {"country", "population"}, &want);
+  AppendLadder("country", {"continent"}, {"capital"}, &want);
+  llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  RecordingModel model(&inner);
+  auto plan = CompilePlan(kJoinSql, OverlappedOptions());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto out = plan->Execute(&model, nullptr);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_FALSE(model.overlapped());
+  EXPECT_EQ(model.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(PhaseOrder(model.calls()), want);
+}
+
 TEST(PipelineEquivalenceTest, ThreadSafeModelOverlapsJoinAtDefaultOptions) {
   // Every round trip blocks for 2 ms of wall time, so the two tables'
   // calls overlap by construction, not by scheduling luck.
@@ -272,6 +309,17 @@ TEST(PipelineEquivalenceTest, PrefetchOverSerialModelFailsFast) {
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(out.status().message().find("prefetch_pages"), std::string::npos)
       << out.status();
+
+  // A shard of the same query is refused the same way.
+  auto shards = galois.PlanShards(kJoinSql);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  ASSERT_FALSE(shards->empty());
+  ShardRequest request;
+  static_cast<ShardSpec&>(request) = shards->front();
+  request.sql = kJoinSql;
+  auto shard = galois.RunShard(request);
+  ASSERT_FALSE(shard.ok());
+  EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(model.calls().empty());
 }
 
@@ -280,11 +328,20 @@ TEST(PipelineEquivalenceTest, FailedPromptStopsTheQueryAtAnyParallelism) {
   for (int parallel_batches : {1, 4}) {
     SCOPED_TRACE("parallel_batches=" + std::to_string(parallel_batches));
     llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
-    RecordingModel model(&inner);
-    model.FailPhase("city attribute:population");
+    // The overlapped arm needs a model that declares thread_safe(); every
+    // round trip blocks for 2 ms, so the country table and the city
+    // columns' chains are in flight when the failure surfaces.
+    std::unique_ptr<RecordingModel> model;
+    if (parallel_batches == 1) {
+      model = std::make_unique<RecordingModel>(&inner);
+    } else {
+      inner.set_wall_latency_ms(2.0);
+      model = std::make_unique<ThreadSafeRecordingModel>(&inner);
+    }
+    model->FailPhase("city attribute:population");
     ExecutionOptions opts = SerialOptions();
     opts.parallel_batches = parallel_batches;
-    GaloisExecutor galois(&model, &W().catalog(), opts);
+    GaloisExecutor galois(model.get(), &W().catalog(), opts);
     auto out = galois.RunSql(kJoinSql);
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kLlmError);
@@ -298,14 +355,19 @@ TEST(PipelineEquivalenceTest, FailedPromptStopsTheQueryAtAnyParallelism) {
       serial_error = out.status().ToString();
       // The failed round trip was the last call the model saw: the rest
       // of its phase, its critic pass and the country table never ran.
-      const std::vector<std::string> calls = model.calls();
+      const std::vector<std::string> calls = model->calls();
       ASSERT_FALSE(calls.empty());
       EXPECT_EQ(calls.back(), "city attribute:population");
       EXPECT_EQ(std::count(calls.begin(), calls.end(),
                            "city attribute:population"),
                 1);
-      EXPECT_FALSE(model.overlapped());
+      EXPECT_FALSE(model->overlapped());
     } else {
+      // The query really ran overlapped, so the failure cancelled and
+      // waited out running pool tasks; the earliest failing task in
+      // ladder order still supplies the error.
+      EXPECT_TRUE(model->overlapped());
+      EXPECT_GT(model->threads().size(), 1u);
       EXPECT_EQ(out.status().ToString(), serial_error);
     }
   }
