@@ -471,8 +471,9 @@ BENCHMARK(BM_HttpLoopbackBatchedQuery)
 // query per iteration via QueryAsync, so an iteration completes
 // range(0) queries — items_per_second reports queries/sec. Per-query
 // round trips ride real sockets through the FakeLlmServer; scaling
-// beyond 1 shows the façade's whole-stack concurrency (phase pool,
-// batch scheduler, shared transport) rather than any single layer's.
+// beyond 1 shows the façade's whole-stack concurrency (shared thread
+// pool, batch scheduler, shared transport) rather than any single
+// layer's.
 void BM_ConcurrentSessions(benchmark::State& state) {
   static galois::llm::SimulatedLlm* backing =
       new galois::llm::SimulatedLlm(&Workload().kb(),

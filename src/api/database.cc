@@ -344,11 +344,12 @@ AsyncQuery Session::QueryAsync(const std::string& sql,
 
   AsyncQuery pending;
   pending.control = control;
-  // The phase pool hosts the query task; nested fan-out (table tasks,
-  // phase flushes) is deadlock-free by TaskHandle's claim-on-join, so
-  // arbitrarily many queries may be in flight against a bounded pool.
+  // The shared pool hosts the query task; its nested fan-out (table and
+  // column tasks, scan pages, chunk pullers) is deadlock-free by
+  // TaskHandle's claim-on-join, so arbitrarily many queries may be in
+  // flight against the bounded pool.
   pending.handle = TaskHandle<Result<QueryResult>>::Launch(
-      ThreadPool::SharedPhase(),
+      ThreadPool::Shared(),
       [db = db_, snapshot = std::move(snapshot), sql,
        explain = explain_]() mutable {
         return RunSnapshot(db, std::move(snapshot), sql,

@@ -289,7 +289,7 @@ class Session {
   Result<QueryResult> Query(const std::string& sql,
                             CancelToken control = nullptr) const;
 
-  /// Dispatches `sql` on the shared phase pool and returns immediately;
+  /// Dispatches `sql` on the shared thread pool and returns immediately;
   /// many async queries — from one session or many — run concurrently
   /// against the same Database with byte-identical results and exact
   /// per-query cost meters. The options snapshot is taken *now*, on the

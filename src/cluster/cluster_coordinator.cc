@@ -280,10 +280,12 @@ Result<QueryResult> ClusterCoordinator::Query(
     }
   }
 
-  // Scatter on dedicated threads — NOT the shared phase pool: in-process
-  // deployments (the e2e suite) run the node servers on that pool, and
-  // parking coordinator dispatches on it while they wait for node work
-  // scheduled behind them would deadlock.
+  // Scatter on dedicated threads, one per dispatch, not on the shared
+  // pool: a dispatch holds its thread for a whole remote shard (a
+  // blocking RPC). On the pool it would park a worker that local phase
+  // tasks could use, and claim-on-join cannot run it inline without
+  // serialising the scatter, so a saturated pool would send the shards
+  // out one after another.
   std::vector<Result<net::PartialQueryResponse>> responses(
       dispatches.size(), Status::Internal("cluster: shard not dispatched"));
   {

@@ -18,9 +18,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads) t.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
+void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // This task finds no idle worker when the queued ones already claim
@@ -29,10 +27,9 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
     if (!stop_ && queue_.size() >= idle_ && threads_.size() < max_threads_) {
       threads_.emplace_back([this] { WorkerLoop(); });
     }
-    queue_.push_back(std::move(task));
+    queue_.push_back(std::move(fn));
   }
   cv_.notify_one();
-  return future;
 }
 
 size_t ThreadPool::num_started() const {
@@ -42,7 +39,7 @@ size_t ThreadPool::num_started() const {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       ++idle_;
@@ -58,11 +55,6 @@ void ThreadPool::WorkerLoop() {
 
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool = new ThreadPool(kSharedThreads);
-  return *pool;
-}
-
-ThreadPool& ThreadPool::SharedPhase() {
-  static ThreadPool* pool = new ThreadPool(kSharedPhaseThreads);
   return *pool;
 }
 

@@ -5,59 +5,62 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace galois {
 
-/// A small thread pool for overlapping I/O-bound work — primarily the
-/// concurrent `CompleteBatch` round trips issued by `llm::BatchScheduler`
-/// and the phase tasks of `core::PhysicalPlan` when `parallel_batches > 1`.
+template <typename T>
+class TaskHandle;
+
+/// A small thread pool for overlapping I/O-bound work: the phase tasks of
+/// `core::PhysicalPlan`, speculative key-scan pages, the concurrent
+/// `CompleteBatch` round trips of `llm::BatchScheduler` and the queries
+/// of `Session::QueryAsync`, all on the one process-wide `Shared()` pool.
 ///
-/// Tasks are plain `std::function<void()>` thunks executed FIFO by worker
-/// threads that start on demand: the constructor starts none, and Submit
-/// starts one only when the task it queues finds no idle worker, up to
-/// the cap. A pool that is never given a task costs no thread. Workers,
-/// once started, stay until the pool is destroyed; submissions past the
-/// cap queue until a worker frees up. On demand matters because each
+/// Tasks go onto the pool only through `TaskHandle::Launch`, as
+/// `std::function<void()>` thunks executed FIFO by worker threads that
+/// start on demand: the constructor starts none, and a launch starts one
+/// only when the task it queues finds no idle worker, up to the cap. A
+/// pool that is never given a task costs no thread. Workers, once
+/// started, stay until the pool is destroyed; launches past the cap
+/// queue until a worker frees up. On demand matters because each
 /// worker that runs keeps its own malloc arena: a process that overlaps
 /// two phases should pay for one extra thread, not for the whole cap.
 /// Because the intended workload is round-trip latency (network waits,
 /// simulated sleeps) rather than CPU, the cap is deliberately independent
 /// of `std::thread::hardware_concurrency()`.
 ///
-/// Thread safety: `Submit` may be called from any thread, including
-/// concurrently. Tasks must not block on the completion of *other* pool
-/// tasks (a task that waits for a queued task can deadlock when every
-/// worker is occupied); callers that need to wait — like
-/// `BatchScheduler::Flush` — must do so from a non-pool thread via the
-/// returned future.
+/// Thread safety: tasks may be launched from any thread, including
+/// concurrently and from inside a task. Code waits for pool work only
+/// through `TaskHandle`, whose claim-on-join runs a task that no worker
+/// has started yet on the joining thread. So a task may launch and join
+/// further tasks on the same pool — a fork-join tree of any depth — and
+/// a saturated pool degrades to inline execution instead of a cyclic
+/// wait.
 ///
-/// Error behavior: a task that throws has the exception captured in its
-/// future (rethrown by `future::get`); the worker thread survives. Project
-/// code reports failures through `Status`, so in practice futures only
-/// carry completion, not errors.
+/// Error behavior: project code reports failures through `Status`; an
+/// exception a task throws is caught on the worker and rethrown by
+/// `TaskHandle::Join` on the joining thread.
 class ThreadPool {
  public:
   /// A pool of at most `num_threads` workers (at least 1), none started.
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains nothing: queued-but-unstarted tasks are abandoned (their
-  /// futures become broken promises). Joins all workers.
+  /// Drains nothing: queued-but-unstarted tasks are abandoned (a
+  /// `TaskHandle` whose task was abandoned runs it at Join). Joins all
+  /// workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues `fn` for execution and returns a future that becomes ready
-  /// when it finishes. Starts a worker when the queued tasks outnumber the
-  /// idle workers and the cap allows.
-  std::future<void> Submit(std::function<void()> fn);
 
   /// The cap on workers.
   size_t num_threads() const { return max_threads_; }
@@ -65,40 +68,32 @@ class ThreadPool {
   /// Workers started so far (at most num_threads()).
   size_t num_started() const;
 
-  /// The process-wide shared pool used by the batch scheduler for
-  /// CompleteBatch round trips. Created lazily on first use with a cap of
+  /// The process-wide pool. Created lazily on first use with a cap of
   /// kSharedThreads workers and intentionally never destroyed (avoids
   /// static-destruction-order races with worker threads at exit).
   static ThreadPool& Shared();
 
-  /// Size of the shared pool. Sized for overlapped round-trip latency,
-  /// not CPU parallelism; a `parallel_batches` above this still works but
-  /// keeps at most this many round trips in flight.
-  static constexpr size_t kSharedThreads = 16;
-
-  /// The process-wide pool for *phase-level* tasks: speculative key-scan
-  /// pages dispatched via BatchScheduler::RunAsync and, when
-  /// parallel_batches > 1, the per-table and per-column phase tasks of
-  /// core::PhysicalPlan (all but the first of each group, which runs on
-  /// the joining thread). Kept separate from Shared() because a phase task
-  /// blocks on round-trip futures: the two-tier split guarantees a
-  /// waiting phase can never occupy a worker the round trips underneath
-  /// it need. Same lifetime rules as Shared().
-  static ThreadPool& SharedPhase();
-
-  /// Cap of the phase pool: bounds how many phases (table tasks, column
-  /// chains, scan pages) overlap. TaskHandle's claim-on-join makes
-  /// saturation safe — a joiner runs unstarted work inline — so this is a
-  /// throughput knob, not a correctness bound.
-  static constexpr size_t kSharedPhaseThreads = 8;
+  /// Cap of the shared pool. Sized for overlapped round-trip latency, not
+  /// CPU parallelism: it bounds how many phases, scan pages, chunk
+  /// round trips and async queries overlap across the process. Claim-on-
+  /// join makes saturation safe, so this is a throughput knob, not a
+  /// correctness bound.
+  static constexpr size_t kSharedThreads = 24;
 
  private:
+  template <typename T>
+  friend class TaskHandle;
+
+  /// Enqueues `fn`, which must not throw, for execution. Starts a worker
+  /// when the queued tasks outnumber the idle workers and the cap allows.
+  void Submit(std::function<void()> fn);
+
   void WorkerLoop();
 
   const size_t max_threads_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<std::function<void()>> queue_;
   size_t idle_ = 0;  // started workers waiting for a task
   bool stop_ = false;
   std::vector<std::thread> threads_;
@@ -131,11 +126,7 @@ class TaskHandle {
   /// Launches `fn` on `pool` and returns the joinable handle.
   static TaskHandle Launch(ThreadPool& pool, std::function<T()> fn) {
     TaskHandle handle = Deferred(std::move(fn));
-    pool.Submit([state = handle.state_] {
-      if (!state->claimed.exchange(true)) {
-        state->promise.set_value(state->run());
-      }
-    });
+    pool.Submit([state = handle.state_] { Claim(*state); });
     return handle;
   }
 
@@ -156,9 +147,7 @@ class TaskHandle {
   /// the handle to invalid.
   T Join() {
     auto state = std::move(state_);
-    if (!state->claimed.exchange(true)) {
-      state->promise.set_value(state->run());
-    }
+    Claim(*state);
     return state->result.get();
   }
 
@@ -177,6 +166,22 @@ class TaskHandle {
     std::promise<T> promise;
     std::future<T> result;
   };
+
+  /// Runs the task unless a worker or a joiner already claimed it.
+  static void Claim(State& state) {
+    if (state.claimed.exchange(true)) return;
+    try {
+      if constexpr (std::is_void_v<T>) {
+        state.run();
+        state.promise.set_value();
+      } else {
+        state.promise.set_value(state.run());
+      }
+    } catch (...) {
+      state.promise.set_exception(std::current_exception());
+    }
+  }
+
   std::shared_ptr<State> state_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/llm_operators.h"
 
+#include <algorithm>
+#include <deque>
 #include <unordered_set>
 
 #include "clean/normalize.h"
@@ -36,8 +38,7 @@ std::vector<int> ParseVerdicts(
   return verdicts;
 }
 
-/// Builds the page-k scan prompt (shared by the sequential and
-/// speculative paging paths, so both issue byte-identical prompts).
+/// Builds the page-k scan prompt.
 llm::Prompt BuildScanPagePrompt(const catalog::TableDef& table,
                                 const std::optional<llm::PromptFilter>& filter,
                                 int page) {
@@ -79,89 +80,57 @@ Result<std::vector<std::string>> LlmKeyScan(
   if (stats != nullptr) *stats = KeyScanStats{};
   std::vector<std::string> keys;
   std::unordered_set<std::string> seen;
+  llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
+                                "key-scan:" + table.entity_type);
 
-  // Prefetch never applies to LIMIT-bounded scans: the bound promises
-  // that no round trip past the satisfying page is ever issued, and a
-  // speculated page would break exactly that.
-  const bool prefetch = options.prefetch_pages > 0 && key_limit < 0;
-  if (!prefetch) {
-    llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
-                                  "key-scan:" + table.entity_type);
-    for (int page = 0; page < options.max_scan_pages; ++page) {
-      // LIMIT-bounded paging: enough keys are already scanned that the
-      // downstream Limit operator is satisfiable — stop buying pages.
-      if (key_limit >= 0 &&
-          static_cast<int64_t>(keys.size()) >= key_limit) {
-        break;
+  // Page prompts are independent texts, so pages k+1..k+window-1 may be
+  // bought while page k's answer is parsed. Pages are joined strictly in
+  // page order, so the termination decision (and the key set) is the
+  // window-1 scan's. A LIMIT-bounded scan keeps a window of 1: the bound
+  // promises that no round trip past the satisfying page is issued.
+  const int window =
+      key_limit >= 0 ? 1 : 1 + std::max(0, options.prefetch_pages);
+  std::deque<TaskHandle<Result<llm::Completion>>> inflight;  // page order
+  int next_page = 0;
+  for (;;) {
+    // LIMIT-bounded paging stops buying pages once enough keys are
+    // scanned for the downstream Limit operator to be satisfiable.
+    while (static_cast<int>(inflight.size()) < window &&
+           next_page < options.max_scan_pages &&
+           (key_limit < 0 || static_cast<int64_t>(keys.size()) < key_limit)) {
+      // A page issued while no other is in flight runs on this thread at
+      // its Join; one issued behind others is launched on the pool before
+      // the pages ahead of it are consumed, and so counts as prefetched.
+      const bool launched = !inflight.empty();
+      inflight.push_back(StartPhaseTask<Result<llm::Completion>>(
+          window > 1, inflight.size(),
+          [&scheduler,
+           prompt = BuildScanPagePrompt(table, filter, next_page)] {
+            return scheduler.CompleteOne(prompt);
+          }));
+      ++next_page;
+      if (stats != nullptr) {
+        ++stats->pages;
+        if (launched) ++stats->prefetched;
       }
-      if (stats != nullptr) ++stats->pages;
-      GALOIS_ASSIGN_OR_RETURN(
-          llm::Completion completion,
-          scheduler.CompleteOne(BuildScanPagePrompt(table, filter, page)));
-      if (!ConsumeScanPage(completion, &keys, &seen)) break;
     }
+    if (inflight.empty()) return keys;
+    Result<llm::Completion> page = inflight.front().Join();
+    inflight.pop_front();
+    if (page.ok() && ConsumeScanPage(*page, &keys, &seen)) continue;
+    // The scan ends here. Every page still in flight was launched and
+    // bills whether or not the scan wants its answer: join the stragglers
+    // so their completions settle into any prompt-cache decorator
+    // instead of being abandoned mid-flight.
+    if (stats != nullptr) {
+      stats->overfetched += static_cast<int>(inflight.size());
+    }
+    for (TaskHandle<Result<llm::Completion>>& straggler : inflight) {
+      (void)straggler.Join();
+    }
+    if (!page.ok()) return page.status();
     return keys;
   }
-
-  // Speculative paging: page prompts are independent texts, so page
-  // k+1..k+W can be bought while page k's answer is being parsed. Each
-  // page goes out as a single-prompt async phase with batching off —
-  // that dispatch path is one Complete call per page, billing exactly
-  // like the sequential CompleteOne — and handles are joined strictly
-  // in page order, so the termination decision (and therefore the key
-  // set) is identical to the sequential scan.
-  llm::BatchPolicy policy = BatchPolicyFor(options);
-  policy.batch = false;
-  llm::BatchScheduler scheduler(model, policy,
-                                "key-scan:" + table.entity_type);
-  const int window = options.prefetch_pages + 1;
-  std::vector<llm::PhaseHandle> inflight;  // page order
-  int next_page = 0;
-  auto issue = [&]() {
-    if (next_page >= options.max_scan_pages) return;
-    inflight.push_back(scheduler.RunAsync(
-        {BuildScanPagePrompt(table, filter, next_page)}));
-    ++next_page;
-    if (stats != nullptr) {
-      ++stats->pages;
-      // Every page after the first is bought before the preceding
-      // page's answer has been consumed; only page 0 is demand-fetched.
-      if (next_page > 1) ++stats->prefetched;
-    }
-  };
-  // Every speculated round trip was started (and bills) whether or not
-  // the scan still wants its answer: join the stragglers so their
-  // completions settle into any prompt-cache decorator instead of being
-  // abandoned mid-flight.
-  auto drain = [&](size_t from) {
-    if (stats != nullptr) {
-      stats->overfetched += static_cast<int>(inflight.size() - from);
-    }
-    for (size_t i = from; i < inflight.size(); ++i) {
-      (void)inflight[i].Join();
-    }
-    inflight.clear();
-  };
-
-  while (static_cast<int>(inflight.size()) < window &&
-         next_page < options.max_scan_pages) {
-    issue();
-  }
-  size_t front = 0;
-  while (front < inflight.size()) {
-    Result<std::vector<llm::Completion>> page = inflight[front].Join();
-    ++front;
-    if (!page.ok()) {
-      drain(front);
-      return page.status();
-    }
-    if (!ConsumeScanPage(page.value()[0], &keys, &seen)) {
-      drain(front);
-      return keys;
-    }
-    issue();
-  }
-  return keys;
 }
 
 Result<std::vector<Value>> LlmGetAttributeBatch(

@@ -1,12 +1,16 @@
 #ifndef GALOIS_CORE_LLM_OPERATORS_H_
 #define GALOIS_CORE_LLM_OPERATORS_H_
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/options.h"
 #include "core/provenance.h"
 #include "llm/batch_scheduler.h"
@@ -34,6 +38,23 @@ namespace galois::core {
 /// The scheduler dispatch policy implied by the execution options.
 llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options);
 
+/// Starts the `index`-th task of a group of independent phases: a plan's
+/// LLM tables, a table's column chains, a key scan's pages in flight. The
+/// first (`index` 0) is deferred to its Join and so runs on the joining
+/// thread. With `overlap` the others launch on ThreadPool::Shared(), so a
+/// fan-out of k tasks occupies at most k - 1 pool workers. Without it
+/// they are deferred too, and joining the group in order runs it one
+/// task after another on the calling thread — the paper prototype's
+/// ladder, prompt for prompt.
+template <typename T>
+TaskHandle<T> StartPhaseTask(bool overlap, size_t index,
+                             std::function<T()> fn) {
+  if (overlap && index > 0) {
+    return TaskHandle<T>::Launch(ThreadPool::Shared(), std::move(fn));
+  }
+  return TaskHandle<T>::Deferred(std::move(fn));
+}
+
 /// Paging accounting of one LlmKeyScan: every page bought (round trip
 /// issued), how many of those were dispatched speculatively before the
 /// previous page's answer had been consumed, and how many were bought
@@ -51,22 +72,28 @@ struct KeyScanStats {
 /// producing new keys (workflow: "we iterate with the prompt until we stop
 /// getting new results"). An optional `filter` is pushed into the scan
 /// prompt (Section 6 optimisation). Keys are deduplicated, first-seen
-/// order. Page prompts are independent texts (page k+1's prompt does not
+/// order.
+///
+/// One paging loop serves demand and speculative paging. Each page is one
+/// BatchScheduler::CompleteOne task, and the scan keeps a window of
+/// 1 + options.prefetch_pages pages in flight (a negative value counts as
+/// 0). Page prompts are independent texts (page k+1's prompt does not
 /// embed page k's answer), but the *termination decision* is sequential,
-/// so by default the scan issues them through the scheduler one at a
-/// time. With options.prefetch_pages > 0 it instead keeps up to that
-/// many further page round trips speculatively in flight
-/// (BatchScheduler::RunAsync single-prompt phases, joined in page
-/// order): the surviving keys, pages bought and CostMeter are identical
-/// whenever the scan terminates at the max_scan_pages cap, and when the
-/// model terminates the scan early the already-speculated pages are
-/// joined (they bill, and their completions stay in any prompt-cache
-/// decorator) and reported as overfetched. `key_limit >= 0` stops paging
-/// as soon as that many keys have been scanned (the plan compiler sets
-/// it when a LIMIT provably bounds the scan): the returned prefix may
-/// exceed the limit within the last page but no further page round trips
-/// are issued — prefetch is disabled on bounded scans to preserve
-/// exactly that guarantee.
+/// so pages are joined in page order. A page issued while no other is in
+/// flight runs on the scanning thread at its Join; a page issued behind
+/// others is launched on ThreadPool::Shared() (StartPhaseTask's rule) and
+/// counted as prefetched. At window 1 the scan is the paper prototype's
+/// ladder, call for call. At any window the surviving keys, pages bought
+/// and CostMeter are identical whenever the scan terminates at the
+/// max_scan_pages cap; when the model terminates it early, or a page
+/// fails, the pages still in flight are joined (they bill, and their
+/// completions stay in any prompt-cache decorator) and reported as
+/// overfetched. A failed page returns CompleteOne's status at every
+/// window. `key_limit >= 0` stops paging as soon as that many keys have
+/// been scanned (the plan compiler sets it when a LIMIT provably bounds
+/// the scan): the returned prefix may exceed the limit within the last
+/// page but no further page round trips are issued, so a bounded scan
+/// always uses a window of 1.
 Result<std::vector<std::string>> LlmKeyScan(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const ExecutionOptions& options,

@@ -65,9 +65,10 @@ struct ExecutionOptions {
   /// and how many round trips each phase keeps in flight. Overlap is the
   /// default, and it needs a thread-safe stack: over a model that does
   /// not declare llm::LanguageModel::thread_safe(), core::PhysicalPlan
-  /// runs the query at 1 whatever this says. Above 1:
+  /// runs the query at 1 (and prefetch_pages at 0) whatever this says.
+  /// Above 1:
   ///  - within a phase, with batch_prompts on, the max_batch_size chunks
-  ///    fan out across the shared thread pool, up to this many at once,
+  ///    fan out across ThreadPool::Shared(), up to this many at once,
   ///    so a phase of many chunks takes roughly
   ///    ceil(chunks / parallel_batches) round trips of wall-clock time;
   ///  - across phases, core::PhysicalPlan overlaps what is independent:
@@ -97,19 +98,19 @@ struct ExecutionOptions {
 
   /// Speculative key-scan paging depth: while page k's completion is
   /// being parsed, keep up to this many further page round trips in
-  /// flight (0 disables — the paper prototype's strictly sequential
-  /// paging). The speculative pages call the model from phase-pool
-  /// threads even at parallel_batches == 1, so above 0 the model stack
-  /// must declare thread_safe(): over a serial stack the query fails
-  /// with kInvalidArgument. Dispatch-only: the surviving key set, the
-  /// CostMeter and the pages bought are identical when the scan
-  /// terminates at the max_scan_pages cap; when the model signals "no
-  /// more results" early, the pages already speculated are still paid
-  /// for, joined, and left in the prompt cache rather than discarded
-  /// (counted as overfetched in QueryOutput). Excluded from the
-  /// materialisation-cache base key, like the other dispatch knobs.
-  /// Disabled for LIMIT-bounded scans, which must never buy pages past
-  /// the bound.
+  /// flight (0, or a negative value, disables — the paper prototype's
+  /// strictly sequential paging). The speculative pages call the model
+  /// from ThreadPool::Shared() workers even at parallel_batches == 1, so
+  /// they need a stack that declares thread_safe(): over a serial stack
+  /// core::PhysicalPlan runs the query at 0. Dispatch-only: the surviving
+  /// key set, the CostMeter and the pages bought are identical when the
+  /// scan terminates at the max_scan_pages cap; when the model signals
+  /// "no more results" early, or a page fails, the pages already
+  /// speculated are still paid for, joined, and left in the prompt cache
+  /// rather than discarded (counted as overfetched in QueryOutput).
+  /// Excluded from the materialisation-cache base key, like the other
+  /// dispatch knobs. Disabled for LIMIT-bounded scans, which must never
+  /// buy pages past the bound.
   int prefetch_pages = 0;
 
   /// Execute per-key selection checks with the LLM (the paper's filter

@@ -88,38 +88,14 @@ Result<RetrievedColumn> RetrieveColumn(llm::LanguageModel* attr_model,
   return out;
 }
 
-/// Fits `options` to what `model` declared about concurrent calls. Over
-/// a stack that is not thread-safe the query runs at parallel_batches 1,
-/// and prefetch_pages > 0 is refused: speculative scan pages call the
-/// model from phase-pool threads at any parallel_batches.
-Status FitToModel(const llm::LanguageModel& model, ExecutionOptions* options) {
-  if (model.thread_safe()) return Status::OK();
-  if (options->prefetch_pages > 0) {
-    return Status::InvalidArgument(
-        "prefetch_pages > 0 calls the model from phase-pool threads, but "
-        "model '" + model.name() + "' does not declare thread_safe(); "
-        "set prefetch_pages to 0");
-  }
+/// Fits `options` to what `model` declared about concurrent calls: over a
+/// stack that is not thread-safe the query runs at parallel_batches 1 and
+/// prefetch_pages 0, so every model call comes from the calling thread,
+/// one at a time, in ladder order.
+void FitToModel(const llm::LanguageModel& model, ExecutionOptions* options) {
+  if (model.thread_safe()) return;
   options->parallel_batches = 1;
-  return Status::OK();
-}
-
-/// Starts one phase task of the plan. The first task of a group (`index`
-/// 0) is deferred to its Join and so runs on the joining thread. When the
-/// options allow concurrent model calls (parallel_batches > 1) the
-/// others run on the phase pool, so a fan-out of k tasks occupies at most
-/// k - 1 pool workers. Otherwise they are deferred too, and joining a
-/// plan's tasks in order runs them one after another on the calling
-/// thread — the paper prototype's ladder, prompt for prompt.
-template <typename T>
-TaskHandle<Result<T>> StartPhaseTask(const ExecutionOptions& options,
-                                     size_t index,
-                                     std::function<Result<T>()> fn) {
-  if (index > 0 && options.parallel_batches > 1) {
-    return TaskHandle<Result<T>>::Launch(ThreadPool::SharedPhase(),
-                                         std::move(fn));
-  }
-  return TaskHandle<Result<T>>::Deferred(std::move(fn));
+  options->prefetch_pages = 0;
 }
 
 /// Joins `tasks` in order. At the first failure the rest are cancelled —
@@ -398,9 +374,6 @@ Result<PhysicalPlan> PhysicalPlan::Compile(planner::PlanNodePtr plan,
       }
       if (g.key_limit >= 0) {
         os << "; paging stops at " << g.key_limit << " keys";
-      } else if (options.prefetch_pages > 0) {
-        os << "; up to " << options.prefetch_pages
-           << " pages prefetched speculatively";
       }
       os << ")";
       g.scan_node = p.NewNode(os.str());
@@ -653,6 +626,14 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
                  group.key_limit));
   FinishLlmOp(group.scan_node, scan_tap, keys.size());
   group.scan_node->stats.round_trips = group.scan_stats.pages;
+  // Announce speculation from what the scan did, not from the options:
+  // a scan that kept one page in flight never claims it speculated.
+  if (group.scan_stats.prefetched > 0) {
+    std::string& label = group.scan_node->label;
+    label.insert(label.rfind(')'),
+                 "; " + std::to_string(group.scan_stats.prefetched) +
+                     " pages prefetched speculatively");
+  }
 
   // Key-range shard slice (cluster scatter-gather): keep the contiguous
   // [n*i/c, n*(i+1)/c) run of the scanned key list. Every shard of a
@@ -742,8 +723,8 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   std::vector<TaskHandle<Result<RetrievedColumn>>> chains;
   chains.reserve(group.needed_columns.size());
   for (const catalog::ColumnDef* col : group.needed_columns) {
-    chains.push_back(StartPhaseTask<RetrievedColumn>(
-        options_, chains.size(),
+    chains.push_back(StartPhaseTask<Result<RetrievedColumn>>(
+        options_.parallel_batches > 1, chains.size(),
         [this, &retrieve_tap, &cell_verify_tap, &def, col, &surviving] {
           return RetrieveColumn(&retrieve_tap, &cell_verify_tap, def, *col,
                                 surviving, options_);
@@ -896,8 +877,8 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
   for (size_t t = 0; t < pending.size(); ++t) {
     TableGroup* group = &groups_[pending[t]];
     ExecutionTrace* trace = &traces[t];
-    tasks.push_back(StartPhaseTask<Relation>(
-        options_, t, [this, model, group, trace] {
+    tasks.push_back(StartPhaseTask<Result<Relation>>(
+        options_.parallel_batches > 1, t, [this, model, group, trace] {
           return MaterialiseLlm(*group, model, trace);
         }));
   }
@@ -930,7 +911,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
 
 Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
                                           MaterialisationCache* cache) {
-  GALOIS_RETURN_IF_ERROR(FitToModel(*model, &options_));
+  FitToModel(*model, &options_);
   QueryOutput out;
   GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> rels,
                           MaterialiseAll(model, cache, &out));
@@ -1035,7 +1016,7 @@ void PhysicalPlan::SetOverlays(std::vector<TableOverlay> overlays) {
 Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardRequest& request,
                                                llm::LanguageModel* model,
                                                MaterialisationCache* cache) {
-  GALOIS_RETURN_IF_ERROR(FitToModel(*model, &options_));
+  FitToModel(*model, &options_);
   TableGroup* group = nullptr;
   for (TableGroup& g : groups_) {
     if (g.alias == request.alias) {

@@ -91,13 +91,13 @@ struct PhysicalNode {
 /// joined in FROM and column order. With parallel_batches > 1, over a
 /// model that declares thread_safe(), the tasks overlap: the first of
 /// each group runs on the joining thread and the others on
-/// ThreadPool::SharedPhase(). At 1, or over a serial model, each runs
-/// when joined, on the calling thread, so the prompts go out in the
-/// paper prototype's ladder order: tables in FROM order; within a table
-/// the scan pages, key verification and filter checks, then attribute
-/// and verify for each column in turn. Either way the first failing task
-/// in that order supplies the error, and tasks not yet started when it
-/// surfaces never run.
+/// ThreadPool::Shared() (core::StartPhaseTask). At 1, or over a serial
+/// model, each runs when joined, on the calling thread, so the prompts go
+/// out in the paper prototype's ladder order: tables in FROM order;
+/// within a table the scan pages, key verification and filter checks,
+/// then attribute and verify for each column in turn. Either way the
+/// first failing task in that order supplies the error, and tasks not
+/// yet started when it surfaces never run.
 ///
 /// One PhysicalPlan executes one query: GaloisExecutor::Run compiles a
 /// fresh plan per call, so executor-level thread-safety is preserved
@@ -122,10 +122,10 @@ class PhysicalPlan {
   /// most once per compiled plan.
   ///
   /// This is where a query's options meet its model. When `model` does
-  /// not declare thread_safe(), the plan runs at parallel_batches 1,
-  /// whatever the options say, so the model is called from this thread
-  /// in ladder order; with prefetch_pages > 0 the call fails with
-  /// kInvalidArgument before any prompt. ExecuteShard does the same.
+  /// not declare thread_safe(), the plan runs at parallel_batches 1 and
+  /// prefetch_pages 0, whatever the options say, so the model is called
+  /// from this thread, one call at a time, in ladder order. ExecuteShard
+  /// does the same.
   Result<QueryOutput> Execute(llm::LanguageModel* model,
                               MaterialisationCache* cache);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -115,13 +114,14 @@ Result<std::vector<Completion>> BatchScheduler::DispatchBatched(
         chunk_status[i] = run_chunk(i);
       }
     };
-    std::vector<std::future<void>> futures;
-    futures.reserve(workers - 1);
+    std::vector<TaskHandle<void>> pullers;
+    pullers.reserve(workers - 1);
     for (size_t w = 0; w + 1 < workers; ++w) {
-      futures.push_back(ThreadPool::Shared().Submit(run_chunks));
+      pullers.push_back(
+          TaskHandle<void>::Launch(ThreadPool::Shared(), run_chunks));
     }
-    run_chunks();  // the calling thread is the last worker
-    for (std::future<void>& f : futures) f.wait();
+    run_chunks();  // the calling thread is the last puller
+    for (TaskHandle<void>& puller : pullers) puller.Join();
     for (size_t i = 0; i < num_chunks; ++i) {
       if (!chunk_status[i].ok()) {
         return Annotate(chunk_status[i], chunk_context(i));
@@ -176,23 +176,6 @@ Result<std::vector<Completion>> BatchScheduler::Run(
     std::vector<Prompt> prompts) {
   for (Prompt& p : prompts) Add(std::move(p));
   return Flush();
-}
-
-PhaseHandle BatchScheduler::RunAsync(std::vector<Prompt> prompts) {
-  // The task captures everything by value (queue moved in, model pointer,
-  // policy, phase label copied), so it stays valid however long the
-  // caller holds the handle and whatever happens to this scheduler.
-  for (Prompt& p : prompts) Add(std::move(p));
-  std::vector<Prompt> queued = std::move(pending_);
-  pending_.clear();
-  return PhaseHandle::Launch(
-      ThreadPool::SharedPhase(),
-      [model = model_, policy = policy_, phase = phase_,
-       pending = std::move(queued)]() mutable {
-        BatchScheduler scheduler(model, policy, std::move(phase));
-        scheduler.pending_ = std::move(pending);
-        return scheduler.Flush();
-      });
 }
 
 }  // namespace galois::llm

@@ -8,16 +8,9 @@
 
 #include "common/cancel.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "llm/language_model.h"
 
 namespace galois::llm {
-
-/// A joinable handle to one asynchronously dispatched phase (see
-/// BatchScheduler::RunAsync). Join returns exactly what the equivalent
-/// synchronous Run would have returned — same completions, same Add
-/// order, same error contract — and must be called at most once.
-using PhaseHandle = TaskHandle<Result<std::vector<Completion>>>;
 
 /// How one retrieval phase dispatches its prompts to the model.
 struct BatchPolicy {
@@ -32,12 +25,11 @@ struct BatchPolicy {
   size_t max_batch_size = 0;
 
   /// Round trips the scheduler may keep in flight at once. With a value
-  /// above 1 (and batch on), Flush fans its chunks out across the shared
-  /// ThreadPool and up to this many CompleteBatch calls run concurrently;
-  /// the model behind the scheduler must then be safe under concurrent
-  /// CompleteBatch calls (SimulatedLlm and PromptCache are). 1 keeps the
-  /// fully sequential dispatch. Effective concurrency is additionally
-  /// capped by ThreadPool::kSharedThreads.
+  /// above 1 (and batch on), Flush fans its chunks out across
+  /// ThreadPool::Shared() and up to this many CompleteBatch calls run
+  /// concurrently; the model behind the scheduler must then be safe under
+  /// concurrent CompleteBatch calls (SimulatedLlm and PromptCache are). 1
+  /// keeps the fully sequential dispatch.
   int parallel_batches = 1;
 
   /// Per-query cancellation/deadline token (null = not cancellable).
@@ -63,14 +55,12 @@ struct BatchPolicy {
 /// two concurrent chunks ever carry the same prompt text.
 ///
 /// Thread-safety: a scheduler instance is NOT itself thread-safe — it is
-/// a per-phase, single-owner object (Add/Flush from one thread). The
+/// a per-phase, single-owner object (Add/Flush from one thread);
+/// CompleteOne only reads it, so concurrent page tasks may share one. The
 /// concurrency introduced by parallel_batches is internal to Flush, which
-/// joins every in-flight round trip before returning. Flush must not be
-/// called from inside a task of the *round-trip* pool (ThreadPool::
-/// Shared(); the wait could starve that pool). Running a Flush on the
-/// phase pool is fine and is exactly what RunAsync does: phase tasks
-/// wait on round-trip futures, never the converse (the two-tier rule in
-/// common/thread_pool.h).
+/// joins every in-flight round trip before returning. Its chunk pullers
+/// are TaskHandles on ThreadPool::Shared(), so a Flush may run inside any
+/// pool task: a puller no worker has started runs on the joining thread.
 class BatchScheduler {
  public:
   /// `model` must outlive the scheduler. `phase` is a human-readable
@@ -108,21 +98,6 @@ class BatchScheduler {
 
   /// Convenience: queue `prompts` and flush in one call.
   Result<std::vector<Completion>> Run(std::vector<Prompt> prompts);
-
-  /// Future-returning Run: queues `prompts`, moves the whole queue into a
-  /// self-contained task on ThreadPool::SharedPhase() and returns a
-  /// handle the caller joins later. The speculative key scan uses it to keep page round trips in
-  /// flight while it consumes earlier pages.
-  ///
-  /// The task owns copies of the model pointer, policy and phase label,
-  /// so the scheduler may be reused or destroyed before Join; only the
-  /// model must outlive the handle. Semantics are identical to Run — same
-  /// dedupe, chunking, parallel_batches fan-out, Add-order results,
-  /// accounting and error contract; only the thread that executes the
-  /// dispatch differs. Thanks to TaskHandle's claim-on-join, launching
-  /// more phases than the phase pool has workers degrades to inline
-  /// execution at Join, never to deadlock.
-  PhaseHandle RunAsync(std::vector<Prompt> prompts);
 
   /// Dispatches one dependent prompt immediately, outside any batch
   /// (scan paging: page k+1 cannot be built until page k's answer is

@@ -28,7 +28,7 @@ struct ServerOptions {
   /// listen(2) backlog: connections the kernel may hold un-accepted.
   int accept_backlog = 64;
 
-  /// Admission control (on top of the shared phase pool): queries
+  /// Admission control (on top of the shared thread pool): queries
   /// executing concurrently across all connections. Further queries wait
   /// in a bounded queue; beyond that they are rejected with a retryable
   /// error instead of piling unbounded work onto the pool.
@@ -61,7 +61,7 @@ struct ServerOptions {
 /// Shape (after ctdb's daemon/statistics split): one accept thread, one
 /// thread per connection (each with its own Session — the facade's
 /// intended one-session-per-client shape), a shared admission gate in
-/// front of the phase pool, and a mutex-guarded statistics block
+/// front of the shared thread pool, and a mutex-guarded statistics block
 /// reported over the kStats endpoint.
 ///
 /// Life cycle:

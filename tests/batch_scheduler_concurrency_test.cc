@@ -1,11 +1,12 @@
 // Tests for concurrent batch dispatch: the common::ThreadPool and its
-// TaskHandle (deferred and cancelled tasks), the
-// BatchScheduler's parallel_batches path (Add-order preservation,
-// sequential/parallel equivalence, the drop-on-error queue contract and
-// phase/chunk error attribution), thread-safe CostMeter accounting in
-// SimulatedLlm and CostTap, the thread_safe() contract through the
-// decorators, and a PromptCache::CompleteBatch hammer intended to run
-// under ThreadSanitizer.
+// TaskHandle (deferred and cancelled tasks, nested fan-out beyond the
+// shared pool's cap), the BatchScheduler's parallel_batches path
+// (Add-order preservation, sequential/parallel equivalence, the
+// drop-on-error queue contract and phase/chunk error attribution),
+// thread-safe CostMeter accounting in SimulatedLlm and CostTap, the
+// thread_safe() contract through the decorators, and a
+// PromptCache::CompleteBatch hammer intended to run under
+// ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -174,19 +176,19 @@ class ScriptedUsageModel : public LanguageModel {
 TEST(ThreadPoolTest, StartsWorkersOnlyWhenNoneIsIdle) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_started(), 0u);  // given no task, it starts no thread
-  pool.Submit([] {}).wait();
+  TaskHandle<void>::Launch(pool, [] {}).Join();
   EXPECT_EQ(pool.num_started(), 1u);
 
   // Tasks that hold their worker each find none idle, up to the cap.
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  std::vector<std::future<void>> held;
+  std::vector<TaskHandle<void>> held;
   for (int i = 0; i < 8; ++i) {
-    held.push_back(pool.Submit([gate] { gate.wait(); }));
+    held.push_back(TaskHandle<void>::Launch(pool, [gate] { gate.wait(); }));
   }
   EXPECT_EQ(pool.num_started(), 4u);
   release.set_value();
-  for (auto& f : held) f.wait();
+  for (TaskHandle<void>& h : held) h.Join();
   EXPECT_EQ(pool.num_started(), 4u);
 }
 
@@ -194,11 +196,12 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
+  std::vector<TaskHandle<void>> handles;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&ran] { ran.fetch_add(1); }));
+    handles.push_back(
+        TaskHandle<void>::Launch(pool, [&ran] { ran.fetch_add(1); }));
   }
-  for (auto& f : futures) f.wait();
+  for (TaskHandle<void>& h : handles) h.Join();
   EXPECT_EQ(ran.load(), 64);
 }
 
@@ -207,22 +210,21 @@ TEST(ThreadPoolTest, TasksOverlapInTime) {
   // Four tasks that each wait until all four have started can only finish
   // if they run concurrently.
   std::atomic<int> started{0};
-  std::vector<std::future<void>> futures;
+  std::vector<TaskHandle<void>> handles;
   for (int i = 0; i < 4; ++i) {
-    futures.push_back(pool.Submit([&started] {
+    handles.push_back(TaskHandle<void>::Launch(pool, [&started] {
       started.fetch_add(1);
       while (started.load() < 4) std::this_thread::yield();
     }));
   }
-  for (auto& f : futures) f.wait();
+  for (TaskHandle<void>& h : handles) h.Join();
   EXPECT_EQ(started.load(), 4);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
-  auto f = pool.Submit([] {});
-  f.wait();
+  TaskHandle<void>::Launch(pool, [] {}).Join();
 }
 
 TEST(ThreadPoolTest, DeferredHandleRunsOnceOnJoiningThread) {
@@ -265,7 +267,13 @@ TEST(ThreadPoolTest, CancelledTaskNeverStartsOnPool) {
   queued.Cancel();
   release.set_value();
   EXPECT_EQ(blocker.Join(), 1);
-  pool.Submit([] {}).wait();  // FIFO: `queued`'s slot has been drained
+  // FIFO: once the worker has run a task launched after `queued`,
+  // `queued`'s slot has been drained.
+  std::promise<void> drained;
+  TaskHandle<void> marker =
+      TaskHandle<void>::Launch(pool, [&drained] { drained.set_value(); });
+  drained.get_future().wait();
+  marker.Join();
   EXPECT_EQ(runs.load(), 0);
 }
 
@@ -443,12 +451,8 @@ TEST(ConcurrentDispatchTest, SequentialModeErrorNamesPhaseAndPrompt) {
 
 // --- thread-safe accounting -------------------------------------------------
 
-TEST(ConcurrentDispatchTest, SimulatedLlmMeterIsExactUnderConcurrency) {
-  auto workload = knowledge::SpiderLikeWorkload::Create();
-  ASSERT_TRUE(workload.ok());
-  SimulatedLlm model(&workload->kb(), ModelProfile::ChatGpt(),
-                     &workload->catalog(), 7);
-
+/// Eight attribute prompts a SimulatedLlm answers from its world.
+std::vector<Prompt> PopulationPrompts() {
   std::vector<Prompt> prompts;
   for (const char* key : {"Italy", "France", "Germany", "Spain", "Japan",
                           "Brazil", "Canada", "Egypt"}) {
@@ -461,6 +465,16 @@ TEST(ConcurrentDispatchTest, SimulatedLlmMeterIsExactUnderConcurrency) {
     p.intent = intent;
     prompts.push_back(std::move(p));
   }
+  return prompts;
+}
+
+TEST(ConcurrentDispatchTest, SimulatedLlmMeterIsExactUnderConcurrency) {
+  auto workload = knowledge::SpiderLikeWorkload::Create();
+  ASSERT_TRUE(workload.ok());
+  SimulatedLlm model(&workload->kb(), ModelProfile::ChatGpt(),
+                     &workload->catalog(), 7);
+
+  std::vector<Prompt> prompts = PopulationPrompts();
 
   BatchPolicy policy;
   policy.batch = true;
@@ -492,6 +506,59 @@ TEST(ConcurrentDispatchTest, SimulatedLlmMeterIsExactUnderConcurrency) {
   // of completion order (summation order may differ by float ulps).
   EXPECT_NEAR(parallel_cost.simulated_latency_ms,
               sequential_cost.simulated_latency_ms, 1e-6);
+}
+
+TEST(ConcurrentDispatchTest, NestedFanOutBeyondTheSharedPoolCap) {
+  // More handles than the shared pool has workers, each running a
+  // multi-chunk flush whose chunk pullers are handles on the same pool: a
+  // fork-join tree on one bounded pool. Claim-on-join runs every puller
+  // no worker has started on the thread that joins it, so all of them
+  // finish with the completions and meter of the same flush on the
+  // ladder.
+  auto workload = knowledge::SpiderLikeWorkload::Create();
+  ASSERT_TRUE(workload.ok());
+  const std::vector<Prompt> prompts = PopulationPrompts();
+  BatchPolicy policy;
+  policy.batch = true;
+  policy.max_batch_size = 1;
+  policy.parallel_batches = 1;
+  SimulatedLlm ladder_model(&workload->kb(), ModelProfile::ChatGpt(),
+                            &workload->catalog(), 7);
+  ladder_model.set_wall_latency_ms(1.0);
+  auto want = BatchScheduler(&ladder_model, policy, "nested").Run(prompts);
+  ASSERT_TRUE(want.ok()) << want.status();
+  const CostMeter want_cost = ladder_model.cost();
+  ASSERT_EQ(want_cost.num_batches, 8);
+
+  policy.parallel_batches = 4;
+  const size_t n = ThreadPool::kSharedThreads + 8;
+  std::vector<std::unique_ptr<SimulatedLlm>> models;
+  std::vector<TaskHandle<Result<std::vector<Completion>>>> handles;
+  for (size_t i = 0; i < n; ++i) {
+    models.push_back(std::make_unique<SimulatedLlm>(
+        &workload->kb(), ModelProfile::ChatGpt(), &workload->catalog(), 7));
+    models.back()->set_wall_latency_ms(1.0);
+    handles.push_back(TaskHandle<Result<std::vector<Completion>>>::Launch(
+        ThreadPool::Shared(), [model = models.back().get(), policy, &prompts] {
+          return BatchScheduler(model, policy, "nested").Run(prompts);
+        }));
+  }
+  std::vector<Result<std::vector<Completion>>> got;
+  for (auto& handle : handles) got.push_back(handle.Join());
+
+  for (size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE("handle " + std::to_string(i));
+    ASSERT_TRUE(got[i].ok()) << got[i].status();
+    ASSERT_EQ(got[i]->size(), want->size());
+    for (size_t j = 0; j < want->size(); ++j) {
+      EXPECT_EQ((*got[i])[j].text, (*want)[j].text) << j;
+    }
+    const CostMeter cost = models[i]->cost();
+    EXPECT_EQ(cost.num_prompts, want_cost.num_prompts);
+    EXPECT_EQ(cost.num_batches, want_cost.num_batches);
+    EXPECT_EQ(cost.prompt_tokens, want_cost.prompt_tokens);
+    EXPECT_EQ(cost.completion_tokens, want_cost.completion_tokens);
+  }
 }
 
 TEST(CostTapTest, MeterIsIndependentOfCompletionOrder) {

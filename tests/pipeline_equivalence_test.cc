@@ -3,12 +3,12 @@
 // at a time, in the paper prototype's ladder order, and stops at the
 // first failed prompt; at parallel_batches = 4 the same phases overlap
 // and fail with the same error. A model that does not declare
-// thread_safe() keeps the ladder at any parallel_batches, and refuses
-// speculative scan pages, also when a caller executes the physical plan
-// without GaloisExecutor. The cache cases run the overlapped schedule
-// through a shared PromptCache and MaterialisationCache. Runs under the
-// TSan CI job: the overlapped runs hammer the phase pool and the
-// concurrent table and column tasks.
+// thread_safe() keeps the ladder at any parallel_batches and
+// prefetch_pages, also when a caller executes the physical plan without
+// GaloisExecutor. The cache cases run the overlapped schedule through a
+// shared PromptCache and MaterialisationCache. Runs under the TSan CI
+// job: the overlapped runs hammer the shared pool and the concurrent
+// table and column tasks.
 
 #include <gtest/gtest.h>
 
@@ -298,29 +298,80 @@ TEST(PipelineEquivalenceTest, ThreadSafeModelOverlapsJoinAtDefaultOptions) {
   EXPECT_GT(model.threads().size(), 1u);
 }
 
-TEST(PipelineEquivalenceTest, PrefetchOverSerialModelFailsFast) {
-  llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
-  RecordingModel model(&inner);
+TEST(PipelineEquivalenceTest, PrefetchOverSerialModelTakesTheLadder) {
+  // Over a model that does not declare thread_safe(), prefetch_pages is
+  // clamped to 0 as parallel_batches is to 1: the query and a shard of it
+  // run on this thread, one call at a time, in ladder order, with the
+  // relation and meter of prefetch_pages 0.
   ExecutionOptions opts = SerialOptions();
   opts.prefetch_pages = 2;
+  std::vector<std::string> want;
+  AppendLadder("city", {}, {"country", "population"}, &want);
+  std::vector<std::string> want_shard = want;
+  AppendLadder("country", {"continent"}, {"capital"}, &want);
+
+  auto expect_ladder = [](const RecordingModel& model,
+                          const std::vector<std::string>& order) {
+    EXPECT_FALSE(model.overlapped());
+    EXPECT_EQ(model.threads(),
+              std::set<std::thread::id>{std::this_thread::get_id()});
+    EXPECT_EQ(PhaseOrder(model.calls()), order);
+  };
+  auto expect_same_meter = [](const llm::CostMeter& got,
+                              const llm::CostMeter& expected) {
+    EXPECT_EQ(got.num_prompts, expected.num_prompts);
+    EXPECT_EQ(got.num_batches, expected.num_batches);
+    EXPECT_EQ(got.prompt_tokens, expected.prompt_tokens);
+    EXPECT_EQ(got.completion_tokens, expected.completion_tokens);
+    EXPECT_EQ(got.simulated_latency_ms, expected.simulated_latency_ms);
+  };
+
+  llm::SimulatedLlm plain_inner(&W().kb(), PerfectProfile(), &W().catalog(),
+                                7);
+  RecordingModel plain(&plain_inner);
+  GaloisExecutor ladder(&plain, &W().catalog(), SerialOptions());
+  auto expected = ladder.RunSql(kJoinSql);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+  RecordingModel model(&inner);
   GaloisExecutor galois(&model, &W().catalog(), opts);
   auto out = galois.RunSql(kJoinSql);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(out.status().message().find("prefetch_pages"), std::string::npos)
-      << out.status();
+  ASSERT_TRUE(out.ok()) << out.status();
+  expect_ladder(model, want);
+  EXPECT_TRUE(out->relation.SameContents(expected->relation));
+  expect_same_meter(out->cost, expected->cost);
+  EXPECT_EQ(out->scan_pages_prefetched, 0);
+  EXPECT_EQ(out->physical_plan.find("prefetched speculatively"),
+            std::string::npos)
+      << out->physical_plan;
 
-  // A shard of the same query is refused the same way.
+  // A shard of the same query takes the ladder the same way.
   auto shards = galois.PlanShards(kJoinSql);
   ASSERT_TRUE(shards.ok()) << shards.status();
   ASSERT_FALSE(shards->empty());
   ShardRequest request;
   static_cast<ShardSpec&>(request) = shards->front();
   request.sql = kJoinSql;
-  auto shard = galois.RunShard(request);
-  ASSERT_FALSE(shard.ok());
-  EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(model.calls().empty());
+
+  llm::SimulatedLlm plain_shard_inner(&W().kb(), PerfectProfile(),
+                                      &W().catalog(), 7);
+  RecordingModel plain_shard(&plain_shard_inner);
+  auto expected_shard =
+      GaloisExecutor(&plain_shard, &W().catalog(), SerialOptions())
+          .RunShard(request);
+  ASSERT_TRUE(expected_shard.ok()) << expected_shard.status();
+
+  llm::SimulatedLlm shard_inner(&W().kb(), PerfectProfile(), &W().catalog(),
+                                7);
+  RecordingModel shard_model(&shard_inner);
+  auto shard =
+      GaloisExecutor(&shard_model, &W().catalog(), opts).RunShard(request);
+  ASSERT_TRUE(shard.ok()) << shard.status();
+  expect_ladder(shard_model, want_shard);
+  EXPECT_TRUE(shard->relation.SameContents(expected_shard->relation));
+  expect_same_meter(shard->cost, expected_shard->cost);
+  EXPECT_EQ(shard->scan_pages_prefetched, 0);
 }
 
 TEST(PipelineEquivalenceTest, FailedPromptStopsTheQueryAtAnyParallelism) {

@@ -1,12 +1,15 @@
 // Speculative key-scan prefetch: identical keys/pages/meters to the
 // sequential scan when termination is the page cap, bounded overfetch
-// on early termination, LIMIT-bounded scans never speculate, and
-// cancellation still cuts the scan off.
+// on early termination, the same error for a failed page at every
+// window, LIMIT-bounded scans never speculate, and cancellation still
+// cuts the scan off.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/cancel.h"
 #include "core/galois_executor.h"
@@ -48,6 +51,33 @@ llm::ModelProfile FullCoverage(int page_size) {
   p.page_size = page_size;
   return p;
 }
+
+/// Forwards to `inner` and fails the key-scan prompt of one page after
+/// `inner` has answered (and billed) it.
+class FailingPageModel : public llm::LanguageModel {
+ public:
+  FailingPageModel(llm::LanguageModel* inner, int page)
+      : inner_(inner), page_(page) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return inner_->thread_safe(); }
+
+  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
+    Result<llm::Completion> completion = inner_->Complete(prompt);
+    const auto* scan = std::get_if<llm::KeyScanIntent>(&prompt.intent);
+    if (scan != nullptr && scan->page == page_) {
+      return Status::LlmError("no answer for page " + std::to_string(page_));
+    }
+    return completion;
+  }
+
+  llm::CostMeter cost() const override { return inner_->cost(); }
+  void ResetCost() override { inner_->ResetCost(); }
+
+ private:
+  llm::LanguageModel* inner_;
+  int page_;
+};
 
 TEST(ScanPrefetchTest, CapTerminationMatchesSequentialExactly) {
   // Cap termination: every issued page is wanted, so the speculative
@@ -105,6 +135,33 @@ TEST(ScanPrefetchTest, EarlyTerminationJoinsAndCountsOverfetch) {
             static_cast<int>(seq_model.cost().num_prompts));
   // Every speculated round trip was paid for.
   EXPECT_EQ(static_cast<int>(pre_model.cost().num_prompts), stats.pages);
+}
+
+TEST(ScanPrefetchTest, FailedPageReadsTheSameAtEveryWindow) {
+  // Page 2 fails after it billed. Both windows return the model's status
+  // unchanged; the speculative scan had pages 3 and 4 in flight by then,
+  // so it pays for them and reports them as overfetched.
+  std::vector<Status> errors;
+  for (int prefetch_pages : {0, 2}) {
+    SCOPED_TRACE("prefetch_pages=" + std::to_string(prefetch_pages));
+    ExecutionOptions options;
+    options.prefetch_pages = prefetch_pages;
+    llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+    FailingPageModel model(&inner, /*page=*/2);
+    KeyScanStats stats;
+    auto keys = LlmKeyScan(&model, CountryDef(), options,
+                           /*filter=*/std::nullopt, &stats);
+    ASSERT_FALSE(keys.ok());
+    errors.push_back(keys.status());
+    EXPECT_EQ(static_cast<int>(inner.cost().num_prompts), stats.pages);
+    EXPECT_EQ(stats.pages, prefetch_pages == 0 ? 3 : 5);
+    EXPECT_EQ(stats.overfetched, prefetch_pages == 0 ? 0 : 2);
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].code(), StatusCode::kLlmError);
+  EXPECT_EQ(errors[1].code(), errors[0].code());
+  EXPECT_EQ(errors[1].message(), errors[0].message());
+  EXPECT_EQ(errors[0].message(), "no answer for page 2");
 }
 
 TEST(ScanPrefetchTest, WindowWiderThanPageCapTerminates) {

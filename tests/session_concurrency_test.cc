@@ -4,8 +4,8 @@
 // sequentially — the acceptance contract of the Database/Session façade
 // (per-query CostTap attribution instead of the old racy
 // snapshot-and-diff of the shared model meter). Runs under the TSan CI
-// job: 16 queries in flight hammer the phase pool, the batch scheduler
-// and the shared model stack from many threads.
+// job: 16 queries in flight hammer the shared thread pool, the batch
+// scheduler and the shared model stack from many threads.
 //
 // Also covers the façade's control surface: the options snapshot rule
 // (set_options never leaks into a dispatched query), per-query deadline
@@ -91,7 +91,9 @@ void ExpectSameMeter(const llm::CostMeter& a, const llm::CostMeter& b,
 }
 
 TEST(SessionConcurrencyTest, NSessionsTimesMQueriesMatchSequential) {
-  constexpr int kSessions = 4;  // x4 queries = 16 concurrent, > phase pool
+  // x4 queries = 16 concurrent, each fanning out table and column tasks
+  // on the same shared pool.
+  constexpr int kSessions = 4;
   std::unique_ptr<Database> db = OpenStressDb(/*with_table_cache=*/false);
 
   // Sequential reference: one session, one query at a time.
