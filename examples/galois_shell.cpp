@@ -136,15 +136,14 @@ void PrintHelp() {
       "  .truth <on|off>          run on the ground-truth DB instead\n"
       "  .pushdown <never|always|auto>    selection pushdown policy\n"
       "  .verify <on|off>         critic verification of every cell\n"
-      "  .batch <on|off>          batched prompt round trips\n"
+      "  .batch <on|off>          batched prompt round trips; a key scan\n"
+      "                           fetches its predicted pages in batches\n"
       "  .parallel <n> [chunk]    round trips in flight per phase (default\n"
       "                           4; needs .batch on); above 1 also\n"
       "                           overlaps independent phases (tables,\n"
       "                           column chains) over a thread-safe model;\n"
       "                           1 is the serial ladder; chunk sets\n"
       "                           max_batch_size\n"
-      "  .prefetch <n>            speculative key-scan pages in flight\n"
-      "                           ahead of consumption; 0 disables\n"
       "  .sessions <n>            run each statement as n concurrent\n"
       "                           sessions (results verified identical)\n"
       "  .deadline <ms>           per-query deadline; 0 disables\n"
@@ -223,12 +222,6 @@ bool HandleCommand(ShellState* state, const std::string& line) {
       // Whole-phase batches leave nothing to overlap; pick a sane chunk.
       state->options.max_batch_size = 8;
     }
-    reopen = true;
-  } else if (cmd == ".prefetch") {
-    int n = std::atoi(arg().c_str());
-    state->options.prefetch_pages = n < 0 ? 0 : n;
-    std::printf("key-scan prefetch: %d pages ahead\n",
-                state->options.prefetch_pages);
     reopen = true;
   } else if (cmd == ".sessions") {
     int n = std::atoi(arg().c_str());
@@ -407,7 +400,7 @@ void PrintResult(const galois::QueryResult& result) {
                 static_cast<long long>(result.table_cache_subsumption_hits));
   }
   if (result.scan_pages_prefetched > 0) {
-    std::printf("(%lld scan pages prefetched, %lld overfetched)\n",
+    std::printf("(%lld scan pages fetched ahead, %lld overfetched)\n",
                 static_cast<long long>(result.scan_pages_prefetched),
                 static_cast<long long>(result.scan_pages_overfetched));
   }

@@ -345,7 +345,7 @@ AsyncQuery Session::QueryAsync(const std::string& sql,
   AsyncQuery pending;
   pending.control = control;
   // The shared pool hosts the query task; its nested fan-out (table and
-  // column tasks, scan pages, chunk pullers) is deadlock-free by
+  // column tasks, chunk pullers) is deadlock-free by
   // TaskHandle's claim-on-join, so arbitrarily many queries may be in
   // flight against the bounded pool.
   pending.handle = TaskHandle<Result<QueryResult>>::Launch(

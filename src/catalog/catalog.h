@@ -46,7 +46,8 @@ struct TableDef {
   std::string entity_type;
 
   /// Optimiser statistic: expected number of entities behind the table
-  /// (0 = unknown). Drives the auto pushdown policy.
+  /// (0 = unknown). Drives the auto pushdown policy and sizes a batched
+  /// key scan (core::LlmKeyScan).
   size_t expected_rows = 0;
 
   /// Index of `key_column` in `columns` (or error).

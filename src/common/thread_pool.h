@@ -21,9 +21,9 @@ template <typename T>
 class TaskHandle;
 
 /// A small thread pool for overlapping I/O-bound work: the phase tasks of
-/// `core::PhysicalPlan`, speculative key-scan pages, the concurrent
-/// `CompleteBatch` round trips of `llm::BatchScheduler` and the queries
-/// of `Session::QueryAsync`, all on the one process-wide `Shared()` pool.
+/// `core::PhysicalPlan`, the concurrent `CompleteBatch` round trips of
+/// `llm::BatchScheduler` and the queries of `Session::QueryAsync`, all on
+/// the one process-wide `Shared()` pool.
 ///
 /// Tasks go onto the pool only through `TaskHandle::Launch`, as
 /// `std::function<void()>` thunks executed FIFO by worker threads that
@@ -74,10 +74,10 @@ class ThreadPool {
   static ThreadPool& Shared();
 
   /// Cap of the shared pool. Sized for overlapped round-trip latency, not
-  /// CPU parallelism: it bounds how many phases, scan pages, chunk
-  /// round trips and async queries overlap across the process. Claim-on-
-  /// join makes saturation safe, so this is a throughput knob, not a
-  /// correctness bound.
+  /// CPU parallelism: it bounds how many phases, chunk round trips and
+  /// async queries overlap across the process. Claim-on-join makes
+  /// saturation safe, so this is a throughput knob, not a correctness
+  /// bound.
   static constexpr size_t kSharedThreads = 24;
 
  private:

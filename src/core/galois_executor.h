@@ -36,11 +36,11 @@ class MaterialisationCache;
 /// warm-started from the persistent store — tables this *process* never
 /// paid for; prompt-level store hits are in llm::CostMeter::store_hits.
 ///
-/// Speculative key-scan paging (ExecutionOptions::prefetch_pages), both 0
-/// with prefetch off: `scan_pages_prefetched` counts the pages whose
-/// round trip was issued before the previous page's answer had been
-/// consumed, and `scan_pages_overfetched` the subset bought past the page
-/// that terminated the scan (paid for, parked in the prompt cache).
+/// Sized key-scan paging (core::LlmKeyScan), both 0 with batch_prompts
+/// off: `scan_pages_prefetched` counts the pages fetched ahead in the
+/// scans' flushes, after page 0 sized each scan, and
+/// `scan_pages_overfetched` the subset the scans did not consume, past
+/// the page that terminated each (paid for, parked in the prompt cache).
 struct QueryCounters {
   int64_t table_cache_lookups = 0;
   int64_t table_cache_hits = 0;

@@ -1,8 +1,8 @@
 #include "core/llm_operators.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
+#include <utility>
 
 #include "clean/normalize.h"
 #include "llm/prompt_templates.h"
@@ -70,6 +70,33 @@ bool ConsumeScanPage(const llm::Completion& completion,
   return new_keys > 0;
 }
 
+/// Sends scan pages `first` .. `last` in one Flush and returns their
+/// completions in page order, or none when the flush failed. A failed
+/// flush counts the pages `model`'s meter billed for it (a serial
+/// dispatch stops at its first failed chunk, a model's default
+/// CompleteBatch at its first failed prompt), all of them overfetched.
+std::vector<llm::Completion> FlushScanPages(llm::BatchScheduler* scheduler,
+                                            llm::LanguageModel* model,
+                                            const catalog::TableDef& table,
+                                            int first, int last,
+                                            KeyScanStats* stats) {
+  for (int page = first; page <= last; ++page) {
+    scheduler->Add(BuildScanPagePrompt(table, std::nullopt, page));
+  }
+  const int batches_before = scheduler->batches_dispatched();
+  const int64_t billed_before = model->cost().num_prompts;
+  Result<std::vector<llm::Completion>> batch = scheduler->Flush();
+  stats->batches += scheduler->batches_dispatched() - batches_before;
+  const int pages =
+      batch.ok() ? last - first + 1
+                 : static_cast<int>(model->cost().num_prompts - billed_before);
+  stats->pages += pages;
+  stats->flushed += pages;
+  if (batch.ok()) return std::move(batch).value();
+  stats->overfetched += pages;
+  return {};
+}
+
 }  // namespace
 
 Result<std::vector<std::string>> LlmKeyScan(
@@ -77,60 +104,61 @@ Result<std::vector<std::string>> LlmKeyScan(
     const ExecutionOptions& options,
     const std::optional<llm::PromptFilter>& filter, KeyScanStats* stats,
     int64_t key_limit) {
-  if (stats != nullptr) *stats = KeyScanStats{};
+  KeyScanStats unused;
+  KeyScanStats& s = stats != nullptr ? *stats : unused;
+  s = KeyScanStats{};
   std::vector<std::string> keys;
   std::unordered_set<std::string> seen;
   llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
                                 "key-scan:" + table.entity_type);
-
-  // Page prompts are independent texts, so pages k+1..k+window-1 may be
-  // bought while page k's answer is parsed. Pages are joined strictly in
-  // page order, so the termination decision (and the key set) is the
-  // window-1 scan's. A LIMIT-bounded scan keeps a window of 1: the bound
-  // promises that no round trip past the satisfying page is issued.
-  const int window =
-      key_limit >= 0 ? 1 : 1 + std::max(0, options.prefetch_pages);
-  std::deque<TaskHandle<Result<llm::Completion>>> inflight;  // page order
-  int next_page = 0;
-  for (;;) {
+  // A filtered scan has no row estimate to size it by (expected_rows
+  // counts the whole table), and a LIMIT-bounded one promises no round
+  // trip past the satisfying page.
+  const bool sized = options.batch_prompts && !filter.has_value() &&
+                     key_limit < 0 && table.expected_rows > 0;
+  // Pages 0 .. predicted - 1 hold keys by the catalog's count (capped by
+  // max_scan_pages), set once page 0 shows the page size. Whenever the
+  // pages fetched ahead run out inside the prediction, the next ones go
+  // out in one flush, one more than the scan has consumed (pages 1-2,
+  // then 3-6, then 7-14, ...), so a model that ends its scan before the
+  // catalog's count buys fewer pages past the end than it consumed. A
+  // failed flush is not the scan's error: the scan goes on demand from
+  // the failed flush's first page to its end.
+  int predicted = 0;
+  std::vector<llm::Completion> ahead;  // from the last flush
+  size_t next = 0;                     // ahead[next] answers `page`
+  for (int page = 0; page < options.max_scan_pages; ++page) {
     // LIMIT-bounded paging stops buying pages once enough keys are
     // scanned for the downstream Limit operator to be satisfiable.
-    while (static_cast<int>(inflight.size()) < window &&
-           next_page < options.max_scan_pages &&
-           (key_limit < 0 || static_cast<int64_t>(keys.size()) < key_limit)) {
-      // A page issued while no other is in flight runs on this thread at
-      // its Join; one issued behind others is launched on the pool before
-      // the pages ahead of it are consumed, and so counts as prefetched.
-      const bool launched = !inflight.empty();
-      inflight.push_back(StartPhaseTask<Result<llm::Completion>>(
-          window > 1, inflight.size(),
-          [&scheduler,
-           prompt = BuildScanPagePrompt(table, filter, next_page)] {
-            return scheduler.CompleteOne(prompt);
-          }));
-      ++next_page;
-      if (stats != nullptr) {
-        ++stats->pages;
-        if (launched) ++stats->prefetched;
-      }
+    if (key_limit >= 0 && static_cast<int64_t>(keys.size()) >= key_limit) {
+      break;
     }
-    if (inflight.empty()) return keys;
-    Result<llm::Completion> page = inflight.front().Join();
-    inflight.pop_front();
-    if (page.ok() && ConsumeScanPage(*page, &keys, &seen)) continue;
-    // The scan ends here. Every page still in flight was launched and
-    // bills whether or not the scan wants its answer: join the stragglers
-    // so their completions settle into any prompt-cache decorator
-    // instead of being abandoned mid-flight.
-    if (stats != nullptr) {
-      stats->overfetched += static_cast<int>(inflight.size());
+    const int last = std::min(2 * page, predicted - 1);
+    if (next == ahead.size() && last > page) {
+      ahead = FlushScanPages(&scheduler, model, table, page, last, &s);
+      next = 0;
+      if (ahead.empty()) predicted = 0;  // the flush failed
     }
-    for (TaskHandle<Result<llm::Completion>>& straggler : inflight) {
-      (void)straggler.Join();
+    llm::Completion completion;
+    if (next < ahead.size()) {
+      completion = std::move(ahead[next++]);
+    } else {
+      ++s.pages;
+      GALOIS_ASSIGN_OR_RETURN(
+          completion,
+          scheduler.CompleteOne(BuildScanPagePrompt(table, filter, page)));
     }
-    if (!page.ok()) return page.status();
-    return keys;
+    if (!ConsumeScanPage(completion, &keys, &seen)) {
+      s.overfetched += static_cast<int>(ahead.size() - next);
+      break;
+    }
+    if (page == 0 && sized) {
+      predicted = static_cast<int>(std::min<size_t>(
+          (table.expected_rows + keys.size() - 1) / keys.size(),
+          static_cast<size_t>(options.max_scan_pages)));
+    }
   }
+  return keys;
 }
 
 Result<std::vector<Value>> LlmGetAttributeBatch(

@@ -1,16 +1,13 @@
 #ifndef GALOIS_CORE_LLM_OPERATORS_H_
 #define GALOIS_CORE_LLM_OPERATORS_H_
 
-#include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/options.h"
 #include "core/provenance.h"
 #include "llm/batch_scheduler.h"
@@ -28,9 +25,11 @@ namespace galois::core {
 /// ExecutionOptions::max_batch_size, up to
 /// ExecutionOptions::parallel_batches in flight concurrently) when
 /// options.batch_prompts is on, sequential Complete calls otherwise. All
-/// modes issue the same deduplicated prompt set and return identical
-/// results; only the round trips — and, with parallelism, the wall-clock
-/// time — differ. Each scheduler carries a phase label
+/// modes return identical results, and every phase but the key scan
+/// issues the same deduplicated prompt set in all of them; only the round
+/// trips — and, with parallelism, the wall-clock time — differ. (A
+/// batched key scan may also buy pages past the one that ends it, see
+/// LlmKeyScan.) Each scheduler carries a phase label
 /// ("filter-check:population") so a failed round trip names the phase and
 /// chunk in its error message. Which phases overlap is decided one layer
 /// up, by core::PhysicalPlan.
@@ -38,33 +37,26 @@ namespace galois::core {
 /// The scheduler dispatch policy implied by the execution options.
 llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options);
 
-/// Starts the `index`-th task of a group of independent phases: a plan's
-/// LLM tables, a table's column chains, a key scan's pages in flight. The
-/// first (`index` 0) is deferred to its Join and so runs on the joining
-/// thread. With `overlap` the others launch on ThreadPool::Shared(), so a
-/// fan-out of k tasks occupies at most k - 1 pool workers. Without it
-/// they are deferred too, and joining the group in order runs it one
-/// task after another on the calling thread — the paper prototype's
-/// ladder, prompt for prompt.
-template <typename T>
-TaskHandle<T> StartPhaseTask(bool overlap, size_t index,
-                             std::function<T()> fn) {
-  if (overlap && index > 0) {
-    return TaskHandle<T>::Launch(ThreadPool::Shared(), std::move(fn));
-  }
-  return TaskHandle<T>::Deferred(std::move(fn));
-}
-
-/// Paging accounting of one LlmKeyScan: every page bought (round trip
-/// issued), how many of those were dispatched speculatively before the
-/// previous page's answer had been consumed, and how many were bought
-/// past the page that terminated the scan (speculation overshoot — those
-/// completions are still joined and land in the prompt-cache layer, so
-/// a later scan of the same table gets them for free).
+/// Paging accounting of one LlmKeyScan. `pages` counts the page prompts
+/// the scan sent. `flushed` counts those sent in the sized scan's
+/// flushes, before the pages ahead of them were consumed, and `batches`
+/// the CompleteBatch round trips the scheduler dispatched for them.
+/// `overfetched` counts the flushed pages the scan did not consume: the
+/// pages past the one that ended the scan, and every page of a failed
+/// flush. A failed flush counts only the pages the model's meter billed
+/// for it, so over a model without a prompt cache `pages` is the meter's
+/// prompt count. Overfetched pages were billed, and their completions
+/// stay in any prompt-cache decorator, so a later scan of the same table
+/// gets them for free.
 struct KeyScanStats {
   int pages = 0;
-  int prefetched = 0;
+  int flushed = 0;
+  int batches = 0;
   int overfetched = 0;
+
+  /// Round trips of the scan: each page fetched on its own (page 0 and
+  /// the on-demand pages) and each flush batch.
+  int round_trips() const { return pages - flushed + batches; }
 };
 
 /// Leaf data access: retrieves the set of key-attribute values of `table`
@@ -74,26 +66,35 @@ struct KeyScanStats {
 /// prompt (Section 6 optimisation). Keys are deduplicated, first-seen
 /// order.
 ///
-/// One paging loop serves demand and speculative paging. Each page is one
-/// BatchScheduler::CompleteOne task, and the scan keeps a window of
-/// 1 + options.prefetch_pages pages in flight (a negative value counts as
-/// 0). Page prompts are independent texts (page k+1's prompt does not
-/// embed page k's answer), but the *termination decision* is sequential,
-/// so pages are joined in page order. A page issued while no other is in
-/// flight runs on the scanning thread at its Join; a page issued behind
-/// others is launched on ThreadPool::Shared() (StartPhaseTask's rule) and
-/// counted as prefetched. At window 1 the scan is the paper prototype's
-/// ladder, call for call. At any window the surviving keys, pages bought
-/// and CostMeter are identical whenever the scan terminates at the
-/// max_scan_pages cap; when the model terminates it early, or a page
-/// fails, the pages still in flight are joined (they bill, and their
-/// completions stay in any prompt-cache decorator) and reported as
-/// overfetched. A failed page returns CompleteOne's status at every
-/// window. `key_limit >= 0` stops paging as soon as that many keys have
-/// been scanned (the plan compiler sets it when a LIMIT provably bounds
-/// the scan): the returned prefix may exceed the limit within the last
-/// page but no further page round trips are issued, so a bounded scan
-/// always uses a window of 1.
+/// One paging loop. Page prompts are independent texts (page k+1's
+/// prompt does not embed page k's answer), but the *termination
+/// decision* is sequential, so pages are consumed strictly in page order.
+/// Page 0 goes alone, through BatchScheduler::CompleteOne. With
+/// options.batch_prompts on, the n new keys it returns size the scan:
+/// the catalog's table.expected_rows predicts ceil(expected_rows / n)
+/// pages (capped by max_scan_pages). Whenever the pages fetched ahead run
+/// out inside that prediction, the next ones go out in one
+/// BatchScheduler::Flush, one page more than the scan has consumed
+/// (pages 1-2, then 3-6, then 7-14, ...) and only when that is at least
+/// two pages, chunked by max_batch_size and fanned over parallel_batches
+/// like every batched phase. Any other page is fetched on demand, one
+/// CompleteOne each. The scan takes the paper prototype's ladder, call
+/// for call, with batch_prompts off, for a `filter` scan, for a
+/// LIMIT-bounded scan and for a table whose expected_rows is 0.
+///
+/// Either way the keys are the ladder's. A flush also buys the pages past
+/// the one that ends the scan (they bill, see KeyScanStats), but fewer
+/// than the scan consumed, because each flush is at most one page larger
+/// than the pages before it. A failed flush is not the scan's error: the
+/// scan goes on demand from that flush's first page to its end, so it
+/// ends with the ladder's keys or the ladder's Status, code and message,
+/// and what the failed flush billed still bills. It is counted from
+/// `model`'s meter, so over a model stack that other queries share pass
+/// a per-scan llm::CostTap, as core::PhysicalPlan does.
+/// `key_limit >= 0` stops paging as soon as that many keys have been
+/// scanned (the plan compiler sets it when a LIMIT provably bounds the
+/// scan): the returned prefix may exceed the limit within the last page
+/// but no further page round trips are issued.
 Result<std::vector<std::string>> LlmKeyScan(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const ExecutionOptions& options,

@@ -150,11 +150,11 @@ class MaterialisationSink {
 /// materialised bytes: table definition identity, the result-affecting
 /// ExecutionOptions (verify_cells, cleaning, domains, max_scan_pages)
 /// and the model name. Dispatch-only knobs (batch_prompts,
-/// max_batch_size, parallel_batches, prefetch_pages) are deliberately
-/// excluded — they never change results, so a serial run can serve an
-/// overlapped or prefetched one and vice versa. The descriptor covers the pushed conjuncts in canonical
-/// order, which conjunct (if any) was merged into the scan prompt, and
-/// the LIMIT-derived paging bound.
+/// max_batch_size, parallel_batches) are deliberately excluded — they
+/// never change results, so a serial run can serve an overlapped or
+/// batched one and vice versa. The descriptor covers the pushed
+/// conjuncts in canonical order, which conjunct (if any) was merged into
+/// the scan prompt, and the LIMIT-derived paging bound.
 ///
 /// Predicate subsumption: a query's pushed filter F' is served by an
 /// entry cached under filter F when F' implies F — every conjunct of F

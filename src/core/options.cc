@@ -27,8 +27,7 @@ std::string ExecutionOptions::ToString() const {
      << " max_batch=" << max_batch_size
      << " parallel_batches=" << parallel_batches
      << " provenance=" << (record_provenance ? "on" : "off")
-     << " max_pages=" << max_scan_pages
-     << " prefetch=" << prefetch_pages;
+     << " max_pages=" << max_scan_pages;
   if (!phase_models.empty()) {
     os << " routes=";
     bool first = true;

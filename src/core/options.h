@@ -50,7 +50,11 @@ struct ExecutionOptions {
   /// decoding. Off by default to mirror the paper prototype's sequential
   /// behaviour. Either way, every retrieval phase is dispatched through
   /// llm::BatchScheduler, which also dedupes repeated prompt texts within
-  /// a phase (repeated keys from a join are billed once).
+  /// a phase (repeated keys from a join are billed once). The key scan
+  /// batches too: after page 0, the pages the catalog's expected_rows
+  /// predicts travel in flushes that grow with the pages consumed, and
+  /// the pages the scan did not need past the one that ended it still
+  /// bill (core::LlmKeyScan).
   bool batch_prompts = false;
 
   /// Upper bound on prompts per CompleteBatch round trip when
@@ -65,7 +69,7 @@ struct ExecutionOptions {
   /// and how many round trips each phase keeps in flight. Overlap is the
   /// default, and it needs a thread-safe stack: over a model that does
   /// not declare llm::LanguageModel::thread_safe(), core::PhysicalPlan
-  /// runs the query at 1 (and prefetch_pages at 0) whatever this says.
+  /// runs the query at 1 whatever this says.
   /// Above 1:
   ///  - within a phase, with batch_prompts on, the max_batch_size chunks
   ///    fan out across ThreadPool::Shared(), up to this many at once,
@@ -77,8 +81,7 @@ struct ExecutionOptions {
   ///    *sum* of the phase latencies towards the *max* along the longest
   ///    chain.
   /// At 1 every phase runs on the calling thread in the paper
-  /// prototype's order (speculative scan pages aside, see
-  /// prefetch_pages); tests and benches that need that ladder pin it.
+  /// prototype's order; tests and benches that need that ladder pin it.
   /// Results, provenance order and the CostMeter are the same at every
   /// value. Values < 1 are treated as 1.
   int parallel_batches = 4;
@@ -95,23 +98,6 @@ struct ExecutionOptions {
   /// Upper bound on "Return more results" pages per key scan (the paper's
   /// user-specified termination threshold alternative).
   int max_scan_pages = 64;
-
-  /// Speculative key-scan paging depth: while page k's completion is
-  /// being parsed, keep up to this many further page round trips in
-  /// flight (0, or a negative value, disables — the paper prototype's
-  /// strictly sequential paging). The speculative pages call the model
-  /// from ThreadPool::Shared() workers even at parallel_batches == 1, so
-  /// they need a stack that declares thread_safe(): over a serial stack
-  /// core::PhysicalPlan runs the query at 0. Dispatch-only: the surviving
-  /// key set, the CostMeter and the pages bought are identical when the
-  /// scan terminates at the max_scan_pages cap; when the model signals
-  /// "no more results" early, or a page fails, the pages already
-  /// speculated are still paid for, joined, and left in the prompt cache
-  /// rather than discarded (counted as overfetched in QueryOutput).
-  /// Excluded from the materialisation-cache base key, like the other
-  /// dispatch knobs. Disabled for LIMIT-bounded scans, which must never
-  /// buy pages past the bound.
-  int prefetch_pages = 0;
 
   /// Execute per-key selection checks with the LLM (the paper's filter
   /// operator). When false, the attribute is retrieved instead and the

@@ -89,13 +89,29 @@ Result<RetrievedColumn> RetrieveColumn(llm::LanguageModel* attr_model,
 }
 
 /// Fits `options` to what `model` declared about concurrent calls: over a
-/// stack that is not thread-safe the query runs at parallel_batches 1 and
-/// prefetch_pages 0, so every model call comes from the calling thread,
-/// one at a time, in ladder order.
+/// stack that is not thread-safe the query runs at parallel_batches 1, so
+/// every model call comes from the calling thread, one at a time, in
+/// ladder order.
 void FitToModel(const llm::LanguageModel& model, ExecutionOptions* options) {
   if (model.thread_safe()) return;
   options->parallel_batches = 1;
-  options->prefetch_pages = 0;
+}
+
+/// Starts the `index`-th task of a group of independent phases: a plan's
+/// LLM tables, or a table's column chains. The first (`index` 0) is
+/// deferred to its Join and so runs on the joining thread. With
+/// `overlap` the others launch on ThreadPool::Shared(), so a fan-out of
+/// k tasks occupies at most k - 1 pool workers. Without it they are
+/// deferred too, and joining the group in order runs it one task after
+/// another on the calling thread — the paper prototype's ladder, prompt
+/// for prompt.
+template <typename T>
+TaskHandle<T> StartPhaseTask(bool overlap, size_t index,
+                             std::function<T()> fn) {
+  if (overlap && index > 0) {
+    return TaskHandle<T>::Launch(ThreadPool::Shared(), std::move(fn));
+  }
+  return TaskHandle<T>::Deferred(std::move(fn));
 }
 
 /// Joins `tasks` in order. At the first failure the rest are cancelled —
@@ -625,14 +641,18 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
       LlmKeyScan(&scan_tap, def, options_, scan_filter, &group.scan_stats,
                  group.key_limit));
   FinishLlmOp(group.scan_node, scan_tap, keys.size());
-  group.scan_node->stats.round_trips = group.scan_stats.pages;
-  // Announce speculation from what the scan did, not from the options:
-  // a scan that kept one page in flight never claims it speculated.
-  if (group.scan_stats.prefetched > 0) {
+  // Pages share round trips once some travel in flushes, so the scan
+  // counts its own, and the label says what the flushes did.
+  const KeyScanStats& paging = group.scan_stats;
+  group.scan_node->stats.round_trips = paging.round_trips();
+  if (paging.flushed > 0) {
     std::string& label = group.scan_node->label;
     label.insert(label.rfind(')'),
-                 "; " + std::to_string(group.scan_stats.prefetched) +
-                     " pages prefetched speculatively");
+                 "; " + std::to_string(paging.flushed) +
+                     " pages fetched ahead in " +
+                     (paging.batches == 1
+                          ? std::string("one batch")
+                          : std::to_string(paging.batches) + " batches"));
   }
 
   // Key-range shard slice (cluster scatter-gather): keep the contiguous
@@ -892,7 +912,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     for (CellProvenance& c : traces[t].cells) {
       out->trace.cells.push_back(std::move(c));
     }
-    out->scan_pages_prefetched += group.scan_stats.prefetched;
+    out->scan_pages_prefetched += group.scan_stats.flushed;
     out->scan_pages_overfetched += group.scan_stats.overfetched;
     if (use_cache) {
       cache->Insert(base_keys[pending[t]], group.descriptor,
@@ -1074,7 +1094,7 @@ Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardRequest& request,
   }
   GALOIS_ASSIGN_OR_RETURN(Relation rel,
                           MaterialiseLlm(*group, model, &out.trace));
-  out.scan_pages_prefetched = group->scan_stats.prefetched;
+  out.scan_pages_prefetched = group->scan_stats.flushed;
   out.scan_pages_overfetched = group->scan_stats.overfetched;
   if (use_cache) {
     cache->Insert(base_key, group->descriptor, group->needed_columns, rel);

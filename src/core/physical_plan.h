@@ -44,8 +44,9 @@ struct OperatorStats {
   bool from_remote = false;
   /// Output rows of the operator; -1 when it never produced any.
   int64_t rows = -1;
-  /// LLM round trips this operator issued: scan pages, or batch round
-  /// trips (falling back to prompt count under sequential dispatch).
+  /// LLM round trips this operator issued: batch round trips (falling
+  /// back to prompt count under sequential dispatch), or for a key scan
+  /// KeyScanStats::round_trips(), where pages may share a round trip.
   int64_t round_trips = 0;
   /// Exactly this operator's LLM spend, attributed through a nested
   /// per-operator llm::CostTap. All-zero for relational operators.
@@ -91,13 +92,13 @@ struct PhysicalNode {
 /// joined in FROM and column order. With parallel_batches > 1, over a
 /// model that declares thread_safe(), the tasks overlap: the first of
 /// each group runs on the joining thread and the others on
-/// ThreadPool::Shared() (core::StartPhaseTask). At 1, or over a serial
-/// model, each runs when joined, on the calling thread, so the prompts go
-/// out in the paper prototype's ladder order: tables in FROM order;
-/// within a table the scan pages, key verification and filter checks,
-/// then attribute and verify for each column in turn. Either way the
-/// first failing task in that order supplies the error, and tasks not
-/// yet started when it surfaces never run.
+/// ThreadPool::Shared() (StartPhaseTask in physical_plan.cc). At 1, or
+/// over a serial model, each runs when joined, on the calling thread, so
+/// the prompts go out in the paper prototype's ladder order: tables in
+/// FROM order; within a table the scan pages, key verification and
+/// filter checks, then attribute and verify for each column in turn.
+/// Either way the first failing task in that order supplies the error,
+/// and tasks not yet started when it surfaces never run.
 ///
 /// One PhysicalPlan executes one query: GaloisExecutor::Run compiles a
 /// fresh plan per call, so executor-level thread-safety is preserved
@@ -122,10 +123,9 @@ class PhysicalPlan {
   /// most once per compiled plan.
   ///
   /// This is where a query's options meet its model. When `model` does
-  /// not declare thread_safe(), the plan runs at parallel_batches 1 and
-  /// prefetch_pages 0, whatever the options say, so the model is called
-  /// from this thread, one call at a time, in ladder order. ExecuteShard
-  /// does the same.
+  /// not declare thread_safe(), the plan runs at parallel_batches 1,
+  /// whatever the options say, so the model is called from this thread,
+  /// one call at a time, in ladder order. ExecuteShard does the same.
   Result<QueryOutput> Execute(llm::LanguageModel* model,
                               MaterialisationCache* cache);
 
@@ -176,9 +176,9 @@ class PhysicalPlan {
     /// compiled (and canonicalised) from the annotated scan filters —
     /// what predicate-subsumption lookups reason over.
     PredicateDescriptor descriptor;
-    /// Key-scan paging outcome (pages bought / prefetched /
-    /// overfetched), filled by MaterialiseLlm and aggregated into
-    /// QueryOutput by MaterialiseAll.
+    /// Key-scan paging outcome (pages bought, pages flushed, their
+    /// batches and the pages overfetched), filled by MaterialiseLlm and
+    /// aggregated into QueryOutput by MaterialiseAll.
     KeyScanStats scan_stats;
     /// Contiguous key-range slice for shard execution: after the scan,
     /// only scanned keys [n*i/c, n*(i+1)/c) proceed to the per-key

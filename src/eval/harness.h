@@ -37,8 +37,8 @@ struct ExperimentConfig {
 };
 
 /// Per-query measurements. The core::QueryCounters base holds the Galois
-/// run's counters (all 0 when neither the materialisation cache nor
-/// prefetch is on; the store hits need store_path).
+/// run's counters (the cache counters need the materialisation cache, the
+/// scan-page counters batch_prompts, the store hits store_path).
 struct QueryOutcome : core::QueryCounters {
   int query_id = 0;
   knowledge::QueryClass query_class = knowledge::QueryClass::kSelection;

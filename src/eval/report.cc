@@ -139,10 +139,10 @@ std::string FormatCostStats(const std::vector<QueryOutcome>& outcomes) {
     os << buf;
   }
   if (counters.scan_pages_prefetched > 0) {
-    // Speculative paging: pages bought ahead of consumption, and the
-    // subset bought past the page that terminated its scan.
+    // Sized key scans: pages fetched ahead in flushes, and the subset
+    // bought past the page that terminated its scan.
     std::snprintf(buf, sizeof(buf),
-                  "Key-scan prefetch: %lld pages prefetched, %lld "
+                  "Key-scan paging: %lld pages fetched ahead, %lld "
                   "overfetched\n",
                   static_cast<long long>(counters.scan_pages_prefetched),
                   static_cast<long long>(counters.scan_pages_overfetched));

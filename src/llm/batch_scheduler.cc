@@ -81,6 +81,7 @@ Result<std::vector<Completion>> BatchScheduler::DispatchBatched(
   // the caller adds the chunk context.
   auto run_chunk = [&](size_t i) -> Status {
     GALOIS_RETURN_IF_ERROR(CheckCancel(policy_.control));
+    batches_dispatched_.fetch_add(1);
     GALOIS_ASSIGN_OR_RETURN(std::vector<Completion> completions,
                             model_->CompleteBatch(chunks[i]));
     GALOIS_RETURN_IF_ERROR(

@@ -1,6 +1,7 @@
 #ifndef GALOIS_LLM_BATCH_SCHEDULER_H_
 #define GALOIS_LLM_BATCH_SCHEDULER_H_
 
+#include <atomic>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -55,12 +56,12 @@ struct BatchPolicy {
 /// two concurrent chunks ever carry the same prompt text.
 ///
 /// Thread-safety: a scheduler instance is NOT itself thread-safe — it is
-/// a per-phase, single-owner object (Add/Flush from one thread);
-/// CompleteOne only reads it, so concurrent page tasks may share one. The
-/// concurrency introduced by parallel_batches is internal to Flush, which
-/// joins every in-flight round trip before returning. Its chunk pullers
-/// are TaskHandles on ThreadPool::Shared(), so a Flush may run inside any
-/// pool task: a puller no worker has started runs on the joining thread.
+/// a per-phase, single-owner object (Add/Flush/CompleteOne from one
+/// thread). The concurrency introduced by parallel_batches is internal
+/// to Flush, which joins every in-flight round trip before returning.
+/// Its chunk pullers are TaskHandles on ThreadPool::Shared(), so a Flush
+/// may run inside any pool task: a puller no worker has started runs on
+/// the joining thread.
 class BatchScheduler {
  public:
   /// `model` must outlive the scheduler. `phase` is a human-readable
@@ -99,9 +100,9 @@ class BatchScheduler {
   /// Convenience: queue `prompts` and flush in one call.
   Result<std::vector<Completion>> Run(std::vector<Prompt> prompts);
 
-  /// Dispatches one dependent prompt immediately, outside any batch
-  /// (scan paging: page k+1 cannot be built until page k's answer is
-  /// seen). Never billed as a batch round trip.
+  /// Dispatches one prompt immediately, outside any batch (scan paging:
+  /// whether page k+1 is wanted depends on page k's answer). Never
+  /// billed as a batch round trip.
   Result<Completion> CompleteOne(const Prompt& prompt) {
     GALOIS_RETURN_IF_ERROR(CheckCancel(policy_.control));
     return model_->Complete(prompt);
@@ -109,6 +110,11 @@ class BatchScheduler {
 
   const BatchPolicy& policy() const { return policy_; }
   const std::string& phase() const { return phase_; }
+
+  /// CompleteBatch round trips this scheduler has dispatched, failed
+  /// ones included; a chunk that a cancelled query never sent is not
+  /// counted. Read it between Flushes (Flush joins its chunk pullers).
+  int batches_dispatched() const { return batches_dispatched_.load(); }
 
  private:
   /// One Complete call per distinct prompt, in order.
@@ -127,6 +133,7 @@ class BatchScheduler {
   BatchPolicy policy_;
   std::string phase_;
   std::vector<Prompt> pending_;
+  std::atomic<int> batches_dispatched_{0};
 };
 
 }  // namespace galois::llm

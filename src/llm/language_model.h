@@ -177,9 +177,9 @@ class LanguageModel {
   ///
   /// The model only declares; core::PhysicalPlan, where a query's options
   /// meet its model, alone decides what to overlap. Over a stack that is
-  /// not thread-safe it runs the query at parallel_batches 1 and
-  /// prefetch_pages 0 — one call at a time, from the calling thread, in
-  /// the paper prototype's ladder order.
+  /// not thread-safe it runs the query at parallel_batches 1 — one call
+  /// at a time, from the calling thread, in the paper prototype's ladder
+  /// order.
   virtual bool thread_safe() const { return false; }
 
   /// Executes one prompt in one round trip. Errors use

@@ -94,12 +94,11 @@ TEST(MaterialisationCacheTest, BaseKeySeparatesResultAffectingState) {
   verify.verify_cells = true;
   EXPECT_NE(base, MaterialisationCache::BaseKey(def, verify, "chatgpt"));
   // Dispatch-only knobs never change results, so they share entries —
-  // including prefetch_pages (speculative paging buys the same pages).
+  // including batch_prompts (a sized key scan returns the ladder's keys).
   ExecutionOptions dispatch = opts;
   dispatch.batch_prompts = true;
   dispatch.max_batch_size = 4;
   dispatch.parallel_batches = 8;
-  dispatch.prefetch_pages = 3;
   EXPECT_EQ(base, MaterialisationCache::BaseKey(def, dispatch, "chatgpt"));
 }
 

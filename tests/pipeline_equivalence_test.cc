@@ -3,12 +3,12 @@
 // at a time, in the paper prototype's ladder order, and stops at the
 // first failed prompt; at parallel_batches = 4 the same phases overlap
 // and fail with the same error. A model that does not declare
-// thread_safe() keeps the ladder at any parallel_batches and
-// prefetch_pages, also when a caller executes the physical plan without
-// GaloisExecutor. The cache cases run the overlapped schedule through a
-// shared PromptCache and MaterialisationCache. Runs under the TSan CI
-// job: the overlapped runs hammer the shared pool and the concurrent
-// table and column tasks.
+// thread_safe() keeps the ladder at any parallel_batches, also when a
+// caller executes the physical plan without GaloisExecutor, and a sized
+// key scan's flushes then go out from the calling thread too. The cache
+// cases run the overlapped schedule through a shared PromptCache and
+// MaterialisationCache. Runs under the TSan CI job: the overlapped runs
+// hammer the shared pool and the concurrent table and column tasks.
 
 #include <gtest/gtest.h>
 
@@ -92,9 +92,10 @@ std::string PhaseOf(const llm::Prompt& prompt) {
 }
 
 /// Forwards to a thread-safe model and records every round trip's phase
-/// in call order. It notes a call that starts while another is in flight
-/// and the set of threads that called it, so a test can assert that a
-/// query entered it from one thread at a time. FailPhase makes every
+/// in call order, and separately the phases of its CompleteBatch round
+/// trips. It notes a call that starts while another is in flight and the
+/// set of threads that called it, so a test can assert that a query
+/// entered it from one thread at a time. FailPhase makes every
 /// round trip of one phase fail after being recorded. It does not
 /// declare thread_safe(), so a query calls it serially.
 class RecordingModel : public llm::LanguageModel {
@@ -107,7 +108,7 @@ class RecordingModel : public llm::LanguageModel {
 
   Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
     InFlight guard(this);
-    GALOIS_RETURN_IF_ERROR(Record(prompt));
+    GALOIS_RETURN_IF_ERROR(Record(prompt, /*batch=*/false));
     return inner_->Complete(prompt);
   }
 
@@ -115,7 +116,7 @@ class RecordingModel : public llm::LanguageModel {
       const std::vector<llm::Prompt>& prompts) override {
     InFlight guard(this);
     // A round trip carries the prompts of one scheduler phase.
-    GALOIS_RETURN_IF_ERROR(Record(prompts.front()));
+    GALOIS_RETURN_IF_ERROR(Record(prompts.front(), /*batch=*/true));
     return inner_->CompleteBatch(prompts);
   }
 
@@ -125,6 +126,10 @@ class RecordingModel : public llm::LanguageModel {
   std::vector<std::string> calls() const {
     std::lock_guard<std::mutex> lock(mu_);
     return calls_;
+  }
+  std::vector<std::string> batch_calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batch_calls_;
   }
   std::set<std::thread::id> threads() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -141,11 +146,12 @@ class RecordingModel : public llm::LanguageModel {
     RecordingModel* model;
   };
 
-  Status Record(const llm::Prompt& prompt) {
+  Status Record(const llm::Prompt& prompt, bool batch) {
     const std::string phase = PhaseOf(prompt);
     {
       std::lock_guard<std::mutex> lock(mu_);
       calls_.push_back(phase);
+      if (batch) batch_calls_.push_back(phase);
       threads_.insert(std::this_thread::get_id());
     }
     if (phase == fail_phase_) return Status::LlmError("no answer for " + phase);
@@ -158,6 +164,7 @@ class RecordingModel : public llm::LanguageModel {
   std::atomic<bool> overlapped_{false};
   mutable std::mutex mu_;
   std::vector<std::string> calls_;
+  std::vector<std::string> batch_calls_;
   std::set<std::thread::id> threads_;
 };
 
@@ -298,13 +305,13 @@ TEST(PipelineEquivalenceTest, ThreadSafeModelOverlapsJoinAtDefaultOptions) {
   EXPECT_GT(model.threads().size(), 1u);
 }
 
-TEST(PipelineEquivalenceTest, PrefetchOverSerialModelTakesTheLadder) {
-  // Over a model that does not declare thread_safe(), prefetch_pages is
-  // clamped to 0 as parallel_batches is to 1: the query and a shard of it
-  // run on this thread, one call at a time, in ladder order, with the
-  // relation and meter of prefetch_pages 0.
-  ExecutionOptions opts = SerialOptions();
-  opts.prefetch_pages = 2;
+TEST(PipelineEquivalenceTest, ScanFlushOverSerialModelStaysOnTheCallingThread) {
+  // Over a model that does not declare thread_safe(), the sized key
+  // scans' flushes are CompleteBatch calls from this thread, never
+  // overlapped, in ladder order: the query and a shard of it run at
+  // parallel_batches 4 as they do at 1, with the same relation, meter
+  // and pages fetched ahead.
+  const ExecutionOptions opts = OverlappedOptions();
   std::vector<std::string> want;
   AppendLadder("city", {}, {"country", "population"}, &want);
   std::vector<std::string> want_shard = want;
@@ -316,6 +323,8 @@ TEST(PipelineEquivalenceTest, PrefetchOverSerialModelTakesTheLadder) {
     EXPECT_EQ(model.threads(),
               std::set<std::thread::id>{std::this_thread::get_id()});
     EXPECT_EQ(PhaseOrder(model.calls()), order);
+    const std::vector<std::string> batches = model.batch_calls();
+    EXPECT_GT(std::count(batches.begin(), batches.end(), "city scan"), 0);
   };
   auto expect_same_meter = [](const llm::CostMeter& got,
                               const llm::CostMeter& expected) {
@@ -341,10 +350,9 @@ TEST(PipelineEquivalenceTest, PrefetchOverSerialModelTakesTheLadder) {
   expect_ladder(model, want);
   EXPECT_TRUE(out->relation.SameContents(expected->relation));
   expect_same_meter(out->cost, expected->cost);
-  EXPECT_EQ(out->scan_pages_prefetched, 0);
-  EXPECT_EQ(out->physical_plan.find("prefetched speculatively"),
-            std::string::npos)
-      << out->physical_plan;
+  EXPECT_GT(out->scan_pages_prefetched, 0);
+  EXPECT_EQ(out->scan_pages_prefetched, expected->scan_pages_prefetched);
+  EXPECT_EQ(out->scan_pages_overfetched, expected->scan_pages_overfetched);
 
   // A shard of the same query takes the ladder the same way.
   auto shards = galois.PlanShards(kJoinSql);
@@ -371,7 +379,9 @@ TEST(PipelineEquivalenceTest, PrefetchOverSerialModelTakesTheLadder) {
   expect_ladder(shard_model, want_shard);
   EXPECT_TRUE(shard->relation.SameContents(expected_shard->relation));
   expect_same_meter(shard->cost, expected_shard->cost);
-  EXPECT_EQ(shard->scan_pages_prefetched, 0);
+  EXPECT_GT(shard->scan_pages_prefetched, 0);
+  EXPECT_EQ(shard->scan_pages_prefetched,
+            expected_shard->scan_pages_prefetched);
 }
 
 TEST(PipelineEquivalenceTest, FailedPromptStopsTheQueryAtAnyParallelism) {

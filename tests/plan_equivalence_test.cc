@@ -1,14 +1,16 @@
 // Plan-driven execution equivalence: the physical operator DAG compiled
-// from planner::BuildLogicalPlan must reproduce the hardwired executor
-// ladder it replaced byte for byte — relations, CostMeter and provenance
-// trace — across the full 46-query workload.
+// from planner::BuildLogicalPlan must reproduce one recorded golden byte
+// for byte — relations, CostMeter and provenance trace — across the full
+// 46-query workload.
 //
-// Both schedules are checked against one recorded golden
-// (tests/golden/plan_equivalence.golden, produced by the ladder;
-// regenerate with GALOIS_REGEN_PLAN_GOLDEN=1): parallel_batches = 1,
-// where every phase runs serially on the calling thread, and
-// parallel_batches = 4, where chunks, column chains and tables overlap.
-// Runs under the TSan CI job: the overlapped run hammers the phase pool
+// Both schedules are checked against tests/golden/plan_equivalence.golden
+// (recorded at parallel_batches = 1; regenerate with
+// GALOIS_REGEN_PLAN_GOLDEN=1): parallel_batches = 1, where every phase
+// runs serially on the calling thread, and parallel_batches = 4, where
+// chunks, column chains and tables overlap. Both run with batch_prompts
+// on at max_batch_size 4, so each unfiltered key scan fetches the pages
+// the catalog predicts in chunked flushes. Runs under the TSan CI job:
+// the overlapped run hammers the shared pool (ThreadPool::Shared())
 // through the compiled operator DAG.
 
 #include <gtest/gtest.h>

@@ -179,6 +179,7 @@ TEST(BatchSchedulerTest, SplitsFlushByMaxBatchSize) {
   EXPECT_EQ(model.batch_sizes[0], 3u);
   EXPECT_EQ(model.batch_sizes[1], 3u);
   EXPECT_EQ(model.batch_sizes[2], 1u);
+  EXPECT_EQ(scheduler.batches_dispatched(), 3);
 }
 
 TEST(BatchSchedulerTest, DedupesBeforeDispatchInBothModes) {
@@ -207,6 +208,7 @@ TEST(BatchSchedulerTest, SequentialModeNeverCallsCompleteBatch) {
   ASSERT_TRUE(scheduler.Run(MakePrompts({"a", "b", "c"})).ok());
   EXPECT_TRUE(model.batch_sizes.empty());
   EXPECT_EQ(model.complete_calls.size(), 3u);
+  EXPECT_EQ(scheduler.batches_dispatched(), 0);
 }
 
 TEST(BatchSchedulerTest, FlushClearsQueue) {
@@ -290,7 +292,8 @@ TEST(CachedBatchedExecutorTest, MaxBatchSizeSplitsWithoutChangingAnswers) {
 TEST(CachedBatchedExecutorTest, BatchedMatchesUnbatchedAcrossWorkload) {
   // Equivalence sample: every selection/aggregate/join query class is
   // represented; batched and unbatched runs must return identical
-  // relations and issue the same number of prompts.
+  // relations and issue the same prompts, plus exactly the key-scan pages
+  // the batched run's sized flushes bought past the end of their scans.
   int checked = 0;
   for (const knowledge::QuerySpec& q : W().queries()) {
     if (q.id % 4 != 0) continue;  // sample every 4th query
@@ -312,8 +315,10 @@ TEST(CachedBatchedExecutorTest, BatchedMatchesUnbatchedAcrossWorkload) {
 
     EXPECT_TRUE(rm_seq->relation.SameContents(rm_batch->relation))
         << "q" << q.id;
-    EXPECT_EQ(rm_seq->cost.num_prompts, rm_batch->cost.num_prompts)
+    EXPECT_EQ(rm_seq->cost.num_prompts + rm_batch->scan_pages_overfetched,
+              rm_batch->cost.num_prompts)
         << "q" << q.id;
+    EXPECT_EQ(rm_seq->scan_pages_prefetched, 0) << "q" << q.id;
     ++checked;
   }
   EXPECT_GE(checked, 5);
