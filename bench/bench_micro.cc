@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdio>
 
 #include "api/database.h"
@@ -146,22 +147,80 @@ void BM_GaloisSelectionQueryBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_GaloisSelectionQueryBatched)->Arg(0)->Arg(8)->Arg(32);
 
+/// Forwards every call to a model and keeps the peak number of calls in
+/// flight. The metered calls forward the usage pointer, so a query's
+/// meter stays exact while its calls overlap.
+class InFlightCounter : public galois::llm::LanguageModel {
+ public:
+  explicit InFlightCounter(galois::llm::LanguageModel* inner)
+      : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return inner_->thread_safe(); }
+
+  galois::Result<galois::llm::Completion> Complete(
+      const galois::llm::Prompt& prompt) override {
+    return CompleteMetered(prompt, nullptr);
+  }
+  galois::Result<std::vector<galois::llm::Completion>> CompleteBatch(
+      const std::vector<galois::llm::Prompt>& prompts) override {
+    return CompleteBatchMetered(prompts, nullptr);
+  }
+  galois::Result<galois::llm::Completion> CompleteMetered(
+      const galois::llm::Prompt& prompt,
+      galois::llm::CostMeter* usage) override {
+    InFlight guard(this);
+    return inner_->CompleteMetered(prompt, usage);
+  }
+  galois::Result<std::vector<galois::llm::Completion>> CompleteBatchMetered(
+      const std::vector<galois::llm::Prompt>& prompts,
+      galois::llm::CostMeter* usage) override {
+    InFlight guard(this);
+    return inner_->CompleteBatchMetered(prompts, usage);
+  }
+  galois::llm::CostMeter cost() const override { return inner_->cost(); }
+  void ResetCost() override { inner_->ResetCost(); }
+
+  int peak() const { return peak_.load(); }
+
+ private:
+  struct InFlight {
+    explicit InFlight(InFlightCounter* c) : counter(c) {
+      const int now = counter->in_flight_.fetch_add(1) + 1;
+      int peak = counter->peak_.load();
+      while (now > peak && !counter->peak_.compare_exchange_weak(peak, now)) {
+      }
+    }
+    ~InFlight() { counter->in_flight_.fetch_sub(1); }
+    InFlightCounter* counter;
+  };
+
+  galois::llm::LanguageModel* inner_;
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_{0};
+};
+
 void BM_GaloisConcurrentDispatch(benchmark::State& state) {
-  // range(0) is parallel_batches. The simulated model sleeps a fixed 5 ms
-  // of wall time per round trip, so overlapping round trips shows up
-  // directly in real time: at parallel_batches=4 each multi-chunk phase
-  // takes ~ceil(chunks / 4) round trips instead of `chunks`. Answers and
-  // the CostMeter (num_batches, cache_hits, tokens, simulated latency)
-  // are identical across all arguments — only wall clock moves.
+  // range(0) is batch_prompts (max_batch_size 4 when on) and range(1) is
+  // parallel_batches. The simulated model sleeps a fixed 5 ms of wall
+  // time per round trip, so overlapping round trips shows up directly in
+  // real time: at parallel_batches=4 a phase of n round trips (chunks
+  // with batching on, single prompts with it off) takes ~ceil(n / 4)
+  // round trips instead of n. Answers and the CostMeter (num_batches,
+  // cache_hits, tokens, simulated latency) are identical across
+  // parallel_batches; only wall clock moves, and peak_in_flight, the most
+  // model calls the query ever had in flight, stays within
+  // parallel_batches.
   galois::llm::SimulatedLlm model(&Workload().kb(),
                                   galois::llm::ModelProfile::ChatGpt(),
                                   &Workload().catalog());
   model.set_wall_latency_ms(5.0);
+  InFlightCounter counter(&model);
   galois::core::ExecutionOptions options;
-  options.batch_prompts = true;
+  options.batch_prompts = state.range(0) != 0;
   options.max_batch_size = 4;
-  options.parallel_batches = static_cast<int>(state.range(0));
-  galois::core::GaloisExecutor galois(&model, &Workload().catalog(),
+  options.parallel_batches = static_cast<int>(state.range(1));
+  galois::core::GaloisExecutor galois(&counter, &Workload().catalog(),
                                       options);
   const std::string sql =
       "SELECT name, capital, population FROM country";
@@ -174,12 +233,16 @@ void BM_GaloisConcurrentDispatch(benchmark::State& state) {
       static_cast<double>(last->cost.num_batches);
   state.counters["prompts"] =
       static_cast<double>(last->cost.num_prompts);
+  state.counters["peak_in_flight"] = static_cast<double>(counter.peak());
 }
 BENCHMARK(BM_GaloisConcurrentDispatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+    ->ArgNames({"batch", "parallel_batches"})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->Args({1, 4})
+    ->Args({1, 8})
+    ->Args({0, 1})
+    ->Args({0, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -719,14 +782,18 @@ void BM_ClusterScatterGather(benchmark::State& state) {
     prompts += result->cost.num_prompts;
     benchmark::DoNotOptimize(result);
   }
-  if (state.iterations() > 0) {
-    state.counters["prompts_per_iter"] =
-        static_cast<double>(prompts) / static_cast<double>(state.iterations());
-  }
+  // The coordinator's counters run over every iteration of this run, so
+  // they are reported per iteration, like the prompts.
   const auto cstats = coordinator.value()->cluster()->stats();
-  state.counters["shards_dispatched"] =
-      static_cast<double>(cstats.shards_dispatched);
-  state.counters["redispatches"] = static_cast<double>(cstats.redispatches);
+  if (state.iterations() > 0) {
+    const double iterations = static_cast<double>(state.iterations());
+    state.counters["prompts_per_iter"] =
+        static_cast<double>(prompts) / iterations;
+    state.counters["shards_per_iter"] =
+        static_cast<double>(cstats.shards_dispatched) / iterations;
+    state.counters["redispatches_per_iter"] =
+        static_cast<double>(cstats.redispatches) / iterations;
+  }
   for (BenchNode& node : nodes) node.server->Shutdown();
 }
 BENCHMARK(BM_ClusterScatterGather)

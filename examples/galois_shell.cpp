@@ -138,12 +138,12 @@ void PrintHelp() {
       "  .verify <on|off>         critic verification of every cell\n"
       "  .batch <on|off>          batched prompt round trips; a key scan\n"
       "                           fetches its predicted pages in batches\n"
-      "  .parallel <n> [chunk]    round trips in flight per phase (default\n"
-      "                           4; needs .batch on); above 1 also\n"
-      "                           overlaps independent phases (tables,\n"
-      "                           column chains) over a thread-safe model;\n"
-      "                           1 is the serial ladder; chunk sets\n"
-      "                           max_batch_size\n"
+      "  .parallel <n> [chunk]    the query's round trips in flight\n"
+      "                           (default 4), batched or not: per-key\n"
+      "                           prompts, chunks and independent phases\n"
+      "                           (tables, column chains) overlap over a\n"
+      "                           thread-safe model; 1 is the serial\n"
+      "                           ladder; chunk sets max_batch_size\n"
       "  .sessions <n>            run each statement as n concurrent\n"
       "                           sessions (results verified identical)\n"
       "  .deadline <ms>           per-query deadline; 0 disables\n"

@@ -168,10 +168,11 @@ struct ShardRequest : ShardSpec {
 ///
 /// With ExecutionOptions::parallel_batches > 1 (the default) over a model
 /// stack that declares thread_safe(), the DAG's independent phases
-/// overlap: LLM tables materialise concurrently, and within one table
-/// the needed-column attribute -> verify chains run concurrently. At 1,
-/// or over a serial stack, they run one after another in the paper
-/// prototype's order.
+/// overlap: LLM tables materialise concurrently, within one table the
+/// needed-column attribute -> verify chains run concurrently, and within
+/// a phase several round trips are in flight, never more than
+/// parallel_batches for the whole query. At 1, or over a serial stack,
+/// they run one after another in the paper prototype's order.
 /// Results, provenance order and cost accounting are the same either way
 /// (see PhysicalPlan). A MaterialisationCache attached via
 /// set_materialisation_cache adds cross-query reuse on top: a table is

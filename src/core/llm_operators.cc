@@ -16,6 +16,7 @@ llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options) {
   policy.parallel_batches =
       options.parallel_batches < 1 ? 1 : options.parallel_batches;
   policy.control = options.control;
+  policy.budget = options.budget;
   return policy;
 }
 

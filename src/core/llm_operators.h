@@ -21,13 +21,14 @@ namespace galois::core {
 ///
 /// Each operator is one synchronous phase over a list of keys; a single
 /// key is a one-element list. Every phase dispatches its prompts through
-/// one llm::BatchScheduler: batched (CompleteBatch round trips split by
-/// ExecutionOptions::max_batch_size, up to
-/// ExecutionOptions::parallel_batches in flight concurrently) when
-/// options.batch_prompts is on, sequential Complete calls otherwise. All
-/// modes return identical results, and every phase but the key scan
-/// issues the same deduplicated prompt set in all of them; only the round
-/// trips — and, with parallelism, the wall-clock time — differ. (A
+/// one llm::BatchScheduler: CompleteBatch round trips split by
+/// ExecutionOptions::max_batch_size when options.batch_prompts is on,
+/// one Complete round trip per prompt otherwise, and up to
+/// ExecutionOptions::parallel_batches of them in flight, within the
+/// query's budget (ExecutionOptions::budget). All modes return identical
+/// results, and every phase but the key scan issues the same
+/// deduplicated prompt set in all of them; only the round trips — and,
+/// with parallelism, the wall-clock time — differ. (A
 /// batched key scan may also buy pages past the one that ends it, see
 /// LlmKeyScan.) Each scheduler carries a phase label
 /// ("filter-check:population") so a failed round trip names the phase and

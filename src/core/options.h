@@ -4,9 +4,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/cancel.h"
+
+namespace galois {
+class PoolBudget;
+}  // namespace galois
 
 namespace galois::core {
 
@@ -65,25 +70,31 @@ struct ExecutionOptions {
   /// grows accordingly while answers stay identical.
   size_t max_batch_size = 0;
 
-  /// Whether the query may call the model from several threads at once,
-  /// and how many round trips each phase keeps in flight. Overlap is the
-  /// default, and it needs a thread-safe stack: over a model that does
-  /// not declare llm::LanguageModel::thread_safe(), core::PhysicalPlan
-  /// runs the query at 1 whatever this says.
-  /// Above 1:
-  ///  - within a phase, with batch_prompts on, the max_batch_size chunks
-  ///    fan out across ThreadPool::Shared(), up to this many at once,
-  ///    so a phase of many chunks takes roughly
-  ///    ceil(chunks / parallel_batches) round trips of wall-clock time;
+  /// The query's budget of model round trips in flight, with
+  /// batch_prompts on or off. Overlap is the default, and it needs a
+  /// thread-safe stack: over a model that does not declare
+  /// llm::LanguageModel::thread_safe(), core::PhysicalPlan runs the query
+  /// at 1 whatever this says.
+  /// Above 1, core::PhysicalPlan gives the query parallel_batches - 1
+  /// slots of ThreadPool::Shared() (a PoolBudget), and every fan-out of
+  /// the query takes from them:
+  ///  - within a phase, its round trips (the max_batch_size chunks with
+  ///    batch_prompts on, the single prompts with it off) are pulled by
+  ///    the calling thread and a pool worker per slot it gets, so a
+  ///    phase of n round trips takes about ceil(n / parallel_batches)
+  ///    round trips of wall-clock time;
   ///  - across phases, core::PhysicalPlan overlaps what is independent:
   ///    the LLM tables of a join, and within a table the per-column
   ///    attribute -> verify chains, so wall-clock time drops from the
   ///    *sum* of the phase latencies towards the *max* along the longest
   ///    chain.
-  /// At 1 every phase runs on the calling thread in the paper
-  /// prototype's order; tests and benches that need that ladder pin it.
-  /// Results, provenance order and the CostMeter are the same at every
-  /// value. Values < 1 are treated as 1.
+  /// A fan-out that finds no free slot runs on the thread that joins it,
+  /// so the query never holds more than parallel_batches - 1 pool workers
+  /// or has more than parallel_batches round trips in flight, however
+  /// many tables, columns and chunks it has. At 1 every phase runs on the
+  /// calling thread in the paper prototype's order; tests and benches
+  /// that need that ladder pin it. Results, provenance order and the
+  /// CostMeter are the same at every value. Values < 1 are treated as 1.
   int parallel_batches = 4;
 
   /// Run the cleaning step (Section 4, workflow step 3): normalise numeric
@@ -130,6 +141,13 @@ struct ExecutionOptions {
   /// from ToString and from the materialisation-cache fingerprint. Null
   /// means not cancellable.
   CancelToken control;
+
+  /// The running query's pool slots, shared by all its fan-outs (see
+  /// parallel_batches). Not a tuning knob either: core::PhysicalPlan
+  /// creates it per query, once it has fitted parallel_batches to the
+  /// model, and like `control` it is excluded from ToString and from the
+  /// materialisation-cache fingerprint. Null outside a running plan.
+  std::shared_ptr<PoolBudget> budget;
 
   std::string ToString() const;
 };

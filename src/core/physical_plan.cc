@@ -4,6 +4,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -88,30 +89,30 @@ Result<RetrievedColumn> RetrieveColumn(llm::LanguageModel* attr_model,
   return out;
 }
 
-/// Fits `options` to what `model` declared about concurrent calls: over a
-/// stack that is not thread-safe the query runs at parallel_batches 1, so
-/// every model call comes from the calling thread, one at a time, in
-/// ladder order.
+/// Fits `options` to what `model` declared about concurrent calls, then
+/// gives the query its budget of parallel_batches - 1 pool slots. Over a
+/// stack that is not thread-safe the query runs at parallel_batches 1,
+/// with no slot, so every model call comes from the calling thread, one
+/// at a time, in ladder order.
 void FitToModel(const llm::LanguageModel& model, ExecutionOptions* options) {
-  if (model.thread_safe()) return;
-  options->parallel_batches = 1;
+  if (!model.thread_safe()) options->parallel_batches = 1;
+  options->budget =
+      std::make_shared<PoolBudget>(options->parallel_batches - 1);
 }
 
 /// Starts the `index`-th task of a group of independent phases: a plan's
 /// LLM tables, or a table's column chains. The first (`index` 0) is
-/// deferred to its Join and so runs on the joining thread. With
-/// `overlap` the others launch on ThreadPool::Shared(), so a fan-out of
-/// k tasks occupies at most k - 1 pool workers. Without it they are
-/// deferred too, and joining the group in order runs it one task after
-/// another on the calling thread — the paper prototype's ladder, prompt
-/// for prompt.
+/// deferred to its Join and so runs on the joining thread. The others
+/// launch on ThreadPool::Shared() when they take a slot of the query's
+/// budget and are deferred too when they find none. At parallel_batches
+/// 1 the budget has no slot, so joining the group in order runs it one
+/// task after another on the calling thread — the paper prototype's
+/// ladder, prompt for prompt.
 template <typename T>
-TaskHandle<T> StartPhaseTask(bool overlap, size_t index,
-                             std::function<T()> fn) {
-  if (overlap && index > 0) {
-    return TaskHandle<T>::Launch(ThreadPool::Shared(), std::move(fn));
-  }
-  return TaskHandle<T>::Deferred(std::move(fn));
+TaskHandle<T> StartPhaseTask(const std::shared_ptr<PoolBudget>& budget,
+                             size_t index, std::function<T()> fn) {
+  if (index == 0) return TaskHandle<T>::Deferred(std::move(fn));
+  return TaskHandle<T>::Start(ThreadPool::Shared(), budget, std::move(fn));
 }
 
 /// Joins `tasks` in order. At the first failure the rest are cancelled —
@@ -734,17 +735,17 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   // 3. Attribute completion: one phase task per needed column retrieves
   // the whole column, optionally followed by a critic verification phase
   // over its non-NULL cells (Section 6 extensions). The column chains are
-  // independent, so they overlap when parallel_batches > 1 and otherwise
-  // run in column order (see StartPhaseTask). Retrieval bills through
-  // one per-operator tap and verification through another, so the DAG
-  // attributes their spend separately.
+  // independent, so they overlap as far as the query's budget allows and
+  // otherwise run in column order (see StartPhaseTask). Retrieval bills
+  // through one per-operator tap and verification through another, so the
+  // DAG attributes their spend separately.
   llm::CostTap retrieve_tap(model);
   llm::CostTap cell_verify_tap(model);
   std::vector<TaskHandle<Result<RetrievedColumn>>> chains;
   chains.reserve(group.needed_columns.size());
   for (const catalog::ColumnDef* col : group.needed_columns) {
     chains.push_back(StartPhaseTask<Result<RetrievedColumn>>(
-        options_.parallel_batches > 1, chains.size(),
+        options_.budget, chains.size(),
         [this, &retrieve_tap, &cell_verify_tap, &def, col, &surviving] {
           return RetrieveColumn(&retrieve_tap, &cell_verify_tap, def, *col,
                                 surviving, options_);
@@ -898,7 +899,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     TableGroup* group = &groups_[pending[t]];
     ExecutionTrace* trace = &traces[t];
     tasks.push_back(StartPhaseTask<Result<Relation>>(
-        options_.parallel_batches > 1, t, [this, model, group, trace] {
+        options_.budget, t, [this, model, group, trace] {
           return MaterialiseLlm(*group, model, trace);
         }));
   }

@@ -89,14 +89,18 @@ struct PhysicalNode {
 ///
 /// Materialisation has one code path. Each pending LLM table, and within
 /// it each needed column's attribute -> verify chain, is one phase task,
-/// joined in FROM and column order. With parallel_batches > 1, over a
-/// model that declares thread_safe(), the tasks overlap: the first of
-/// each group runs on the joining thread and the others on
-/// ThreadPool::Shared() (StartPhaseTask in physical_plan.cc). At 1, or
-/// over a serial model, each runs when joined, on the calling thread, so
-/// the prompts go out in the paper prototype's ladder order: tables in
-/// FROM order; within a table the scan pages, key verification and
-/// filter checks, then attribute and verify for each column in turn.
+/// joined in FROM and column order. A query gets one PoolBudget of
+/// parallel_batches - 1 slots of ThreadPool::Shared(), which its phase
+/// tasks and the round trips of its phases all take from. With
+/// parallel_batches > 1, over a model that declares thread_safe(), the
+/// tasks overlap: the first of each group runs on the joining thread and
+/// each other one on a pool worker when it takes a slot (StartPhaseTask
+/// in physical_plan.cc), so the query never has more than
+/// parallel_batches model calls in flight. At 1, or over a serial model,
+/// there is no slot and each task runs when joined, on the calling
+/// thread, so the prompts go out in the paper prototype's ladder order:
+/// tables in FROM order; within a table the scan pages, key verification
+/// and filter checks, then attribute and verify for each column in turn.
 /// Either way the first failing task in that order supplies the error,
 /// and tasks not yet started when it surfaces never run.
 ///
@@ -125,7 +129,9 @@ class PhysicalPlan {
   /// This is where a query's options meet its model. When `model` does
   /// not declare thread_safe(), the plan runs at parallel_batches 1,
   /// whatever the options say, so the model is called from this thread,
-  /// one call at a time, in ladder order. ExecuteShard does the same.
+  /// one call at a time, in ladder order. Then the query gets its budget
+  /// of parallel_batches - 1 pool slots (ExecutionOptions::budget).
+  /// ExecuteShard does the same.
   Result<QueryOutput> Execute(llm::LanguageModel* model,
                               MaterialisationCache* cache);
 

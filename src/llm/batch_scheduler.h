@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,13 +12,17 @@
 #include "common/result.h"
 #include "llm/language_model.h"
 
+namespace galois {
+class PoolBudget;
+}  // namespace galois
+
 namespace galois::llm {
 
 /// How one retrieval phase dispatches its prompts to the model.
 struct BatchPolicy {
   /// When true, queued prompts go out via CompleteBatch round trips;
   /// when false, one Complete call per prompt (the paper prototype's
-  /// sequential behaviour, kept for the Section 6 batching ablation).
+  /// cost shape, kept for the Section 6 batching ablation).
   bool batch = true;
 
   /// Upper bound on prompts per CompleteBatch round trip; 0 sends a whole
@@ -25,20 +30,28 @@ struct BatchPolicy {
   /// split into ceil(n / max_batch_size) round trips.
   size_t max_batch_size = 0;
 
-  /// Round trips the scheduler may keep in flight at once. With a value
-  /// above 1 (and batch on), Flush fans its chunks out across
-  /// ThreadPool::Shared() and up to this many CompleteBatch calls run
-  /// concurrently; the model behind the scheduler must then be safe under
-  /// concurrent CompleteBatch calls (SimulatedLlm and PromptCache are). 1
-  /// keeps the fully sequential dispatch.
+  /// Round trips a Flush may keep in flight at once, with batch on or
+  /// off. Above 1, Flush pulls its round trips (chunks of max_batch_size
+  /// prompts, or single prompts with batch off) from up to this many
+  /// threads: its own and chunk pullers on ThreadPool::Shared(), each of
+  /// which takes a slot of `budget` or stays deferred. The model behind
+  /// the scheduler must then be safe under concurrent calls (SimulatedLlm
+  /// and PromptCache are). 1 is the paper prototype's ladder: one round
+  /// trip after another, in order, on the calling thread.
   int parallel_batches = 1;
 
   /// Per-query cancellation/deadline token (null = not cancellable).
-  /// Checked before every round trip this scheduler starts — sequential
+  /// Checked before every round trip this scheduler starts — single
   /// prompts, batched chunks and CompleteOne alike — so a cancelled or
   /// expired query stops issuing new LLM traffic at the next dispatch
   /// boundary. Round trips already in flight complete (and bill).
   CancelToken control;
+
+  /// The query's pool slots, shared by every fan-out of the query (see
+  /// PoolBudget). Per-query state like `control`: core::PhysicalPlan
+  /// sets it. Null, as for a scheduler built outside a plan, gives each
+  /// Flush a fresh budget of parallel_batches - 1 slots.
+  std::shared_ptr<PoolBudget> budget;
 };
 
 /// Collects the pending prompts of one executor phase (a filter-check
@@ -55,13 +68,19 @@ struct BatchPolicy {
 /// completion per distinct prompt. Dedupe happens before chunking, so no
 /// two concurrent chunks ever carry the same prompt text.
 ///
+/// One dispatch loop serves batch on and off: the distinct prompts are
+/// cut into chunks (of max_batch_size prompts with batch on, of one
+/// prompt with batch off) and pulled in index order. The loop copies no
+/// queued prompt to dedupe or to send one alone; a batched chunk is
+/// copied into its own request vector only when it is sent.
+///
 /// Thread-safety: a scheduler instance is NOT itself thread-safe — it is
 /// a per-phase, single-owner object (Add/Flush/CompleteOne from one
 /// thread). The concurrency introduced by parallel_batches is internal
 /// to Flush, which joins every in-flight round trip before returning.
-/// Its chunk pullers are TaskHandles on ThreadPool::Shared(), so a Flush
-/// may run inside any pool task: a puller no worker has started runs on
-/// the joining thread.
+/// Its chunk pullers are TaskHandles started against the query's
+/// PoolBudget, so a Flush may run inside any pool task: a puller without
+/// a slot, or that no worker has started, runs on the joining thread.
 class BatchScheduler {
  public:
   /// `model` must outlive the scheduler. `phase` is a human-readable
@@ -80,21 +99,22 @@ class BatchScheduler {
 
   size_t pending() const { return pending_.size(); }
 
-  /// Dispatches every queued prompt (deduped by text, split into chunks
-  /// of max_batch_size, up to parallel_batches chunks in flight) and
-  /// returns one completion per Add, in Add order — regardless of the
-  /// order in which concurrent chunks finish.
+  /// Dispatches every queued prompt (deduped by text, split into chunks,
+  /// up to parallel_batches round trips in flight) and returns one
+  /// completion per Add, in Add order — regardless of the order in which
+  /// concurrent round trips finish.
   ///
   /// Error contract: the queue is emptied unconditionally — also on
   /// error. Prompts queued before a failed Flush are dropped, never
   /// retried implicitly; callers own retry policy and must re-Add. On
   /// failure the returned Status keeps the model's error code and
-  /// prefixes the message with the phase label and the chunk (or prompt)
-  /// that failed. When chunks run concurrently, every chunk is still
-  /// dispatched (and billed) and the error of the lowest-indexed failed
-  /// chunk is reported — deterministically the same chunk a sequential
-  /// run reports, though the sequential path stops dispatching at the
-  /// first failure.
+  /// prefixes the message with the phase label and the chunk ("chunk
+  /// 3/4 (2 prompts)") or, with batch off, the prompt ("prompt 2/5")
+  /// that failed. It is the lowest-indexed failure at any
+  /// parallel_batches. At 1 the loop stops at that failure, so nothing
+  /// after it is sent or billed; above 1 every round trip is still
+  /// started (and billed), which keeps the reported error the ladder's
+  /// whichever round trips finish first.
   Result<std::vector<Completion>> Flush();
 
   /// Convenience: queue `prompts` and flush in one call.
@@ -113,19 +133,12 @@ class BatchScheduler {
 
   /// CompleteBatch round trips this scheduler has dispatched, failed
   /// ones included; a chunk that a cancelled query never sent is not
-  /// counted. Read it between Flushes (Flush joins its chunk pullers).
+  /// counted, and neither is a prompt sent alone (batch off or
+  /// CompleteOne). Read it between Flushes (Flush joins its chunk
+  /// pullers).
   int batches_dispatched() const { return batches_dispatched_.load(); }
 
  private:
-  /// One Complete call per distinct prompt, in order.
-  Result<std::vector<Completion>> DispatchSequential(
-      const std::vector<Prompt>& pending, const std::vector<size_t>& unique);
-
-  /// CompleteBatch round trips over max_batch_size chunks; concurrent
-  /// when the policy allows more than one in flight.
-  Result<std::vector<Completion>> DispatchBatched(
-      const std::vector<Prompt>& pending, const std::vector<size_t>& unique);
-
   /// Prefixes `status` with the phase/chunk context, keeping its code.
   Status Annotate(const Status& status, const std::string& where) const;
 

@@ -2,11 +2,23 @@
 
 #include <utility>
 
+#include "llm/prompt_templates.h"
+
 namespace galois::llm {
+
+PromptCache::Key PromptCache::KeyOf(const std::string& text) {
+  const std::string& preamble = FewShotPreamble();
+  if (text.size() >= preamble.size() &&
+      text.compare(0, preamble.size(), preamble) == 0) {
+    return Key{true, std::string_view(text).substr(preamble.size())};
+  }
+  return Key{false, text};
+}
 
 bool PromptCache::Lookup(const std::string& text, size_t hash,
                          std::string* completion, bool* from_store) const {
   if (from_store != nullptr) *from_store = false;
+  const Key key = KeyOf(text);
   bool hit = false;
   bool preloaded = false;
   {
@@ -15,7 +27,7 @@ bool PromptCache::Lookup(const std::string& text, size_t hash,
     auto it = shard.map.find(hash);
     if (it != shard.map.end()) {
       for (const CacheEntry& entry : it->second) {
-        if (entry.text == text) {
+        if (entry.Matches(key)) {
           *completion = entry.completion;
           hit = true;
           preloaded = entry.from_store;
@@ -34,6 +46,7 @@ bool PromptCache::Lookup(const std::string& text, size_t hash,
 
 void PromptCache::Insert(const std::string& text, size_t hash,
                          const std::string& completion) {
+  const Key key = KeyOf(text);
   bool inserted = false;
   {
     Shard& shard = ShardFor(hash);
@@ -41,13 +54,14 @@ void PromptCache::Insert(const std::string& text, size_t hash,
     auto& chain = shard.map[hash];
     bool exists = false;
     for (const CacheEntry& entry : chain) {
-      if (entry.text == text) {
+      if (entry.Matches(key)) {
         exists = true;  // first insert wins, like emplace did
         break;
       }
     }
     if (!exists) {
-      chain.push_back(CacheEntry{text, completion, false});
+      chain.push_back(
+          CacheEntry{std::string(key.rest), completion, key.preamble, false});
       inserted = true;
     }
   }
@@ -57,13 +71,15 @@ void PromptCache::Insert(const std::string& text, size_t hash,
 void PromptCache::Preload(const std::string& text,
                           const std::string& completion) {
   const size_t hash = HashOf(text);
+  const Key key = KeyOf(text);
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto& chain = shard.map[hash];
   for (const CacheEntry& entry : chain) {
-    if (entry.text == text) return;
+    if (entry.Matches(key)) return;
   }
-  chain.push_back(CacheEntry{text, completion, true});
+  chain.push_back(
+      CacheEntry{std::string(key.rest), completion, key.preamble, true});
 }
 
 void PromptCache::SetHooks(PromptCacheHooks hooks) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,6 +31,14 @@ struct PromptCacheHooks {
 };
 
 /// Caching decorator: memoises completions by exact prompt text.
+///
+/// Nearly every prompt opens with the same few-shot preamble
+/// (FewShotPreamble(), about 90% of a per-key prompt's bytes), so an
+/// entry keeps only the text after it and a flag saying it was there.
+/// Lookups still compare whole texts exactly: a text that opens with the
+/// preamble matches only a flagged entry with the same rest, and any
+/// other text (a proper prefix of the preamble, a question without it)
+/// only an unflagged entry holding all of it.
 ///
 /// Query plans re-issue identical sub-prompts (e.g. the same attribute
 /// retrieval appearing under a selection and a projection); caching them is
@@ -112,10 +121,24 @@ class PromptCache : public LanguageModel {
  private:
   static constexpr size_t kNumShards = 16;
 
+  /// A prompt text split at FewShotPreamble(): whether it opens with the
+  /// preamble, and the rest of it (all of it when it does not). Views
+  /// the text it was made from.
+  struct Key {
+    bool preamble = false;
+    std::string_view rest;
+  };
+  static Key KeyOf(const std::string& text);
+
   struct CacheEntry {
-    std::string text;
+    std::string rest;  // the text after the preamble, or all of it
     std::string completion;
+    bool preamble = false;    // the text opened with FewShotPreamble()
     bool from_store = false;  // seeded by Preload, not earned this process
+
+    bool Matches(const Key& key) const {
+      return preamble == key.preamble && rest == key.rest;
+    }
   };
 
   /// Entries bucket by the *precomputed* full hash of the prompt text:

@@ -1,6 +1,8 @@
 #include "store/result_store.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <utility>
 
 namespace galois::store {
@@ -12,7 +14,18 @@ namespace {
 constexpr int64_t kVacuumTargetNum = 3;
 constexpr int64_t kVacuumTargetDen = 4;
 
+/// Vacuum appends the rewrite to the temp file in pieces of about this
+/// many bytes.
+constexpr size_t kVacuumPieceBytes = 1 << 20;
+
 }  // namespace
+
+std::string ResultStore::IndexKey(RecordType type, const std::string& key) {
+  std::string out(1, static_cast<char>(type));
+  if (type != RecordType::kPrompt) return out.append(key);
+  const uint64_t digest = std::hash<std::string>{}(key);
+  return out.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+}
 
 Result<std::unique_ptr<ResultStore>> ResultStore::Open(
     StoreOptions options) {
@@ -375,53 +388,58 @@ Status ResultStore::VacuumLocked() {
   // Survivors: newest-first within the byte budget; everything older is
   // evicted. The newest entry always survives, so the store never
   // vacuums itself empty.
-  std::vector<std::pair<std::string, LiveEntry>> entries(live_.begin(),
-                                                         live_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              return a.second.last_used > b.second.last_used;
-            });
+  using LiveIt = std::unordered_map<std::string, LiveEntry>::iterator;
+  std::vector<LiveIt> entries;
+  entries.reserve(live_.size());
+  for (auto it = live_.begin(); it != live_.end(); ++it) entries.push_back(it);
+  std::sort(entries.begin(), entries.end(), [](LiveIt a, LiveIt b) {
+    return a->second.last_used > b->second.last_used;
+  });
   const int64_t target =
       options_.max_bytes * kVacuumTargetNum / kVacuumTargetDen -
       static_cast<int64_t>(kFileHeaderSize);
   int64_t kept_bytes = 0;
   size_t kept = 0;
   for (; kept < entries.size(); ++kept) {
-    const int64_t frame_size = entries[kept].second.frame_size;
+    const int64_t frame_size = entries[kept]->second.frame_size;
     if (kept > 0 && kept_bytes + frame_size > target) break;
     kept_bytes += frame_size;
   }
-  const int64_t evicted = static_cast<int64_t>(entries.size() - kept);
-  entries.resize(kept);
   // Journal order is oldest-first, like an organically grown journal.
-  std::reverse(entries.begin(), entries.end());
-
-  std::string compacted = EncodeFileHeader();
-  compacted.reserve(static_cast<size_t>(kept_bytes) + kFileHeaderSize);
-  for (auto& [key, entry] : entries) {
-    (void)key;
-    const size_t offset = static_cast<size_t>(entry.offset);
-    const size_t frame_size = static_cast<size_t>(entry.frame_size);
-    if (offset + frame_size > size) {
-      return Status::Internal("vacuum: live entry past journal end");
-    }
-    const int64_t new_offset = static_cast<int64_t>(compacted.size());
-    compacted.append(data + offset, frame_size);
-    entry.offset = new_offset;
-  }
+  std::reverse(entries.begin(), entries.begin() + kept);
 
   // Write the rewrite beside the journal, durably, then swap it in with
   // an atomic rename. A crash anywhere before the rename leaves the old
-  // journal authoritative (Open removes the orphan temp).
+  // journal authoritative (Open removes the orphan temp). The survivors
+  // go out in pieces of about kVacuumPieceBytes, so the rewrite never
+  // sits in memory whole.
   GALOIS_RETURN_IF_ERROR(env_->Remove(TempPath()));
   {
     GALOIS_ASSIGN_OR_RETURN(std::unique_ptr<AppendFile> tmp,
                             env_->OpenAppend(TempPath()));
-    Status written = tmp->Append(compacted.data(), compacted.size());
+    std::string piece = EncodeFileHeader();
+    piece.reserve(kVacuumPieceBytes);
+    Status written = Status::OK();
+    for (size_t i = 0; written.ok() && i < kept; ++i) {
+      const LiveEntry& entry = entries[i]->second;
+      const size_t offset = static_cast<size_t>(entry.offset);
+      const size_t frame_size = static_cast<size_t>(entry.frame_size);
+      if (offset + frame_size > size) {
+        written = Status::Internal("vacuum: live entry past journal end");
+        break;
+      }
+      if (piece.size() + frame_size > kVacuumPieceBytes) {
+        written = tmp->Append(piece.data(), piece.size());
+        piece.clear();
+      }
+      piece.append(data + offset, frame_size);
+    }
+    if (written.ok()) written = tmp->Append(piece.data(), piece.size());
     if (written.ok() && options_.durability != Durability::kNone) {
       written = tmp->Sync();
     }
     if (!written.ok()) {
+      tmp.reset();
       (void)env_->Remove(TempPath());
       return written;
     }
@@ -441,15 +459,18 @@ Status ResultStore::VacuumLocked() {
   }
   writer_ = std::move(reopened).value();
 
-  live_.clear();
-  live_bytes_ = 0;
-  for (auto& [key, entry] : entries) {
-    live_bytes_ += entry.frame_size;
-    live_.emplace(std::move(key), entry);
+  // The index learns the new offsets only now that the rename committed
+  // them: the survivors sit back to back after the header.
+  int64_t offset = static_cast<int64_t>(kFileHeaderSize);
+  for (size_t i = 0; i < kept; ++i) {
+    entries[i]->second.offset = offset;
+    offset += entries[i]->second.frame_size;
   }
-  file_bytes_ = static_cast<int64_t>(compacted.size());
+  for (size_t i = kept; i < entries.size(); ++i) live_.erase(entries[i]);
+  live_bytes_ = kept_bytes;
+  file_bytes_ = offset;
   ++stats_.vacuums;
-  stats_.evictions += evicted;
+  stats_.evictions += static_cast<int64_t>(entries.size() - kept);
   stats_.last_vacuum_micros = env_->NowMicros() - t0;
   return Status::OK();
 }

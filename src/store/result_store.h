@@ -166,7 +166,9 @@ class ResultStore {
   void TouchPrompt(const std::string& model, const std::string& text);
 
   /// Compacts the journal now (synchronously): drops dead bytes, evicts
-  /// LRU entries beyond max_bytes, atomically swaps the rewrite in.
+  /// LRU entries beyond max_bytes, atomically swaps the rewrite in. The
+  /// rewrite streams the surviving frames to the temp file in bounded
+  /// pieces, so it needs no second copy of the live set in memory.
   Status Vacuum();
 
   /// Durability barrier (fsync) regardless of mode.
@@ -191,13 +193,17 @@ class ResultStore {
     return options_.path + "/galois.store.tmp";
   }
 
-  /// Index key: one byte of record type + the record key, so a prompt
-  /// can never collide with a fingerprint.
-  static std::string IndexKey(RecordType type, const std::string& key) {
-    std::string out(1, static_cast<char>(type));
-    out.append(key);
-    return out;
-  }
+  /// Index key: one byte of record type, so a prompt can never collide
+  /// with a fingerprint, then the record key of a materialisation, or a
+  /// 64-bit digest of a prompt's record key. The journal frames already
+  /// hold every prompt text, and those run to hundreds of bytes, so the
+  /// index keeps none of them. Two prompts whose keys share a digest
+  /// share an index entry: the later Put replaces the earlier one, as if
+  /// it were the same prompt, and a Touch of either ages both. So a
+  /// collision can drop or mis-age an entry but never serve wrong bytes:
+  /// the store serves prompts only through ForEachPrompt, which returns
+  /// each frame's full key, and PromptCache compares whole texts.
+  static std::string IndexKey(RecordType type, const std::string& key);
 
   Status AppendLocked(RecordType type, const std::string& key,
                       const std::string& payload, bool track_live,

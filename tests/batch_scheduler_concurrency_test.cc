@@ -1,8 +1,10 @@
 // Tests for concurrent batch dispatch: the common::ThreadPool and its
 // TaskHandle (deferred and cancelled tasks, nested fan-out beyond the
-// shared pool's cap), the BatchScheduler's parallel_batches path
-// (Add-order preservation, sequential/parallel equivalence, the
-// drop-on-error queue contract and phase/chunk error attribution),
+// shared pool's cap, launches bounded by a PoolBudget), the
+// BatchScheduler's one dispatch loop at batch on and off (Add-order
+// preservation, the in-flight bound, sequential/parallel equivalence,
+// the drop-on-error queue contract and phase/chunk/prompt error
+// attribution, cancellation),
 // thread-safe CostMeter accounting in SimulatedLlm and CostTap, the
 // thread_safe() contract through the decorators, and a
 // PromptCache::CompleteBatch hammer intended to run under
@@ -10,10 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -171,6 +175,70 @@ class ScriptedUsageModel : public LanguageModel {
   size_t next_ = 0;
 };
 
+/// Thread-safe model for the unbatched loop: every Complete blocks for a
+/// wall latency (a per-text latency when one is set), and the model
+/// records the texts whose calls started, in start order, and the peak
+/// number of calls in flight. The prompt "boom" fails after it started;
+/// the prompt named by CancelOn requests cancellation of `token` just
+/// before it returns.
+class CountingLatencyModel : public LanguageModel {
+ public:
+  explicit CountingLatencyModel(double latency_ms) : latency_ms_(latency_ms) {}
+
+  const std::string& name() const override { return name_; }
+  bool thread_safe() const override { return true; }
+
+  void SetLatency(const std::string& text, double ms) { latency_[text] = ms; }
+  void CancelOn(const std::string& text, CancelToken token) {
+    cancel_text_ = text;
+    token_ = std::move(token);
+  }
+
+  Result<Completion> Complete(const Prompt& prompt) override {
+    const int in_flight = in_flight_.fetch_add(1) + 1;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      started_.push_back(prompt.text);
+      peak_ = std::max(peak_, in_flight);
+    }
+    auto it = latency_.find(prompt.text);
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        it != latency_.end() ? it->second : latency_ms_));
+    if (prompt.text == cancel_text_) token_->RequestCancel();
+    in_flight_.fetch_sub(1);
+    if (prompt.text == "boom") return Status::LlmError("no answer");
+    return Completion{"echo:" + prompt.text};
+  }
+
+  CostMeter cost() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    CostMeter meter;
+    meter.num_prompts = static_cast<int64_t>(started_.size());
+    return meter;
+  }
+  void ResetCost() override {}
+
+  std::vector<std::string> started() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_;
+  }
+  int peak_in_flight() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+
+ private:
+  std::string name_ = "counting";
+  double latency_ms_;
+  std::map<std::string, double> latency_;
+  std::string cancel_text_;
+  CancelToken token_;
+  std::atomic<int> in_flight_{0};
+  mutable std::mutex mu_;
+  std::vector<std::string> started_;
+  int peak_ = 0;
+};
+
 // --- ThreadPool ------------------------------------------------------------
 
 TEST(ThreadPoolTest, StartsWorkersOnlyWhenNoneIsIdle) {
@@ -278,6 +346,165 @@ TEST(ThreadPoolTest, CancelledTaskNeverStartsOnPool) {
 }
 
 // --- BatchScheduler: parallel dispatch -------------------------------------
+
+TEST(ThreadPoolTest, StartLaunchesOnlyWhatTheBudgetHasSlotsFor) {
+  ThreadPool pool(4);
+  auto budget = std::make_shared<PoolBudget>(1);
+  const std::thread::id self = std::this_thread::get_id();
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto held = TaskHandle<std::thread::id>::Start(pool, budget, [&, gate] {
+    started.set_value();
+    gate.wait();
+    return std::this_thread::get_id();
+  });
+  started.get_future().wait();  // a worker runs it, holding the slot
+  EXPECT_EQ(budget->free(), 0);
+
+  // No slot is free, so the next task is deferred: it runs on the
+  // thread that joins it, and the pool starts no second worker.
+  auto deferred = TaskHandle<std::thread::id>::Start(
+      pool, budget, [] { return std::this_thread::get_id(); });
+  EXPECT_EQ(deferred.Join(), self);
+  release.set_value();
+  EXPECT_NE(held.Join(), self);
+  EXPECT_EQ(pool.num_started(), 1u);
+
+  // The worker is idle again, and the slot back, before Join returns, so
+  // the next launch reuses that worker.
+  EXPECT_EQ(budget->free(), 1);
+  EXPECT_NE(TaskHandle<std::thread::id>::Start(
+                pool, budget, [] { return std::this_thread::get_id(); })
+                .Join(),
+            std::thread::id());
+  EXPECT_EQ(pool.num_started(), 1u);
+
+  // A budget without slots, or none at all, is the ladder: every task
+  // runs on the joining thread.
+  auto empty = std::make_shared<PoolBudget>(0);
+  EXPECT_EQ(TaskHandle<std::thread::id>::Start(
+                pool, empty, [] { return std::this_thread::get_id(); })
+                .Join(),
+            self);
+  EXPECT_EQ(TaskHandle<std::thread::id>::Start(
+                pool, nullptr, [] { return std::this_thread::get_id(); })
+                .Join(),
+            self);
+  EXPECT_EQ(pool.num_started(), 1u);
+}
+
+// --- the unbatched loop ----------------------------------------------------
+
+TEST(UnbatchedDispatchTest, KeepsAddOrderInsideTheInFlightBound) {
+  // Twelve prompts, one repeated, each blocking for 5 ms of wall time.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 12; ++i) texts.push_back("p" + std::to_string(i));
+  texts.push_back("p3");
+  std::vector<std::string> distinct(texts.begin(), texts.end() - 1);
+  for (int parallel : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel));
+    CountingLatencyModel model(5.0);
+    BatchPolicy policy;
+    policy.batch = false;
+    policy.parallel_batches = parallel;
+    BatchScheduler scheduler(&model, policy, "attribute:capital");
+    auto out = scheduler.Run(MakePrompts(texts));
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->size(), texts.size());
+    for (size_t i = 0; i < texts.size(); ++i) {
+      EXPECT_EQ((*out)[i].text, "echo:" + texts[i]) << i;
+    }
+    EXPECT_EQ(scheduler.batches_dispatched(), 0);
+    std::vector<std::string> started = model.started();
+    if (parallel == 1) {
+      // The ladder, call for call.
+      EXPECT_EQ(started, distinct);
+      EXPECT_EQ(model.peak_in_flight(), 1);
+    } else {
+      std::sort(started.begin(), started.end());
+      std::vector<std::string> want = distinct;
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(started, want);
+      EXPECT_GT(model.peak_in_flight(), 1);
+      EXPECT_LE(model.peak_in_flight(), 4);
+    }
+  }
+}
+
+TEST(UnbatchedDispatchTest, FailureIsTheLaddersAtAnyParallelism) {
+  const std::vector<std::string> texts = {"p1", "boom", "p3", "p4", "p5"};
+  std::string serial_message;
+  for (int parallel : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel));
+    CountingLatencyModel model(5.0);
+    BatchPolicy policy;
+    policy.batch = false;
+    policy.parallel_batches = parallel;
+    BatchScheduler scheduler(&model, policy, "filter-check:population");
+    auto out = scheduler.Run(MakePrompts(texts));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kLlmError);
+    const std::string message = out.status().message();
+    EXPECT_NE(message.find("filter-check:population"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("prompt 2/5"), std::string::npos) << message;
+    EXPECT_EQ(scheduler.pending(), 0u);
+    EXPECT_EQ(scheduler.batches_dispatched(), 0);
+    std::vector<std::string> started = model.started();
+    if (parallel == 1) {
+      serial_message = message;
+      // Nothing after the failed prompt was sent.
+      EXPECT_EQ(started, std::vector<std::string>({"p1", "boom"}));
+    } else {
+      EXPECT_EQ(message, serial_message);
+      // Every prompt was started, so every prompt was billed.
+      std::sort(started.begin(), started.end());
+      std::vector<std::string> want = texts;
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(started, want);
+    }
+  }
+}
+
+TEST(UnbatchedDispatchTest, StartsNoPromptAfterACancel) {
+  const std::vector<std::string> texts = {"p1", "p2", "p3", "p4", "p5"};
+  for (int parallel : {1, 4}) {
+    SCOPED_TRACE("parallel_batches=" + std::to_string(parallel));
+    BatchPolicy policy;
+    policy.batch = false;
+    policy.parallel_batches = parallel;
+
+    // Cancelled before the flush: no prompt starts.
+    CountingLatencyModel idle(1.0);
+    policy.control = std::make_shared<CancelState>();
+    policy.control->RequestCancel();
+    auto none = BatchScheduler(&idle, policy, "verify:capital")
+                    .Run(MakePrompts(texts));
+    ASSERT_FALSE(none.ok());
+    EXPECT_EQ(none.status().code(), StatusCode::kCancelled);
+    EXPECT_TRUE(idle.started().empty());
+
+    // Cancelled by the second prompt, which returns long before the
+    // others: the prompts not yet started never start. At 1 that is
+    // everything after p2; at 4, p5, which waits for a free puller.
+    CountingLatencyModel model(30.0);
+    model.SetLatency("p2", 2.0);
+    policy.control = std::make_shared<CancelState>();
+    model.CancelOn("p2", policy.control);
+    BatchScheduler scheduler(&model, policy, "verify:capital");
+    auto out = scheduler.Run(MakePrompts(texts));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
+    const std::vector<std::string> started = model.started();
+    if (parallel == 1) {
+      EXPECT_EQ(started, std::vector<std::string>({"p1", "p2"}));
+    } else {
+      EXPECT_EQ(std::count(started.begin(), started.end(), "p5"), 0);
+    }
+    EXPECT_EQ(scheduler.batches_dispatched(), 0);
+  }
+}
 
 TEST(ConcurrentDispatchTest, PreservesAddOrderWhenChunksFinishOutOfOrder) {
   ConcurrentEchoModel model(/*sleep_scale_ms=*/2.0);

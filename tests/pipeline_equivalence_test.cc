@@ -1,8 +1,9 @@
 // The one materialisation path of core::PhysicalPlan. At
 // parallel_batches = 1 a query calls its model from one thread, one call
 // at a time, in the paper prototype's ladder order, and stops at the
-// first failed prompt; at parallel_batches = 4 the same phases overlap
-// and fail with the same error. A model that does not declare
+// first failed prompt; at parallel_batches = 4 the same phases overlap,
+// never with more than 4 model calls in flight, and fail with the same
+// error. A model that does not declare
 // thread_safe() keeps the ladder at any parallel_batches, also when a
 // caller executes the physical plan without GaloisExecutor, and a sized
 // key scan's flushes then go out from the calling thread too. The cache
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -107,17 +109,30 @@ class RecordingModel : public llm::LanguageModel {
   const std::string& name() const override { return inner_->name(); }
 
   Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
-    InFlight guard(this);
-    GALOIS_RETURN_IF_ERROR(Record(prompt, /*batch=*/false));
-    return inner_->Complete(prompt);
+    return CompleteMetered(prompt, nullptr);
   }
 
   Result<std::vector<llm::Completion>> CompleteBatch(
       const std::vector<llm::Prompt>& prompts) override {
+    return CompleteBatchMetered(prompts, nullptr);
+  }
+
+  // The metered calls forward the usage pointer, so a query's meter stays
+  // exact while its calls overlap.
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter* usage) override {
+    InFlight guard(this);
+    GALOIS_RETURN_IF_ERROR(Record(prompt, /*batch=*/false));
+    return inner_->CompleteMetered(prompt, usage);
+  }
+
+  Result<std::vector<llm::Completion>> CompleteBatchMetered(
+      const std::vector<llm::Prompt>& prompts,
+      llm::CostMeter* usage) override {
     InFlight guard(this);
     // A round trip carries the prompts of one scheduler phase.
     GALOIS_RETURN_IF_ERROR(Record(prompts.front(), /*batch=*/true));
-    return inner_->CompleteBatch(prompts);
+    return inner_->CompleteBatchMetered(prompts, usage);
   }
 
   llm::CostMeter cost() const override { return inner_->cost(); }
@@ -136,11 +151,17 @@ class RecordingModel : public llm::LanguageModel {
     return threads_;
   }
   bool overlapped() const { return overlapped_.load(); }
+  int peak_in_flight() const { return peak_in_flight_.load(); }
 
  private:
   struct InFlight {
     explicit InFlight(RecordingModel* m) : model(m) {
-      if (model->in_flight_.fetch_add(1) > 0) model->overlapped_ = true;
+      const int in_flight = model->in_flight_.fetch_add(1) + 1;
+      if (in_flight > 1) model->overlapped_ = true;
+      int peak = model->peak_in_flight_.load();
+      while (in_flight > peak &&
+             !model->peak_in_flight_.compare_exchange_weak(peak, in_flight)) {
+      }
     }
     ~InFlight() { model->in_flight_.fetch_sub(1); }
     RecordingModel* model;
@@ -161,6 +182,7 @@ class RecordingModel : public llm::LanguageModel {
   llm::LanguageModel* inner_;
   std::string fail_phase_;
   std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_in_flight_{0};
   std::atomic<bool> overlapped_{false};
   mutable std::mutex mu_;
   std::vector<std::string> calls_;
@@ -303,6 +325,58 @@ TEST(PipelineEquivalenceTest, ThreadSafeModelOverlapsJoinAtDefaultOptions) {
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_TRUE(model.overlapped());
   EXPECT_GT(model.threads().size(), 1u);
+}
+
+TEST(PipelineEquivalenceTest, OverlapStaysInsideTheQueryBudget) {
+  // Two tables of three needed columns each, with the critic on: at
+  // parallel_batches 4 the table tasks, the column chains and every
+  // phase's round trips (single prompts at batch off, one-prompt chunks
+  // at batch on) all draw from one budget. However many of them there
+  // are, the query never has more than 4 model calls in flight, and it
+  // returns the relation, meter and provenance of the ladder.
+  const char* sql =
+      "SELECT ci.name, ci.population, ci.mayor, ci.country, co.capital, "
+      "co.population, co.continent FROM city ci, country co "
+      "WHERE ci.country = co.name";
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batch on, max_batch_size 1" : "batch off");
+    ExecutionOptions opts = SerialOptions();
+    opts.batch_prompts = batch;
+    opts.max_batch_size = 1;
+    llm::SimulatedLlm ladder_inner(&W().kb(), PerfectProfile(),
+                                   &W().catalog(), 7);
+    ThreadSafeRecordingModel ladder_model(&ladder_inner);
+    auto expected =
+        GaloisExecutor(&ladder_model, &W().catalog(), opts).RunSql(sql);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(ladder_model.peak_in_flight(), 1);
+
+    llm::SimulatedLlm inner(&W().kb(), PerfectProfile(), &W().catalog(), 7);
+    inner.set_wall_latency_ms(1.0);
+    ThreadSafeRecordingModel model(&inner);
+    opts.parallel_batches = 4;
+    auto out = GaloisExecutor(&model, &W().catalog(), opts).RunSql(sql);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(model.overlapped());
+    EXPECT_GT(model.peak_in_flight(), 1);
+    EXPECT_LE(model.peak_in_flight(), opts.parallel_batches);
+
+    EXPECT_TRUE(out->relation.SameContents(expected->relation));
+    EXPECT_EQ(out->cost.num_prompts, expected->cost.num_prompts);
+    EXPECT_EQ(out->cost.num_batches, expected->cost.num_batches);
+    EXPECT_EQ(out->cost.prompt_tokens, expected->cost.prompt_tokens);
+    EXPECT_EQ(out->cost.completion_tokens, expected->cost.completion_tokens);
+    EXPECT_EQ(out->cost.simulated_latency_ms,
+              expected->cost.simulated_latency_ms);
+    EXPECT_EQ(out->trace.ToString(SIZE_MAX),
+              expected->trace.ToString(SIZE_MAX));
+    ASSERT_EQ(out->trace.cells.size(), expected->trace.cells.size());
+    EXPECT_GT(out->trace.cells.size(), 0u);
+    for (size_t i = 0; i < out->trace.cells.size(); ++i) {
+      EXPECT_EQ(out->trace.cells[i].prompt, expected->trace.cells[i].prompt)
+          << i;
+    }
+  }
 }
 
 TEST(PipelineEquivalenceTest, ScanFlushOverSerialModelStaysOnTheCallingThread) {
