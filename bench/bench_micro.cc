@@ -150,22 +150,11 @@ BENCHMARK(BM_GaloisSelectionQueryBatched)->Arg(0)->Arg(8)->Arg(32);
 /// Forwards every call to a model and keeps the peak number of calls in
 /// flight. The metered calls forward the usage pointer, so a query's
 /// meter stays exact while its calls overlap.
-class InFlightCounter : public galois::llm::LanguageModel {
+class InFlightCounter : public galois::llm::ForwardingModel {
  public:
   explicit InFlightCounter(galois::llm::LanguageModel* inner)
-      : inner_(inner) {}
+      : galois::llm::ForwardingModel(inner) {}
 
-  const std::string& name() const override { return inner_->name(); }
-  bool thread_safe() const override { return inner_->thread_safe(); }
-
-  galois::Result<galois::llm::Completion> Complete(
-      const galois::llm::Prompt& prompt) override {
-    return CompleteMetered(prompt, nullptr);
-  }
-  galois::Result<std::vector<galois::llm::Completion>> CompleteBatch(
-      const std::vector<galois::llm::Prompt>& prompts) override {
-    return CompleteBatchMetered(prompts, nullptr);
-  }
   galois::Result<galois::llm::Completion> CompleteMetered(
       const galois::llm::Prompt& prompt,
       galois::llm::CostMeter* usage) override {
@@ -178,8 +167,6 @@ class InFlightCounter : public galois::llm::LanguageModel {
     InFlight guard(this);
     return inner_->CompleteBatchMetered(prompts, usage);
   }
-  galois::llm::CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   int peak() const { return peak_.load(); }
 
@@ -195,7 +182,6 @@ class InFlightCounter : public galois::llm::LanguageModel {
     InFlightCounter* counter;
   };
 
-  galois::llm::LanguageModel* inner_;
   std::atomic<int> in_flight_{0};
   std::atomic<int> peak_{0};
 };

@@ -74,8 +74,9 @@ bool ConsumeScanPage(const llm::Completion& completion,
 /// Sends scan pages `first` .. `last` in one Flush and returns their
 /// completions in page order, or none when the flush failed. A failed
 /// flush counts the pages `model`'s meter billed for it (a serial
-/// dispatch stops at its first failed chunk, a model's default
-/// CompleteBatch at its first failed prompt), all of them overfetched.
+/// dispatch stops at its first failed chunk, the default
+/// CompleteBatchMetered at its first failed prompt), all of them
+/// overfetched.
 std::vector<llm::Completion> FlushScanPages(llm::BatchScheduler* scheduler,
                                             llm::LanguageModel* model,
                                             const catalog::TableDef& table,

@@ -130,33 +130,20 @@ Status HttpLlm::HttpError(const std::string& path,
 void HttpLlm::Bill(int64_t prompts, int64_t prompt_tokens,
                    int64_t completion_tokens, double latency_ms,
                    bool as_batch, CostMeter* usage) {
+  CostMeter delta;
+  delta.num_prompts = prompts;
+  delta.prompt_tokens = prompt_tokens;
+  delta.completion_tokens = completion_tokens;
+  delta.simulated_latency_ms = latency_ms;
+  delta.num_batches = as_batch ? 1 : 0;
   {
     std::lock_guard<std::mutex> lock(cost_mu_);
-    cost_.num_prompts += prompts;
-    cost_.prompt_tokens += prompt_tokens;
-    cost_.completion_tokens += completion_tokens;
-    cost_.simulated_latency_ms += latency_ms;
-    if (as_batch) ++cost_.num_batches;
+    cost_ += delta;
   }
   if (usage != nullptr) {
-    CostMeter delta;
-    delta.num_prompts = prompts;
-    delta.prompt_tokens = prompt_tokens;
-    delta.completion_tokens = completion_tokens;
-    delta.simulated_latency_ms = latency_ms;
-    delta.num_batches = as_batch ? 1 : 0;
     delta.FillSelfSlice(name_);
     *usage += delta;
   }
-}
-
-Result<Completion> HttpLlm::Complete(const Prompt& prompt) {
-  return CompleteMetered(prompt, nullptr);
-}
-
-Result<std::vector<Completion>> HttpLlm::CompleteBatch(
-    const std::vector<Prompt>& prompts) {
-  return CompleteBatchMetered(prompts, nullptr);
 }
 
 Result<Completion> HttpLlm::CompleteMetered(const Prompt& prompt,

@@ -53,7 +53,7 @@ struct HttpLlmOptions {
 /// socket HTTP/1.1 implementation — no third-party HTTP or TLS dependency
 /// (TLS termination is a proxy's job in this build). One connection per
 /// round trip (`Connection: close`), which keeps the client trivially
-/// correct under the concurrent CompleteBatch calls that
+/// correct under the concurrent batch calls that
 /// parallel_batches issues; on loopback the reconnect cost is noise.
 ///
 /// Billing is real: token usage comes from the server's `usage` object
@@ -71,7 +71,7 @@ struct HttpLlmOptions {
 /// only hide it.
 ///
 /// Thread-safety: stateless per round trip apart from the mutex-guarded
-/// meter, so concurrent Complete/CompleteBatch/cost calls are safe.
+/// meter, so concurrent completion and cost calls are safe.
 class HttpLlm : public LanguageModel {
  public:
   explicit HttpLlm(HttpLlmOptions options);
@@ -79,17 +79,13 @@ class HttpLlm : public LanguageModel {
   const std::string& name() const override { return name_; }
   bool thread_safe() const override { return true; }
 
-  Result<Completion> Complete(const Prompt& prompt) override;
+  /// One POST to chat_path. The wire-derived billing applied to the
+  /// meter is also handed to `usage`, with the by_model slice.
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override;
 
   /// One POST to batch_path per call — a whole BatchScheduler chunk rides
   /// one HTTP round trip, billed as one batch.
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override;
-
-  /// Exact per-call usage reports: the wire-derived billing applied to
-  /// the meter is also handed to `usage` (with the by_model slice).
-  Result<Completion> CompleteMetered(const Prompt& prompt,
-                                     CostMeter* usage) override;
   Result<std::vector<Completion>> CompleteBatchMetered(
       const std::vector<Prompt>& prompts, CostMeter* usage) override;
 

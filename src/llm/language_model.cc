@@ -4,32 +4,16 @@
 
 namespace galois::llm {
 
-Result<std::vector<Completion>> LanguageModel::CompleteBatch(
-    const std::vector<Prompt>& prompts) {
-  std::vector<Completion> out;
-  out.reserve(prompts.size());
-  for (const Prompt& p : prompts) {
-    GALOIS_ASSIGN_OR_RETURN(Completion c, Complete(p));
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
-Result<Completion> LanguageModel::CompleteMetered(const Prompt& prompt,
-                                                  CostMeter* usage) {
-  if (usage == nullptr) return Complete(prompt);
-  CostMeter before = cost();
-  Result<Completion> out = Complete(prompt);
-  if (out.ok()) *usage += cost() - before;
-  return out;
-}
-
 Result<std::vector<Completion>> LanguageModel::CompleteBatchMetered(
     const std::vector<Prompt>& prompts, CostMeter* usage) {
-  if (usage == nullptr) return CompleteBatch(prompts);
-  CostMeter before = cost();
-  Result<std::vector<Completion>> out = CompleteBatch(prompts);
-  if (out.ok()) *usage += cost() - before;
+  std::vector<Completion> out;
+  out.reserve(prompts.size());
+  CostMeter billed;
+  for (const Prompt& p : prompts) {
+    GALOIS_ASSIGN_OR_RETURN(Completion c, CompleteMetered(p, &billed));
+    out.push_back(std::move(c));
+  }
+  if (usage != nullptr) *usage += billed;
   return out;
 }
 

@@ -156,11 +156,24 @@ int64_t CountTokens(const std::string& text);
 /// Abstract language model client. Implementations: SimulatedLlm (the four
 /// paper profiles over the synthetic world), HttpLlm (an OpenAI-compatible
 /// chat-completions transport over blocking sockets), and the decorators
-/// PromptCache (caching), ResilientLlm (retry / rate limit / deadline /
-/// circuit breaker) and ModelRouter (per-phase backend routing). The
-/// recommended production stack composes them as
-/// router -> resilience -> cache -> transport (docs/ARCHITECTURE.md,
-/// "Backends & routing").
+/// CostTap (per-query attribution), PromptCache (caching), ResilientLlm
+/// (retry / rate limit / deadline / circuit breaker) and ModelRouter
+/// (per-phase backend routing). The recommended production stack composes
+/// them as router -> resilience -> cache -> transport
+/// (docs/ARCHITECTURE.md, "Backends & routing").
+///
+/// Writing a model: implement name(), CompleteMetered, cost() and
+/// ResetCost(). CompleteMetered bills the model's own meter and adds the
+/// same delta to `*usage` when `usage` is non-null, so a caller's meter
+/// and cost() never disagree. Override CompleteBatchMetered only when the
+/// backend has a real batched round trip. Return true from thread_safe()
+/// only when every member the calls touch is guarded.
+///
+/// Writing a decorator over one model: derive from ForwardingModel and
+/// override the completion calls it changes; a decorator that only adds
+/// behaviour forwards `usage` to its inner model untouched. One that
+/// does not override CompleteBatchMetered sends a batch to its inner
+/// model one prompt at a time.
 class LanguageModel {
  public:
   virtual ~LanguageModel() = default;
@@ -169,11 +182,11 @@ class LanguageModel {
   virtual const std::string& name() const = 0;
 
   /// The concurrency contract, declared by the type: true when the model
-  /// tolerates concurrent Complete/CompleteBatch/cost calls from several
-  /// threads. False by default, so a custom model is serial unless it
-  /// says otherwise. SimulatedLlm and HttpLlm return true; CostTap,
-  /// PromptCache and ResilientLlm forward their inner model's answer,
-  /// and ModelRouter returns the AND over its backends.
+  /// tolerates concurrent completion and cost calls from several threads.
+  /// False by default, so a custom model is serial unless it says
+  /// otherwise. SimulatedLlm and HttpLlm return true; a ForwardingModel
+  /// forwards its inner model's answer, and ModelRouter returns the AND
+  /// over its backends.
   ///
   /// The model only declares; core::PhysicalPlan, where a query's options
   /// meet its model, alone decides what to overlap. Over a stack that is
@@ -182,43 +195,46 @@ class LanguageModel {
   /// order.
   virtual bool thread_safe() const { return false; }
 
-  /// Executes one prompt in one round trip. Errors use
-  /// StatusCode::kLlmError for model-side failures.
-  virtual Result<Completion> Complete(const Prompt& prompt) = 0;
+  /// Executes one prompt in one round trip and *accumulates* into
+  /// `*usage` (when non-null) exactly what this call billed into cost(),
+  /// the model's by_model slice included. Per-call reports are how a
+  /// caller attributes spend to one logical query while many queries
+  /// share one model stack: diffing cost() around a call is wrong the
+  /// moment another thread bills in between. Decorators pass the pointer
+  /// down the stack, adding their own attribution (PromptCache adds
+  /// cache_hits, ModelRouter merges per-backend slices).
+  ///
+  /// Errors use StatusCode::kLlmError for model-side failures. On error
+  /// nothing is added to `*usage`; a failed round trip that the stack
+  /// billed anyway (SimulatedLlm bills per answered prompt, HTTP retries
+  /// bill server-side) shows up only in the stack-wide cost().
+  virtual Result<Completion> CompleteMetered(const Prompt& prompt,
+                                             CostMeter* usage) = 0;
 
   /// Executes a batch of independent prompts in one round trip (the
   /// paper's "~110 *batched* prompts per query"), returning exactly one
-  /// completion per prompt, in input order. The default loops over
-  /// Complete; implementations may overlap the per-prompt latency —
-  /// SimulatedLlm bills one shared round-trip overhead per batch. On
-  /// error, nothing is returned (no partial completions), but the failed
-  /// round trip may already have been billed.
-  virtual Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts);
-
-  /// Metered variants: identical semantics to Complete / CompleteBatch,
-  /// but additionally *accumulate* into `*usage` (when non-null) exactly
-  /// what this call billed into cost(). They exist so a caller can
-  /// attribute spend to one logical query while many queries share one
-  /// model stack concurrently — diffing cost() around a call is racy the
-  /// moment another thread bills in between, per-call usage reports are
-  /// not. Decorators forward the pointer down the stack, adding their own
-  /// attribution (PromptCache adds cache_hits, ModelRouter merges
-  /// per-backend slices).
-  ///
-  /// On error nothing is added to `*usage`; a failed round trip that the
-  /// stack billed anyway (SimulatedLlm bills per answered prompt, HTTP
-  /// retries bill server-side) shows up only in the stack-wide cost().
-  ///
-  /// The default implementations fall back to diffing cost() around the
-  /// unmetered call — exact only while no other thread bills the same
-  /// model. Every shipped model and decorator overrides them with exact
-  /// per-call attribution; custom single-threaded models can rely on the
-  /// default.
-  virtual Result<Completion> CompleteMetered(const Prompt& prompt,
-                                             CostMeter* usage);
+  /// completion per prompt, in input order, and metering like
+  /// CompleteMetered. On error nothing is returned (no partial
+  /// completions) and nothing is added to `*usage`, but the failed round
+  /// trip may already have been billed into cost(). SimulatedLlm bills
+  /// one shared round-trip overhead per batch. The default loops over
+  /// CompleteMetered into a local meter, stops at the first failed
+  /// prompt, and adds the meter to `*usage` only when every prompt
+  /// succeeded; it counts no batch round trip.
   virtual Result<std::vector<Completion>> CompleteBatchMetered(
       const std::vector<Prompt>& prompts, CostMeter* usage);
+
+  /// The unmetered calls: CompleteMetered / CompleteBatchMetered with no
+  /// meter. Models implement the metered pair only; these stay virtual
+  /// just for the end-to-end benchmark's wrappers (perfbench/), which
+  /// still override them.
+  virtual Result<Completion> Complete(const Prompt& prompt) {
+    return CompleteMetered(prompt, nullptr);
+  }
+  virtual Result<std::vector<Completion>> CompleteBatch(
+      const std::vector<Prompt>& prompts) {
+    return CompleteBatchMetered(prompts, nullptr);
+  }
 
   /// Usage since construction / last reset, returned as a consistent
   /// snapshot. Safe to call concurrently with in-flight round trips (the
@@ -226,6 +242,26 @@ class LanguageModel {
   /// half-billed batch).
   virtual CostMeter cost() const = 0;
   virtual void ResetCost() = 0;
+};
+
+/// Base of a decorator over one inner model: forwards name(),
+/// thread_safe(), cost() and ResetCost() to `inner_`, and leaves the
+/// completion calls to the decorator. A decorator whose own state is not
+/// guarded for concurrent calls must override thread_safe() to return
+/// false; forwarding the inner model's answer would let a query overlap
+/// calls into it.
+class ForwardingModel : public LanguageModel {
+ public:
+  const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return inner_->thread_safe(); }
+  CostMeter cost() const override { return inner_->cost(); }
+  void ResetCost() override { inner_->ResetCost(); }
+
+ protected:
+  /// `inner` must outlive the decorator.
+  explicit ForwardingModel(LanguageModel* inner) : inner_(inner) {}
+
+  LanguageModel* inner_;
 };
 
 }  // namespace galois::llm

@@ -28,10 +28,11 @@ namespace galois::llm {
 /// no caching, routing or policy — attribution only. ResetCost() clears
 /// the tap's meter and leaves the inner stack untouched.
 ///
-/// Thread-safety: Complete/CompleteBatch/cost may be called concurrently
-/// (over a thread-safe stack the executor bills one query from several
-/// phase threads); the meter is guarded by a mutex and updated once per
-/// round trip. thread_safe() forwards the inner stack's answer.
+/// Thread-safety: the completion calls and cost() may be called
+/// concurrently (over a thread-safe stack the executor bills one query
+/// from several phase threads); the meter is guarded by a mutex and
+/// updated once per round trip. thread_safe() forwards the inner stack's
+/// answer.
 ///
 /// The meter is independent of completion order: overlapped round trips
 /// finish in any order, and a sum of doubles depends on its order in the
@@ -43,21 +44,10 @@ namespace galois::llm {
 /// Failed round trips add nothing to the tap even when the stack billed
 /// them internally (see LanguageModel::CompleteMetered); the stack-wide
 /// meter remains the source of truth for total spend.
-class CostTap : public LanguageModel {
+class CostTap : public ForwardingModel {
  public:
   /// `inner` must outlive the tap.
-  explicit CostTap(LanguageModel* inner) : inner_(inner) {}
-
-  const std::string& name() const override { return inner_->name(); }
-  bool thread_safe() const override { return inner_->thread_safe(); }
-
-  Result<Completion> Complete(const Prompt& prompt) override {
-    return CompleteMetered(prompt, nullptr);
-  }
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
-    return CompleteBatchMetered(prompts, nullptr);
-  }
+  explicit CostTap(LanguageModel* inner) : ForwardingModel(inner) {}
 
   /// Forwards to the inner stack's metered call; the reported usage is
   /// added to the tap's meter and, when `usage` is non-null, to the
@@ -76,7 +66,6 @@ class CostTap : public LanguageModel {
  private:
   void Record(const CostMeter& delta, CostMeter* usage);
 
-  LanguageModel* inner_;
   mutable std::mutex mu_;
   // Guarded by mu_. tapped_'s simulated_latency_ms fields are order-
   // dependent double sums; cost() replaces them with the exact sums below.

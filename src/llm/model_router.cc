@@ -154,15 +154,6 @@ bool ModelRouter::thread_safe() const {
   return thread_safe_;
 }
 
-Result<Completion> ModelRouter::Complete(const Prompt& prompt) {
-  return CompleteMetered(prompt, nullptr);
-}
-
-Result<std::vector<Completion>> ModelRouter::CompleteBatch(
-    const std::vector<Prompt>& prompts) {
-  return CompleteBatchMetered(prompts, nullptr);
-}
-
 Result<Completion> ModelRouter::CompleteMetered(const Prompt& prompt,
                                                 CostMeter* usage) {
   LanguageModel* backend = BackendFor(prompt.intent);
@@ -201,6 +192,7 @@ Result<std::vector<Completion>> ModelRouter::CompleteBatchMetered(
 
   std::vector<Completion> out(prompts.size());
   std::vector<LanguageModel*> done;  // backends already dispatched
+  CostMeter billed;  // reported only once every backend has answered
   for (size_t i = 0; i < prompts.size(); ++i) {
     LanguageModel* backend = target[i];
     if (std::find(done.begin(), done.end(), backend) != done.end()) continue;
@@ -215,15 +207,15 @@ Result<std::vector<Completion>> ModelRouter::CompleteBatchMetered(
     }
     // One inner round trip per backend involved. On failure the whole
     // batch fails — completions filled for an earlier backend are
-    // discarded with `out`, never returned partially (though an earlier
-    // backend's usage may already be reported; the executor discards the
-    // query's meter on error anyway).
+    // discarded with `out`, never returned partially, and the usage an
+    // earlier backend reported is discarded with `billed`.
     GALOIS_ASSIGN_OR_RETURN(std::vector<Completion> group_out,
-                            backend->CompleteBatchMetered(group, usage));
+                            backend->CompleteBatchMetered(group, &billed));
     for (size_t k = 0; k < positions.size(); ++k) {
       out[positions[k]] = std::move(group_out[k]);
     }
   }
+  if (usage != nullptr) *usage += billed;
   return out;
 }
 
@@ -238,27 +230,10 @@ CostMeter ModelRouter::cost() const {
   for (const Backend& b : backends) {
     if (!seen.insert(b.model).second) continue;
     CostMeter c = b.model->cost();
-    total.num_prompts += c.num_prompts;
-    total.prompt_tokens += c.prompt_tokens;
-    total.completion_tokens += c.completion_tokens;
-    total.simulated_latency_ms += c.simulated_latency_ms;
-    total.cache_hits += c.cache_hits;
-    total.num_batches += c.num_batches;
-    if (c.by_model.empty() && (c.num_prompts != 0 || c.num_batches != 0)) {
-      // A custom backend that does not fill its own slice still gets
-      // attributed, under its display name.
-      ModelUsage usage;
-      usage.num_prompts = c.num_prompts;
-      usage.prompt_tokens = c.prompt_tokens;
-      usage.completion_tokens = c.completion_tokens;
-      usage.simulated_latency_ms = c.simulated_latency_ms;
-      usage.num_batches = c.num_batches;
-      total.by_model[b.model->name()] += usage;
-    } else {
-      for (const auto& [model_name, usage] : c.by_model) {
-        total.by_model[model_name] += usage;
-      }
-    }
+    // A custom backend that does not fill its own slice still gets
+    // attributed, under its display name.
+    if (c.by_model.empty()) c.FillSelfSlice(b.model->name());
+    total += c;
   }
   return total;
 }

@@ -33,19 +33,20 @@ const std::vector<std::string>& RoutablePhases();
 /// the configuration surface; eval/shell/examples feed it to
 /// ConfigureRoutes.
 ///
-/// CompleteBatch partitions a mixed batch by target backend, issues one
-/// inner CompleteBatch per backend involved, and reassembles completions
-/// in input order; executor phases are intent-homogeneous, so in practice
-/// a chunk rides exactly one inner round trip. Any backend failure fails
-/// the whole call with no partial completions (the CompleteBatch
-/// contract).
+/// CompleteBatchMetered partitions a mixed batch by target backend,
+/// issues one inner batch call per backend involved, and reassembles
+/// completions in input order; executor phases are intent-homogeneous, so
+/// in practice a chunk rides exactly one inner round trip. Any backend
+/// failure fails the whole call with no partial completions and no usage
+/// reported (the batch contract).
 ///
-/// cost() merges the meters of all distinct backends (deduped by
-/// pointer, so two aliases of one model are not double-counted); the
-/// per-backend by_model slices land in eval's FormatCostStats breakdown.
+/// cost() sums the meters of all distinct backends (deduped by pointer,
+/// so two aliases of one model are not double-counted), prompt-store
+/// hits included; the per-backend by_model slices land in eval's
+/// FormatCostStats breakdown.
 ///
-/// Thread-safety: routing-table mutations are mutex-guarded, and
-/// Complete/CompleteBatch only read it, so routing is safe under
+/// Thread-safety: routing-table mutations are mutex-guarded, and the
+/// completion calls only read it, so routing is safe under
 /// parallel_batches; reconfigure between queries, not mid-flight (an
 /// in-flight phase may use either route). Whether the backends tolerate
 /// concurrent calls is theirs to declare: thread_safe() is their AND.
@@ -93,13 +94,9 @@ class ModelRouter : public LanguageModel {
   /// makes the whole router serial.
   bool thread_safe() const override;
 
-  Result<Completion> Complete(const Prompt& prompt) override;
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override;
-
-  /// Metered variants forward the usage pointer to the routed backend(s);
-  /// a mixed batch accumulates one slice per backend involved, so a
-  /// per-query meter shows the same per-backend breakdown as cost().
+  /// Forward the usage pointer to the routed backend(s); a mixed batch
+  /// accumulates one slice per backend involved, so a per-query meter
+  /// shows the same per-backend breakdown as cost().
   Result<Completion> CompleteMetered(const Prompt& prompt,
                                      CostMeter* usage) override;
   Result<std::vector<Completion>> CompleteBatchMetered(

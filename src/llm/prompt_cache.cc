@@ -86,15 +86,6 @@ void PromptCache::SetHooks(PromptCacheHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-Result<Completion> PromptCache::Complete(const Prompt& prompt) {
-  return CompleteMetered(prompt, nullptr);
-}
-
-Result<std::vector<Completion>> PromptCache::CompleteBatch(
-    const std::vector<Prompt>& prompts) {
-  return CompleteBatchMetered(prompts, nullptr);
-}
-
 Result<Completion> PromptCache::CompleteMetered(const Prompt& prompt,
                                                 CostMeter* usage) {
   const size_t hash = HashOf(prompt.text);
@@ -165,20 +156,23 @@ Result<std::vector<Completion>> PromptCache::CompleteBatchMetered(
     return out;
   }
 
+  // The inner usage and the hits are reported only once the whole call
+  // succeeded, so a short inner answer reports nothing either (the
+  // nothing-on-error contract of the metered API).
+  CostMeter billed;
   GALOIS_ASSIGN_OR_RETURN(std::vector<Completion> completions,
-                          inner_->CompleteBatchMetered(miss_prompts, usage));
-  // The hits are reported only once the whole call succeeds, keeping the
-  // nothing-on-error contract of the metered API.
-  if (usage != nullptr) {
-    usage->cache_hits += hits;
-    usage->store_hits += store_hits;
-  }
+                          inner_->CompleteBatchMetered(miss_prompts, &billed));
   if (completions.size() != miss_prompts.size()) {
     return Status::LlmError("inner CompleteBatch returned " +
                             std::to_string(completions.size()) +
                             " completions for " +
                             std::to_string(miss_prompts.size()) +
                             " prompts");
+  }
+  if (usage != nullptr) {
+    billed.cache_hits += hits;
+    billed.store_hits += store_hits;
+    *usage += billed;
   }
   for (size_t m = 0; m < miss_prompts.size(); ++m) {
     Insert(miss_prompts[m].text, miss_hashes[m], completions[m].text);

@@ -45,52 +45,43 @@ struct PromptCacheHooks {
 /// one of the physical-plan optimisations discussed in Section 6. The cache
 /// is sound for SimulatedLlm because its completions are deterministic.
 ///
-/// The cache is batch-aware: CompleteBatch partitions hits from misses,
+/// The cache is batch-aware: a batch call partitions hits from misses,
 /// dedupes repeated prompt texts within the batch, forwards all distinct
 /// misses to the inner model as ONE batch, and merges the answers back in
 /// input order — so a cached configuration still exercises the inner
-/// model's batched path instead of degrading to N sequential Complete
-/// calls.
+/// model's batched path instead of degrading to N sequential calls.
 ///
 /// The map is sharded into buckets, each guarded by its own mutex, so the
 /// batch scheduler can fan chunks out across threads (parallel_batches >
 /// 1) with hits and misses resolving concurrently. Thread-safety scope:
-/// concurrent Complete/CompleteBatch/cost calls are safe, but two threads
-/// that miss the same prompt simultaneously may each dispatch it to the
-/// inner model (a benign cache stampede for deterministic models: last
+/// concurrent completion and cost calls are safe, but two threads that
+/// miss the same prompt simultaneously may each dispatch it to the inner
+/// model (a benign cache stampede for deterministic models: last
 /// insert wins, both callers get the same answer; the scheduler's
 /// in-flush dedupe keeps concurrent chunks of one phase disjoint, so the
 /// stampede can only happen across independent flushes). thread_safe()
 /// forwards the inner model's answer: the cache adds no serial state, and
 /// cannot make a serial model concurrent.
-class PromptCache : public LanguageModel {
+class PromptCache : public ForwardingModel {
  public:
-  /// `inner` must outlive the cache.
-  explicit PromptCache(LanguageModel* inner) : inner_(inner) {}
-
-  /// Reports the inner model's name — the cache is invisible to
-  /// identification.
-  const std::string& name() const override { return inner_->name(); }
-  bool thread_safe() const override { return inner_->thread_safe(); }
+  /// `inner` must outlive the cache. name() reports the inner model's
+  /// name — the cache is invisible to identification.
+  explicit PromptCache(LanguageModel* inner) : ForwardingModel(inner) {}
 
   /// Serves `prompt` from cache or forwards it to the inner model and
   /// memoises the answer. Errors from the inner model pass through
-  /// unchanged and are never cached.
-  Result<Completion> Complete(const Prompt& prompt) override;
+  /// unchanged and are never cached. The usage pointer goes to the inner
+  /// model on a miss; a hit adds its cache hit (and store hit) instead,
+  /// so a per-query meter attributes hits exactly like the combined
+  /// cost().
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override;
 
   /// Hit/miss-partitioned batched execution (see class comment). A batch
   /// answered entirely from cache performs no inner round trip but is
-  /// still counted in cost().num_batches, so warm reruns keep their batch
-  /// attribution (the round trip was *saved*, not never-planned).
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override;
-
-  /// Exact per-call usage: forwards the pointer to the inner model for
-  /// the misses and adds this call's cache hits (and, for a batch served
-  /// entirely from cache, the saved batch round trip) on top — so a
-  /// per-query meter attributes hits exactly like the combined cost().
-  Result<Completion> CompleteMetered(const Prompt& prompt,
-                                     CostMeter* usage) override;
+  /// still counted in num_batches, in cost() and in `usage`, so warm
+  /// reruns keep their batch attribution (the round trip was *saved*, not
+  /// never-planned).
   Result<std::vector<Completion>> CompleteBatchMetered(
       const std::vector<Prompt>& prompts, CostMeter* usage) override;
 
@@ -171,7 +162,6 @@ class PromptCache : public LanguageModel {
   void Insert(const std::string& text, size_t hash,
               const std::string& completion);
 
-  LanguageModel* inner_;
   std::array<Shard, kNumShards> shards_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> store_hits_{0};

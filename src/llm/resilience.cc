@@ -31,7 +31,7 @@ const char* CircuitStateName(CircuitState s) {
 }
 
 ResilientLlm::ResilientLlm(LanguageModel* inner, ResilienceOptions options)
-    : inner_(inner),
+    : ForwardingModel(inner),
       options_(std::move(options)),
       tokens_(std::max(1.0, options_.rate_limit_burst)),
       jitter_rng_(options_.jitter_seed) {
@@ -220,15 +220,6 @@ Result<T> ResilientLlm::Guarded(
     }
     if (delay > 0) options_.sleep_ms(delay);
   }
-}
-
-Result<Completion> ResilientLlm::Complete(const Prompt& prompt) {
-  return CompleteMetered(prompt, nullptr);
-}
-
-Result<std::vector<Completion>> ResilientLlm::CompleteBatch(
-    const std::vector<Prompt>& prompts) {
-  return CompleteBatchMetered(prompts, nullptr);
 }
 
 Result<Completion> ResilientLlm::CompleteMetered(const Prompt& prompt,

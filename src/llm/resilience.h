@@ -33,7 +33,7 @@ struct ResilienceOptions {
   uint64_t jitter_seed = 42;
 
   /// Token-bucket rate limit on round trips *initiated* (one token per
-  /// Complete or CompleteBatch round trip — batching many prompts into
+  /// completion or batch round trip — batching many prompts into
   /// one trip is precisely how the paper's workload stays under provider
   /// limits). 0 disables.
   double rate_limit_per_sec = 0.0;
@@ -94,33 +94,23 @@ const char* CircuitStateName(CircuitState s);
 /// thread — under the scheduler that is a round-trip pool worker, which
 /// is exactly the thread whose round trip is being delayed.
 /// thread_safe() forwards the inner model's answer.
-class ResilientLlm : public LanguageModel {
+class ResilientLlm : public ForwardingModel {
  public:
-  /// `inner` must outlive the decorator.
+  /// `inner` must outlive the decorator. Transparent to identification,
+  /// like PromptCache; cost() forwards too, because the decorator adds
+  /// policy, not spend. Failed retried round trips are billed by whoever
+  /// billed them inside (the transport bills only successes; SimulatedLlm
+  /// bills each call).
   ResilientLlm(LanguageModel* inner, ResilienceOptions options);
 
-  /// Transparent to identification, like PromptCache.
-  const std::string& name() const override { return inner_->name(); }
-  bool thread_safe() const override { return inner_->thread_safe(); }
-
-  Result<Completion> Complete(const Prompt& prompt) override;
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override;
-
-  /// Metered variants run the same policy; the usage pointer rides the
-  /// round trip into the inner stack, so a successful (possibly retried)
-  /// call reports exactly the usage of the attempt that succeeded.
-  /// Failed attempts report nothing (per the metered-API contract).
+  /// Runs the round trip under the full policy; the usage pointer rides
+  /// it into the inner stack, so a successful (possibly retried) call
+  /// reports exactly the usage of the attempt that succeeded. Failed
+  /// attempts report nothing (per the metered-API contract).
   Result<Completion> CompleteMetered(const Prompt& prompt,
                                      CostMeter* usage) override;
   Result<std::vector<Completion>> CompleteBatchMetered(
       const std::vector<Prompt>& prompts, CostMeter* usage) override;
-
-  /// Forwards to the inner model: the decorator adds policy, not spend.
-  /// Failed retried round trips are billed by whoever billed them inside
-  /// (the transport bills only successes; SimulatedLlm bills each call).
-  CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   ResilienceStats stats() const;
   CircuitState circuit_state() const;
@@ -143,7 +133,6 @@ class ResilientLlm : public LanguageModel {
 
   int64_t Now() const { return options_.now_ms(); }
 
-  LanguageModel* inner_;
   ResilienceOptions options_;
 
   mutable std::mutex mu_;

@@ -398,15 +398,6 @@ Result<Completion> SimulatedLlm::Answer(const Prompt& prompt) const {
   return Status::LlmError("unhandled prompt intent");
 }
 
-Result<Completion> SimulatedLlm::Complete(const Prompt& prompt) {
-  return CompleteMetered(prompt, nullptr);
-}
-
-Result<std::vector<Completion>> SimulatedLlm::CompleteBatch(
-    const std::vector<Prompt>& prompts) {
-  return CompleteBatchMetered(prompts, nullptr);
-}
-
 Result<Completion> SimulatedLlm::CompleteMetered(const Prompt& prompt,
                                                  CostMeter* usage) {
   GALOIS_ASSIGN_OR_RETURN(Completion c, Answer(prompt));
@@ -450,11 +441,7 @@ Result<std::vector<Completion>> SimulatedLlm::CompleteBatchMetered(
 void SimulatedLlm::Bill(const CostMeter& delta, CostMeter* usage) {
   {
     std::lock_guard<std::mutex> lock(cost_mu_);
-    cost_.num_prompts += delta.num_prompts;
-    cost_.prompt_tokens += delta.prompt_tokens;
-    cost_.completion_tokens += delta.completion_tokens;
-    cost_.simulated_latency_ms += delta.simulated_latency_ms;
-    cost_.num_batches += delta.num_batches;
+    cost_ += delta;
   }
   if (usage != nullptr) {
     // The caller's meter gets the per-backend slice too, so routed and

@@ -40,7 +40,7 @@ namespace galois::llm {
 /// prompt text, so the CostMeter is identical however round trips are
 /// ordered or overlapped.
 ///
-/// Thread-safety: Complete, CompleteBatch and cost() may be called
+/// Thread-safety: the completion calls and cost() may be called
 /// concurrently (the batch scheduler overlaps round trips when
 /// parallel_batches > 1); the cost meter is updated atomically per round
 /// trip under an internal mutex and cost() returns a consistent
@@ -57,22 +57,17 @@ class SimulatedLlm : public LanguageModel {
   const std::string& name() const override { return profile_.name; }
   bool thread_safe() const override { return true; }
 
-  /// One round trip for one prompt. Safe to call concurrently.
-  Result<Completion> Complete(const Prompt& prompt) override;
+  /// One round trip for one prompt. Safe to call concurrently. The
+  /// billing is computed per round trip anyway, so the delta handed to
+  /// `usage` is the one applied to the meter, with the by_model slice.
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override;
 
   /// Batched execution: prompts in one batch share a single round-trip
   /// overhead and their decode latencies overlap (the max, not the sum,
   /// dominates), mirroring how API batching amortises cost. One billing
   /// update per call, so concurrent batches never interleave partial
   /// meters.
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override;
-
-  /// Exact per-call usage reports (the billing is computed per round trip
-  /// anyway, so the delta handed to `usage` is the one applied to the
-  /// meter — including the by_model slice).
-  Result<Completion> CompleteMetered(const Prompt& prompt,
-                                     CostMeter* usage) override;
   Result<std::vector<Completion>> CompleteBatchMetered(
       const std::vector<Prompt>& prompts, CostMeter* usage) override;
 
@@ -83,7 +78,7 @@ class SimulatedLlm : public LanguageModel {
 
   const ModelProfile& profile() const { return profile_; }
 
-  /// Makes every round trip (one Complete or CompleteBatch call) block
+  /// Makes every round trip (one completion or batch call) block
   /// the calling thread for `ms` wall-clock milliseconds, so concurrency
   /// benchmarks measure a real, deterministic per-round-trip latency
   /// instead of the sub-microsecond simulated answer path. 0 (default)

@@ -52,7 +52,7 @@ std::vector<Prompt> MakePrompts(const std::vector<std::string>& texts) {
   return out;
 }
 
-/// Thread-safe echo model whose CompleteBatch sleeps a per-chunk duration
+/// Thread-safe echo model whose batch call sleeps a per-chunk duration
 /// derived from the first prompt, so concurrent chunks finish out of
 /// dispatch order and order-preservation is actually exercised.
 class ConcurrentEchoModel : public LanguageModel {
@@ -62,14 +62,16 @@ class ConcurrentEchoModel : public LanguageModel {
 
   const std::string& name() const override { return name_; }
 
-  Result<Completion> Complete(const Prompt& prompt) override {
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override {
     std::lock_guard<std::mutex> lock(mu_);
     ++cost_.num_prompts;
+    if (usage != nullptr) ++usage->num_prompts;
     return Completion{"echo:" + prompt.text};
   }
 
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
+  Result<std::vector<Completion>> CompleteBatchMetered(
+      const std::vector<Prompt>& prompts, CostMeter* usage) override {
     int in_flight = in_flight_.fetch_add(1) + 1;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -93,6 +95,10 @@ class ConcurrentEchoModel : public LanguageModel {
       cost_.num_prompts += static_cast<int64_t>(prompts.size());
       ++cost_.num_batches;
       batch_sizes_.push_back(prompts.size());
+    }
+    if (usage != nullptr) {
+      usage->num_prompts += static_cast<int64_t>(prompts.size());
+      ++usage->num_batches;
     }
     in_flight_.fetch_sub(1);
     return out;
@@ -129,37 +135,34 @@ class ConcurrentEchoModel : public LanguageModel {
 /// Fails any chunk containing the prompt text "boom".
 class BoomModel : public ConcurrentEchoModel {
  public:
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
+  Result<std::vector<Completion>> CompleteBatchMetered(
+      const std::vector<Prompt>& prompts, CostMeter* usage) override {
     for (const Prompt& p : prompts) {
       if (p.text == "boom") return Status::LlmError("backend exploded");
     }
-    return ConcurrentEchoModel::CompleteBatch(prompts);
+    return ConcurrentEchoModel::CompleteBatchMetered(prompts, usage);
   }
 };
 
-/// Returns one completion too few from every CompleteBatch call.
+/// Returns one completion too few from every batch call.
 class ShortBatchModel : public ConcurrentEchoModel {
  public:
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
-    auto out = ConcurrentEchoModel::CompleteBatch(prompts);
+  Result<std::vector<Completion>> CompleteBatchMetered(
+      const std::vector<Prompt>& prompts, CostMeter* usage) override {
+    auto out = ConcurrentEchoModel::CompleteBatchMetered(prompts, usage);
     if (out.ok()) out->pop_back();
     return out;
   }
 };
 
-/// Reports one scripted usage delta per Complete call, in order. It does
-/// not declare thread_safe().
+/// Reports one scripted usage delta per call, in order. It does not
+/// declare thread_safe().
 class ScriptedUsageModel : public LanguageModel {
  public:
   explicit ScriptedUsageModel(std::vector<CostMeter> deltas = {})
       : deltas_(std::move(deltas)) {}
 
   const std::string& name() const override { return name_; }
-  Result<Completion> Complete(const Prompt& prompt) override {
-    return CompleteMetered(prompt, nullptr);
-  }
   Result<Completion> CompleteMetered(const Prompt&,
                                      CostMeter* usage) override {
     if (usage != nullptr) *usage += deltas_.at(next_);
@@ -175,7 +178,7 @@ class ScriptedUsageModel : public LanguageModel {
   size_t next_ = 0;
 };
 
-/// Thread-safe model for the unbatched loop: every Complete blocks for a
+/// Thread-safe model for the unbatched loop: every call blocks for a
 /// wall latency (a per-text latency when one is set), and the model
 /// records the texts whose calls started, in start order, and the peak
 /// number of calls in flight. The prompt "boom" fails after it started;
@@ -194,7 +197,8 @@ class CountingLatencyModel : public LanguageModel {
     token_ = std::move(token);
   }
 
-  Result<Completion> Complete(const Prompt& prompt) override {
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override {
     const int in_flight = in_flight_.fetch_add(1) + 1;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -207,6 +211,7 @@ class CountingLatencyModel : public LanguageModel {
     if (prompt.text == cancel_text_) token_->RequestCancel();
     in_flight_.fetch_sub(1);
     if (prompt.text == "boom") return Status::LlmError("no answer");
+    if (usage != nullptr) ++usage->num_prompts;
     return Completion{"echo:" + prompt.text};
   }
 
@@ -661,9 +666,10 @@ TEST(ConcurrentDispatchTest, SequentialModeErrorNamesPhaseAndPrompt) {
   policy.batch = false;
   class BoomOnComplete : public ConcurrentEchoModel {
    public:
-    Result<Completion> Complete(const Prompt& prompt) override {
+    Result<Completion> CompleteMetered(const Prompt& prompt,
+                                       CostMeter* usage) override {
       if (prompt.text == "boom") return Status::LlmError("no answer");
-      return ConcurrentEchoModel::Complete(prompt);
+      return ConcurrentEchoModel::CompleteMetered(prompt, usage);
     }
   } seq_model;
   BatchScheduler seq(&seq_model, policy, "attribute:capital");
@@ -848,6 +854,25 @@ TEST(ThreadSafeContractTest, DecoratorsForwardAndTheRouterAndsItsBackends) {
   EXPECT_TRUE(router.thread_safe());
   ASSERT_TRUE(router.AddBackend("serial", &serial).ok());
   EXPECT_FALSE(router.thread_safe());
+}
+
+TEST(ModelRouterTest, FailedMixedBatchReportsNoUsage) {
+  // A mixed batch rides one round trip per backend. When a later backend
+  // fails, the call reports nothing, though an earlier one billed.
+  ConcurrentEchoModel cheap;
+  BoomModel strong;
+  ModelRouter router;
+  ASSERT_TRUE(router.AddBackend("cheap", &cheap).ok());
+  ASSERT_TRUE(router.AddBackend("strong", &strong).ok());
+  ASSERT_TRUE(router.SetRoute("verify", "strong").ok());
+  const std::vector<Prompt> mixed = {Prompt{"a", AttributeGetIntent{}},
+                                     Prompt{"boom", VerifyIntent{}}};
+  CostMeter usage;
+  auto out = router.CompleteBatchMetered(mixed, &usage);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(cheap.cost().num_prompts, 1);
+  EXPECT_EQ(usage.num_prompts, 0);
+  EXPECT_EQ(usage.num_batches, 0);
 }
 
 // --- PromptCache hammer (ThreadSanitizer target) ----------------------------

@@ -311,9 +311,27 @@ TEST(BatchingTest, SameAnswersFewerSimulatedSeconds) {
   EXPECT_EQ(rm_seq->cost.num_batches, 0);
 }
 
+/// Forwards one prompt at a time to `inner` and fails the prompt whose
+/// text is `fail_text`. It implements only CompleteMetered, so its batch
+/// call is LanguageModel's default loop.
+class OnePromptModel : public llm::ForwardingModel {
+ public:
+  explicit OnePromptModel(llm::LanguageModel* inner)
+      : llm::ForwardingModel(inner) {}
+
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter* usage) override {
+    if (prompt.text == fail_text) return Status::LlmError("no answer");
+    return inner_->CompleteMetered(prompt, usage);
+  }
+
+  std::string fail_text;
+};
+
 TEST(BatchingTest, DefaultBatchLoopsOverComplete) {
-  llm::SimulatedLlm model(&W().kb(), llm::ModelProfile::ChatGpt(),
+  llm::SimulatedLlm inner(&W().kb(), llm::ModelProfile::ChatGpt(),
                           &W().catalog(), 7);
+  OnePromptModel model(&inner);
   llm::AttributeGetIntent intent;
   intent.concept_name = "country";
   intent.attribute = "capital";
@@ -322,16 +340,38 @@ TEST(BatchingTest, DefaultBatchLoopsOverComplete) {
     intent.key = key;
     prompts.push_back(llm::BuildAttributePrompt(intent));
   }
-  auto batch = model.CompleteBatch(prompts);
+  llm::CostMeter usage;
+  auto batch = model.CompleteBatchMetered(prompts, &usage);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch.value().size(), 3u);
-  // Answers equal the one-by-one completions.
+  // In input order, the one-by-one completions; the usage is the sum of
+  // their reports (the model's slice holds every billed field), and no
+  // batch round trip.
   llm::SimulatedLlm fresh(&W().kb(), llm::ModelProfile::ChatGpt(),
                           &W().catalog(), 7);
+  llm::CostMeter reports;
   for (size_t i = 0; i < prompts.size(); ++i) {
     EXPECT_EQ(batch.value()[i].text,
-              fresh.Complete(prompts[i]).value().text);
+              fresh.CompleteMetered(prompts[i], &reports).value().text);
   }
+  EXPECT_EQ(usage.num_prompts, 3);
+  EXPECT_EQ(usage.by_model, reports.by_model);
+  EXPECT_EQ(usage.num_batches, 0);
+  EXPECT_EQ(inner.cost().num_batches, 0);
+
+  // A batch whose second prompt fails returns that error and reports
+  // nothing, though the first prompt billed the model; the third never
+  // reaches it.
+  model.fail_text = prompts[1].text;
+  llm::CostMeter failed_usage;
+  auto failed = model.CompleteBatchMetered(prompts, &failed_usage);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kLlmError);
+  EXPECT_EQ(failed.status().message(), "no answer");
+  EXPECT_EQ(failed_usage.num_prompts, 0);
+  EXPECT_TRUE(failed_usage.by_model.empty());
+  EXPECT_EQ(inner.cost().num_prompts, 4);
+  EXPECT_EQ(inner.cost().num_batches, 0);
 }
 
 TEST(BatchingTest, EmptyBatchIsNoop) {

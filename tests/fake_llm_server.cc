@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/json.h"
 #include "llm/prompt_json.h"
@@ -163,46 +162,37 @@ Result<std::string> FakeLlmServer::Respond(const std::string& path,
   GALOIS_ASSIGN_OR_RETURN(Json request, Json::Parse(body));
   if (path == "/v1/chat/completions") {
     GALOIS_ASSIGN_OR_RETURN(Prompt prompt, llm::ParseChatRequest(request));
-    CostMeter before, after;
-    std::optional<Result<Completion>> completion;
-    {
-      // Serialised so the before/after delta is exactly this request's
-      // bill — that delta is what makes loopback CostMeters byte-equal
-      // to in-process ones.
-      std::lock_guard<std::mutex> lock(backing_mu_);
-      before = backing_->cost();
-      completion.emplace(backing_->Complete(prompt));
-      after = backing_->cost();
-    }
-    GALOIS_RETURN_IF_ERROR(completion->status());
-    const CostMeter delta = after - before;
+    // The backing model's usage report for this request is its wire
+    // usage — what makes loopback CostMeters byte-equal to in-process
+    // ones.
+    CostMeter delta;
+    std::unique_lock<std::mutex> lock(backing_mu_);
+    Result<Completion> completion = backing_->CompleteMetered(prompt, &delta);
+    lock.unlock();
+    GALOIS_RETURN_IF_ERROR(completion.status());
     WireUsage usage;
     usage.prompt_tokens = delta.prompt_tokens;
     usage.completion_tokens = delta.completion_tokens;
     usage.latency_ms = delta.simulated_latency_ms;
     completions_served_.fetch_add(1);
-    return llm::BuildChatResponse(backing_->name(), completion->value(),
+    return llm::BuildChatResponse(backing_->name(), completion.value(),
                                   usage)
         .Dump();
   }
   if (path == "/v1/batch_completions") {
     GALOIS_ASSIGN_OR_RETURN(std::vector<Prompt> prompts,
                             llm::ParseBatchRequest(request));
-    CostMeter before, after;
-    std::optional<Result<std::vector<Completion>>> completions;
-    {
-      std::lock_guard<std::mutex> lock(backing_mu_);
-      before = backing_->cost();
-      completions.emplace(backing_->CompleteBatch(prompts));
-      after = backing_->cost();
-    }
-    GALOIS_RETURN_IF_ERROR(completions->status());
-    const CostMeter delta = after - before;
+    CostMeter delta;
+    std::unique_lock<std::mutex> lock(backing_mu_);
+    Result<std::vector<Completion>> completions =
+        backing_->CompleteBatchMetered(prompts, &delta);
+    lock.unlock();
+    GALOIS_RETURN_IF_ERROR(completions.status());
     std::vector<WireUsage> per_prompt(prompts.size());
     for (size_t i = 0; i < prompts.size(); ++i) {
       per_prompt[i].prompt_tokens = llm::CountTokens(prompts[i].text);
       per_prompt[i].completion_tokens =
-          llm::CountTokens(completions->value()[i].text);
+          llm::CountTokens(completions.value()[i].text);
     }
     std::vector<size_t> emit_order(prompts.size());
     for (size_t i = 0; i < prompts.size(); ++i) {
@@ -210,7 +200,7 @@ Result<std::string> FakeLlmServer::Respond(const std::string& path,
           options_.shuffle_batch_replies ? prompts.size() - 1 - i : i;
     }
     completions_served_.fetch_add(static_cast<int64_t>(prompts.size()));
-    return llm::BuildBatchResponse(backing_->name(), completions->value(),
+    return llm::BuildBatchResponse(backing_->name(), completions.value(),
                                    per_prompt, delta.simulated_latency_ms,
                                    emit_order)
         .Dump();

@@ -30,13 +30,15 @@ namespace galois::tests {
 /// Batch replies can additionally be emitted in reversed index order to
 /// prove the client reassembles by index.
 ///
-/// Cost fidelity: the server serialises backing-model calls and ships the
-/// exact CostMeter delta (tokens + modelled latency) in the response, so
-/// an HttpLlm pointed at this server bills the same meter as calling the
-/// backing model in-process — the e2e equivalence the acceptance test
-/// checks. The serialisation only covers the answer computation
-/// (sub-microsecond for SimulatedLlm); connections are still handled
-/// concurrently, one thread per connection.
+/// Cost fidelity: the server ships the usage the backing model reports
+/// for each request (tokens + modelled latency, from its metered calls)
+/// in the response, so an HttpLlm pointed at this server bills the same
+/// meter as calling the backing model in-process — the e2e equivalence
+/// the acceptance test checks. Backing calls are serialised, because a
+/// test may back the server with a model that is not thread-safe; the
+/// serialisation only covers the answer computation (sub-microsecond for
+/// SimulatedLlm), and connections are still handled concurrently, one
+/// thread per connection.
 class FakeLlmServer {
  public:
   enum class FaultKind {
@@ -124,7 +126,7 @@ class FakeLlmServer {
   mutable std::mutex faults_mu_;
   std::deque<Fault> faults_;  // guarded by faults_mu_
 
-  // Serialises backing calls so the per-request cost delta is exact.
+  // Serialises backing calls: the backing model may not be thread-safe.
   std::mutex backing_mu_;
 
   std::atomic<int64_t> requests_seen_{0};

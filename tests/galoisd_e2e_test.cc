@@ -113,22 +113,13 @@ ServerStats AwaitStats(const GaloisServer& server, Pred pred) {
 /// Delay decorator: every round trip sleeps for `delay_ms` before
 /// reaching the backing model. Gives the daemon genuinely long-running
 /// queries so drain/admission/disconnect windows are deterministic.
-class SlowLlm : public llm::LanguageModel {
+class SlowLlm : public llm::ForwardingModel {
  public:
   SlowLlm(llm::LanguageModel* inner, int64_t delay_ms)
-      : inner_(inner), delay_ms_(delay_ms) {}
+      : llm::ForwardingModel(inner), delay_ms_(delay_ms) {}
 
-  const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return false; }
 
-  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
-    Nap();
-    return inner_->Complete(prompt);
-  }
-  Result<std::vector<llm::Completion>> CompleteBatch(
-      const std::vector<llm::Prompt>& prompts) override {
-    Nap();
-    return inner_->CompleteBatch(prompts);
-  }
   Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
                                           llm::CostMeter* usage) override {
     Nap();
@@ -140,15 +131,12 @@ class SlowLlm : public llm::LanguageModel {
     Nap();
     return inner_->CompleteBatchMetered(prompts, usage);
   }
-  llm::CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
  private:
   void Nap() const {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
   }
 
-  llm::LanguageModel* inner_;
   int64_t delay_ms_;
 };
 

@@ -336,30 +336,28 @@ TEST(ResilientLlmTest, DeadlineFiresInsteadOfSleepingPastIt) {
 
 /// Inner model that fails the next `failures` round trips with a
 /// retryable error, then answers from the wrapped model.
-class FlakyModel : public LanguageModel {
+class FlakyModel : public ForwardingModel {
  public:
   FlakyModel(LanguageModel* inner, int failures)
-      : inner_(inner), failures_remaining_(failures) {}
+      : ForwardingModel(inner), failures_remaining_(failures) {}
 
-  const std::string& name() const override { return inner_->name(); }
+  bool thread_safe() const override { return false; }
 
-  Result<Completion> Complete(const Prompt& prompt) override {
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override {
     if (TakeFailure()) {
       return MarkRetryable(Status::LlmError("flaky: injected failure"));
     }
-    return inner_->Complete(prompt);
+    return inner_->CompleteMetered(prompt, usage);
   }
 
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
+  Result<std::vector<Completion>> CompleteBatchMetered(
+      const std::vector<Prompt>& prompts, CostMeter* usage) override {
     if (TakeFailure()) {
       return MarkRetryable(Status::LlmError("flaky: injected failure"));
     }
-    return inner_->CompleteBatch(prompts);
+    return inner_->CompleteBatchMetered(prompts, usage);
   }
-
-  CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   void FailNext(int failures) { failures_remaining_.store(failures); }
   int64_t calls() const { return calls_.load(); }
@@ -377,7 +375,6 @@ class FlakyModel : public LanguageModel {
     return false;
   }
 
-  LanguageModel* inner_;
   std::atomic<int> failures_remaining_;
   std::atomic<int64_t> calls_{0};
 };

@@ -77,27 +77,24 @@ const planner::PlanNode* FindOp(const planner::PlanNode& root,
 
 /// Transparent decorator recording every prompt text it forwards, so a
 /// test can assert on the exact wire-level prompts a query issued.
-class PromptRecorder : public llm::LanguageModel {
+class PromptRecorder : public llm::ForwardingModel {
  public:
-  explicit PromptRecorder(llm::LanguageModel* inner) : inner_(inner) {}
+  explicit PromptRecorder(llm::LanguageModel* inner)
+      : llm::ForwardingModel(inner) {}
 
-  const std::string& name() const override { return inner_->name(); }
-  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
+  bool thread_safe() const override { return false; }
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter* usage) override {
     prompts.push_back(prompt.text);
-    return inner_->Complete(prompt);
+    return inner_->CompleteMetered(prompt, usage);
   }
-  Result<std::vector<llm::Completion>> CompleteBatch(
-      const std::vector<llm::Prompt>& batch) override {
+  Result<std::vector<llm::Completion>> CompleteBatchMetered(
+      const std::vector<llm::Prompt>& batch, llm::CostMeter* usage) override {
     for (const llm::Prompt& p : batch) prompts.push_back(p.text);
-    return inner_->CompleteBatch(batch);
+    return inner_->CompleteBatchMetered(batch, usage);
   }
-  llm::CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   std::vector<std::string> prompts;
-
- private:
-  llm::LanguageModel* inner_;
 };
 
 // The page-0 scan prompt the pre-plan executor ladder issued for

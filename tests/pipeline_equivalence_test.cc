@@ -100,22 +100,14 @@ std::string PhaseOf(const llm::Prompt& prompt) {
 /// entered it from one thread at a time. FailPhase makes every
 /// round trip of one phase fail after being recorded. It does not
 /// declare thread_safe(), so a query calls it serially.
-class RecordingModel : public llm::LanguageModel {
+class RecordingModel : public llm::ForwardingModel {
  public:
-  explicit RecordingModel(llm::LanguageModel* inner) : inner_(inner) {}
+  explicit RecordingModel(llm::LanguageModel* inner)
+      : llm::ForwardingModel(inner) {}
 
   void FailPhase(std::string phase) { fail_phase_ = std::move(phase); }
 
-  const std::string& name() const override { return inner_->name(); }
-
-  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
-    return CompleteMetered(prompt, nullptr);
-  }
-
-  Result<std::vector<llm::Completion>> CompleteBatch(
-      const std::vector<llm::Prompt>& prompts) override {
-    return CompleteBatchMetered(prompts, nullptr);
-  }
+  bool thread_safe() const override { return false; }
 
   // The metered calls forward the usage pointer, so a query's meter stays
   // exact while its calls overlap.
@@ -134,9 +126,6 @@ class RecordingModel : public llm::LanguageModel {
     GALOIS_RETURN_IF_ERROR(Record(prompts.front(), /*batch=*/true));
     return inner_->CompleteBatchMetered(prompts, usage);
   }
-
-  llm::CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   std::vector<std::string> calls() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -179,7 +168,6 @@ class RecordingModel : public llm::LanguageModel {
     return Status::OK();
   }
 
-  llm::LanguageModel* inner_;
   std::string fail_phase_;
   std::atomic<int> in_flight_{0};
   std::atomic<int> peak_in_flight_{0};

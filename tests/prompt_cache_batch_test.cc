@@ -18,26 +18,30 @@ namespace galois::llm {
 namespace {
 
 /// Deterministic counting model: completes "echo:<text>" and records every
-/// Complete call and every CompleteBatch size, so tests can assert exactly
+/// single-prompt call and every batch size, so tests can assert exactly
 /// what reached the backend.
 class EchoModel : public LanguageModel {
  public:
   const std::string& name() const override { return name_; }
 
-  Result<Completion> Complete(const Prompt& prompt) override {
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override {
     ++cost_.num_prompts;
+    if (usage != nullptr) ++usage->num_prompts;
     complete_calls.push_back(prompt.text);
     return Completion{"echo:" + prompt.text};
   }
 
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
+  Result<std::vector<Completion>> CompleteBatchMetered(
+      const std::vector<Prompt>& prompts, CostMeter* usage) override {
     ++cost_.num_batches;
+    if (usage != nullptr) ++usage->num_batches;
     batch_sizes.push_back(prompts.size());
     std::vector<Completion> out;
     out.reserve(prompts.size());
     for (const Prompt& p : prompts) {
       ++cost_.num_prompts;
+      if (usage != nullptr) ++usage->num_prompts;
       out.push_back(Completion{"echo:" + p.text});
     }
     return out;
@@ -136,6 +140,29 @@ TEST(PromptCacheBatchTest, FullyCachedBatchSkipsInnerButKeepsBatchCount) {
   EXPECT_EQ(inner.cost().num_batches, inner_batches);
   EXPECT_EQ(cache.cost().num_batches, batches_before + 1);
   EXPECT_EQ(cache.cost().cache_hits, 2);
+}
+
+TEST(PromptCacheBatchTest, FailedBatchReportsNoUsage) {
+  // An inner batch that answers one prompt too few fails the call, which
+  // then reports neither the inner's usage nor its own hits.
+  class ShortEchoModel : public EchoModel {
+   public:
+    Result<std::vector<Completion>> CompleteBatchMetered(
+        const std::vector<Prompt>& prompts, CostMeter* usage) override {
+      auto out = EchoModel::CompleteBatchMetered(prompts, usage);
+      out->pop_back();
+      return out;
+    }
+  } inner;
+  PromptCache cache(&inner);
+  ASSERT_TRUE(cache.Complete(MakePrompt("hit")).ok());
+  CostMeter usage;
+  ASSERT_FALSE(
+      cache.CompleteBatchMetered(MakePrompts({"hit", "a", "b"}), &usage).ok());
+  EXPECT_EQ(inner.cost().num_prompts, 3);  // the inner still billed
+  EXPECT_EQ(usage.num_prompts, 0);
+  EXPECT_EQ(usage.num_batches, 0);
+  EXPECT_EQ(usage.cache_hits, 0);
 }
 
 TEST(PromptCacheBatchTest, EmptyBatchIsNoop) {

@@ -28,7 +28,9 @@ namespace {
 class EchoModel : public llm::LanguageModel {
  public:
   const std::string& name() const override { return name_; }
-  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
+  // Bills nothing, so it adds nothing to a caller's meter.
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter*) override {
     ++calls;
     return llm::Completion{"echo:" + prompt.text};
   }

@@ -122,34 +122,32 @@ TEST(ResilienceConcurrencyTest, ManyThreadsShareOneTokenBucket) {
 }
 
 /// Always fails with a retryable error until told to heal.
-class SwitchableModel : public LanguageModel {
+class SwitchableModel : public ForwardingModel {
  public:
-  explicit SwitchableModel(LanguageModel* inner) : inner_(inner) {}
-  const std::string& name() const override { return inner_->name(); }
+  explicit SwitchableModel(LanguageModel* inner) : ForwardingModel(inner) {}
+  bool thread_safe() const override { return false; }
 
-  Result<Completion> Complete(const Prompt& prompt) override {
+  Result<Completion> CompleteMetered(const Prompt& prompt,
+                                     CostMeter* usage) override {
     inner_calls_.fetch_add(1);
     if (failing_.load()) {
       return MarkRetryable(Status::LlmError("switchable: down"));
     }
-    return inner_->Complete(prompt);
+    return inner_->CompleteMetered(prompt, usage);
   }
-  Result<std::vector<Completion>> CompleteBatch(
-      const std::vector<Prompt>& prompts) override {
+  Result<std::vector<Completion>> CompleteBatchMetered(
+      const std::vector<Prompt>& prompts, CostMeter* usage) override {
     inner_calls_.fetch_add(1);
     if (failing_.load()) {
       return MarkRetryable(Status::LlmError("switchable: down"));
     }
-    return inner_->CompleteBatch(prompts);
+    return inner_->CompleteBatchMetered(prompts, usage);
   }
-  CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   void set_failing(bool failing) { failing_.store(failing); }
   int64_t inner_calls() const { return inner_calls_.load(); }
 
  private:
-  LanguageModel* inner_;
   std::atomic<bool> failing_{true};
   std::atomic<int64_t> inner_calls_{0};
 };

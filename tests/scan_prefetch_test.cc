@@ -78,64 +78,58 @@ int KeyScanPage(const llm::Prompt& prompt) {
 }
 
 /// Forwards to `inner` and fails the key-scan prompt of one page after
-/// `inner` has answered (and billed) it. Its CompleteBatch is the
-/// default loop over Complete, so a batch holding that page fails too.
-class FailingPageModel : public llm::LanguageModel {
+/// `inner` has answered (and billed) it, reporting nothing for it. Its
+/// batch call is the default loop over CompleteMetered, so a batch
+/// holding that page fails too.
+class FailingPageModel : public llm::ForwardingModel {
  public:
   FailingPageModel(llm::LanguageModel* inner, int page)
-      : inner_(inner), page_(page) {}
+      : llm::ForwardingModel(inner), page_(page) {}
 
-  const std::string& name() const override { return inner_->name(); }
-  bool thread_safe() const override { return inner_->thread_safe(); }
-
-  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
-    Result<llm::Completion> completion = inner_->Complete(prompt);
-    if (KeyScanPage(prompt) == page_) {
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter* usage) override {
+    const bool fail = KeyScanPage(prompt) == page_;
+    Result<llm::Completion> completion =
+        inner_->CompleteMetered(prompt, fail ? nullptr : usage);
+    if (fail) {
       return Status::LlmError("no answer for page " + std::to_string(page_));
     }
     return completion;
   }
 
-  llm::CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
-
  private:
-  llm::LanguageModel* inner_;
   int page_;
 };
 
 /// Forwards to `inner` and logs each round trip's scan pages: "3" for a
-/// Complete call of page 3, "[1 2 3]" for a CompleteBatch of pages 1-3.
-/// With `cancel` set it requests cancellation once page 0 is answered.
-class PageLog : public llm::LanguageModel {
+/// one-prompt call of page 3, "[1 2 3]" for a batch of pages 1-3. With
+/// `cancel` set it requests cancellation once page 0 is answered.
+class PageLog : public llm::ForwardingModel {
  public:
   explicit PageLog(llm::LanguageModel* inner, CancelToken cancel = nullptr)
-      : inner_(inner), cancel_(std::move(cancel)) {}
+      : llm::ForwardingModel(inner), cancel_(std::move(cancel)) {}
 
-  const std::string& name() const override { return inner_->name(); }
-  bool thread_safe() const override { return inner_->thread_safe(); }
-
-  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter* usage) override {
     Log(std::to_string(KeyScanPage(prompt)));
-    Result<llm::Completion> completion = inner_->Complete(prompt);
+    Result<llm::Completion> completion =
+        inner_->CompleteMetered(prompt, usage);
     if (cancel_ != nullptr && KeyScanPage(prompt) == 0) {
       cancel_->RequestCancel();
     }
     return completion;
   }
 
-  Result<std::vector<llm::Completion>> CompleteBatch(
-      const std::vector<llm::Prompt>& prompts) override {
+  Result<std::vector<llm::Completion>> CompleteBatchMetered(
+      const std::vector<llm::Prompt>& prompts,
+      llm::CostMeter* usage) override {
     std::string pages;
     for (const llm::Prompt& p : prompts) {
       pages += (pages.empty() ? "" : " ") + std::to_string(KeyScanPage(p));
     }
     Log("[" + pages + "]");
-    return inner_->CompleteBatch(prompts);
+    return inner_->CompleteBatchMetered(prompts, usage);
   }
-
-  llm::CostMeter cost() const override { return inner_->cost(); }
-  void ResetCost() override { inner_->ResetCost(); }
 
   std::vector<std::string> calls() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -148,7 +142,6 @@ class PageLog : public llm::LanguageModel {
     calls_.push_back(std::move(call));
   }
 
-  llm::LanguageModel* inner_;
   CancelToken cancel_;
   mutable std::mutex mu_;
   std::vector<std::string> calls_;

@@ -43,17 +43,25 @@ std::string StoreDir(const std::string& name) {
 }
 
 /// A store-backed Database over an external SimulatedLlm whose meter we
-/// keep: the transport-level round-trip count no cache can fake.
+/// keep: the transport-level round-trip count no cache can fake. A
+/// `second` transport is registered as a second backend, so the
+/// Database routes.
 std::unique_ptr<Database> OpenStoreDb(const std::string& store_dir,
                                       llm::LanguageModel* transport,
-                                      bool table_cache) {
+                                      bool table_cache,
+                                      llm::LanguageModel* second = nullptr) {
   DatabaseOptions options;
   options.workload = &W();
   BackendSpec spec;
   spec.name = "sim";
   spec.external = transport;
   spec.prompt_cache = true;  // completions must be captured to persist
-  options.backends.push_back(std::move(spec));
+  options.backends.push_back(spec);
+  if (second != nullptr) {
+    spec.name = "second";
+    spec.external = second;
+    options.backends.push_back(spec);
+  }
   options.enable_materialisation_cache = table_cache;
   options.store.path = store_dir;
   options.store.background_vacuum = false;  // deterministic
@@ -181,6 +189,40 @@ TEST(StoreE2eTest, PromptRecordsNeverCrossModels) {
   EXPECT_GT(other.cost().num_prompts, 0)
       << "completions leaked across model names";
   EXPECT_EQ(result->cost.store_hits, 0);
+}
+
+TEST(StoreE2eTest, RoutedStackCountsStoreHits) {
+  // Two backends make the Database route, so model() is the router and
+  // its cost() sums the backends' meters. The prompt-store hits that
+  // warm-started caches serve must reach that total-spend meter, exactly
+  // as the per-query meters count them.
+  const std::string dir = StoreDir("routed");
+  const std::vector<std::string> queries = {
+      "SELECT name, capital FROM country WHERE continent = 'Europe'",
+      "SELECT name, population FROM city WHERE country = 'Italy'",
+  };
+  llm::SimulatedLlm strong(&W().kb(), llm::ModelProfile::Gpt3(),
+                           &W().catalog(), /*seed=*/7);
+  {
+    llm::SimulatedLlm transport = MakeTransport();
+    auto db = OpenStoreDb(dir, &transport, /*table_cache=*/false, &strong);
+    Session session = db->CreateSession();
+    for (const std::string& sql : queries) {
+      ASSERT_TRUE(session.Query(sql).ok()) << sql;
+    }
+  }
+
+  llm::SimulatedLlm transport = MakeTransport();
+  auto db = OpenStoreDb(dir, &transport, /*table_cache=*/false, &strong);
+  Session session = db->CreateSession();
+  int64_t query_store_hits = 0;
+  for (const std::string& sql : queries) {
+    auto result = session.Query(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status();
+    query_store_hits += result->cost.store_hits;
+  }
+  EXPECT_GT(query_store_hits, 0);
+  EXPECT_EQ(db->model()->cost().store_hits, query_store_hits);
 }
 
 // The TSan target: many sessions' queries funnel their cache traffic
