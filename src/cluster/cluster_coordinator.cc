@@ -17,19 +17,6 @@ std::string EndpointName(const NodeSpec& spec) {
   return spec.host + ":" + std::to_string(spec.port);
 }
 
-/// Concatenates slice relations in slice order. Slices partition the
-/// table's global key-scan order, so concatenation reproduces the
-/// unsharded materialisation row-for-row.
-Relation ConcatSlices(std::vector<Relation> slices) {
-  Relation out = std::move(slices.front());
-  for (size_t i = 1; i < slices.size(); ++i) {
-    for (const Tuple& row : slices[i].rows()) {
-      out.AddRowUnchecked(row);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ClusterStats::ToString() const {
@@ -173,9 +160,7 @@ Result<net::PartialQueryResponse> ClusterCoordinator::DispatchShard(
     if (response.ok()) {
       ReleaseClient(node, std::move(client).value());
       if (response.value().table != request.table ||
-          response.value().alias != request.alias ||
-          response.value().slice_index != request.slice_index ||
-          response.value().slice_count != request.slice_count) {
+          response.value().alias != request.alias) {
         // Deterministic: the node answered a different shard than asked.
         return Status::ParseError("cluster: node " + EndpointName(node->spec) +
                                   " answered the wrong shard");
@@ -238,63 +223,39 @@ Result<QueryResult> ClusterCoordinator::Query(
     return finish(std::move(local));
   }
 
-  int healthy = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++queries_;
-    const int64_t now = net::NowMs();
-    for (const auto& node : nodes_) {
-      if (BreakerAllowsLocked(*node, now)) ++healthy;
-    }
-  }
-  if (healthy == 0) {
-    return Status::IoError("cluster: every node's breaker is open");
   }
 
   const int64_t deadline_ms = snapshot.query_deadline_ms > 0
                                   ? snapshot.query_deadline_ms
                                   : options_.shard_deadline_ms;
-  const int64_t slices_per_shard =
-      (options_.split_key_ranges && healthy > 1) ? healthy : 1;
 
-  // One dispatch per (shard, slice). Shard order is FROM order; slices
-  // are contiguous key ranges in global key order.
-  struct Dispatch {
-    net::PartialQueryRequest request;
-    size_t preferred = 0;
-  };
-  std::vector<Dispatch> dispatches;
-  for (const core::ShardSpec& shard : shards) {
-    const size_t preferred = PreferredNode(shard.table);
-    for (int64_t s = 0; s < slices_per_shard; ++s) {
-      Dispatch d;
-      static_cast<core::ShardSpec&>(d.request) = shard;
-      d.request.sql = sql;
-      d.request.slice_index = s;
-      d.request.slice_count = slices_per_shard;
-      d.request.deadline_ms = deadline_ms;
-      // Whole-table shards stick to their affinity node (cache-history
-      // parity with the facade); key-range slices fan out from it.
-      d.preferred = (preferred + static_cast<size_t>(s)) % nodes_.size();
-      dispatches.push_back(std::move(d));
-    }
+  // One dispatch per shard, in FROM order, each starting at its table's
+  // affinity node (cache-history parity with the facade).
+  std::vector<net::PartialQueryRequest> requests(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    static_cast<core::ShardSpec&>(requests[i]) = std::move(shards[i]);
+    requests[i].sql = sql;
+    requests[i].deadline_ms = deadline_ms;
   }
 
-  // Scatter on dedicated threads, one per dispatch, not on the shared
+  // Scatter on dedicated threads, one per shard, not on the shared
   // pool: a dispatch holds its thread for a whole remote shard (a
   // blocking RPC). On the pool it would park a worker that local phase
   // tasks could use, and claim-on-join cannot run it inline without
   // serialising the scatter, so a saturated pool would send the shards
   // out one after another.
   std::vector<Result<net::PartialQueryResponse>> responses(
-      dispatches.size(), Status::Internal("cluster: shard not dispatched"));
+      requests.size(), Status::Internal("cluster: shard not dispatched"));
   {
     std::vector<std::thread> threads;
-    threads.reserve(dispatches.size());
-    for (size_t i = 0; i < dispatches.size(); ++i) {
-      threads.emplace_back([this, &dispatches, &responses, i]() {
+    threads.reserve(requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      threads.emplace_back([this, &requests, &responses, i]() {
         responses[i] =
-            DispatchShard(dispatches[i].request, dispatches[i].preferred);
+            DispatchShard(requests[i], PreferredNode(requests[i].table));
       });
     }
     for (std::thread& t : threads) t.join();
@@ -306,27 +267,17 @@ Result<QueryResult> ClusterCoordinator::Query(
     if (!r.ok()) return r.status();
   }
 
-  // Gather: merge slices per shard, sum the shard meters in FROM order,
-  // overlay the partial relations into a local merge run (which spends
-  // zero prompts — every materialisation was billed on the nodes).
+  // Gather: sum the shard meters in FROM order, overlay the partial
+  // relations into a local merge run (which spends zero prompts — every
+  // materialisation was billed on the nodes).
   llm::CostMeter cost;
   core::QueryCounters counters;
   std::vector<core::TableOverlay> overlays;
-  overlays.reserve(shards.size());
-  size_t next = 0;
-  for (const core::ShardSpec& shard : shards) {
-    std::vector<Relation> slices;
-    slices.reserve(static_cast<size_t>(slices_per_shard));
-    for (int64_t s = 0; s < slices_per_shard; ++s) {
-      net::PartialQueryResponse& r = responses[next++].value();
-      cost += r.cost;
-      counters += r;
-      slices.push_back(std::move(r.relation));
-    }
-    core::TableOverlay overlay;
-    overlay.alias = shard.alias;
-    overlay.relation = ConcatSlices(std::move(slices));
-    overlays.push_back(std::move(overlay));
+  overlays.reserve(responses.size());
+  for (Result<net::PartialQueryResponse>& r : responses) {
+    cost += r.value().cost;
+    counters += r.value();
+    overlays.push_back({r.value().alias, std::move(r.value().relation)});
   }
 
   core::GaloisExecutor merger(db_->model(), &db_->catalog(), snapshot);

@@ -135,7 +135,8 @@ class ClusterCoordinator {
 
   /// Dispatches one shard starting at `preferred`, re-dispatching to the
   /// next healthy node on node faults; deterministic errors return
-  /// immediately.
+  /// immediately. kIoError, with nothing dispatched, when every node's
+  /// breaker is open.
   Result<net::PartialQueryResponse> DispatchShard(
       const net::PartialQueryRequest& request, size_t preferred) const;
 

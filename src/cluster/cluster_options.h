@@ -22,7 +22,9 @@ struct NodeSpec {
 /// own Database — the coordinator plans locally and dispatches shards on
 /// the assumption that a node re-planning the same SQL lands on the same
 /// shard, which the partial-query protocol verifies per dispatch
-/// (descriptor match) but cannot repair.
+/// (descriptor match) but cannot repair. A shard is one LLM table of the
+/// query, materialised whole on one node; width inside a table is the
+/// node's own (ExecutionOptions::parallel_batches), not the cluster's.
 struct ClusterOptions {
   /// Empty = no cluster; Database::Open runs everything locally.
   std::vector<NodeSpec> nodes;
@@ -43,18 +45,6 @@ struct ClusterOptions {
   /// probed again half-open.
   int failure_threshold = 3;
   int64_t cooldown_ms = 2000;
-
-  /// Opt-in key-range sharding: split each LLM table's per-key work into
-  /// one contiguous key-range slice per healthy node. Slices partition
-  /// the scan order, so merged relations are byte-identical to an
-  /// *uncached* single-node run of the same query. Caching and cost
-  /// attribution are NOT facade-identical though — every slice re-runs
-  /// the key scan, and sliced tables bypass the nodes' materialisation
-  /// caches (a slice cached under the full-table descriptor would
-  /// poison later queries), so a facade serving the query by cache
-  /// subsumption can legitimately answer differently. This trades cache
-  /// reuse and exact meter parity for intra-query parallelism.
-  bool split_key_ranges = false;
 };
 
 }  // namespace galois::cluster

@@ -31,13 +31,15 @@ Result<Relation> GaloisExecutor::Execute(
 
 namespace {
 
-/// Parse -> logical plan -> physical annotations -> physical DAG, the
-/// same three steps Run performs. The logical plan deep-clones every
-/// statement expression, so the returned PhysicalPlan is self-contained.
-Result<PhysicalPlan> CompileSql(const std::string& sql,
-                                const catalog::Catalog* catalog,
-                                const ExecutionOptions& options) {
-  GALOIS_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
+/// Logical plan -> physical annotations -> physical operator DAG, the
+/// compile step of every entry point. The annotation pass is the only
+/// place that decides pushdown, consumed conjuncts and retrieve columns;
+/// the compiler and DAG merely carry those decisions out. The logical
+/// plan deep-clones every statement expression, so the returned
+/// PhysicalPlan is self-contained.
+Result<PhysicalPlan> Compile(const sql::SelectStatement& stmt,
+                             const catalog::Catalog* catalog,
+                             const ExecutionOptions& options) {
   GALOIS_ASSIGN_OR_RETURN(planner::PlanNodePtr plan,
                           planner::BuildLogicalPlan(stmt, *catalog));
   GALOIS_RETURN_IF_ERROR(
@@ -51,65 +53,48 @@ Result<PhysicalPlan> CompileSql(const std::string& sql,
 
 Result<std::vector<ShardSpec>> GaloisExecutor::PlanShards(
     const std::string& sql) const {
+  GALOIS_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
   GALOIS_ASSIGN_OR_RETURN(PhysicalPlan physical,
-                          CompileSql(sql, catalog_, options_));
+                          Compile(stmt, catalog_, options_));
   return physical.LlmShards();
 }
 
 Result<QueryOutput> GaloisExecutor::RunShard(
     const ShardRequest& request) const {
-  llm::CostTap tap(model_);
-  GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
-  GALOIS_ASSIGN_OR_RETURN(PhysicalPlan physical,
-                          CompileSql(request.sql, catalog_, options_));
-  GALOIS_ASSIGN_OR_RETURN(
-      QueryOutput out,
-      physical.ExecuteShard(request, &tap, materialisation_cache_));
-  out.cost = tap.cost();
-  return out;
+  GALOIS_ASSIGN_OR_RETURN(sql::SelectStatement stmt,
+                          sql::ParseSelect(request.sql));
+  return CompileAndExecute(stmt, &request, {});
 }
 
 Result<QueryOutput> GaloisExecutor::RunSqlWithOverlays(
     const std::string& sql, std::vector<TableOverlay> overlays) const {
-  llm::CostTap tap(model_);
-  GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
-  GALOIS_ASSIGN_OR_RETURN(PhysicalPlan physical,
-                          CompileSql(sql, catalog_, options_));
-  physical.SetOverlays(std::move(overlays));
-  GALOIS_ASSIGN_OR_RETURN(QueryOutput out,
-                          physical.Execute(&tap, materialisation_cache_));
-  out.cost = tap.cost();
-  out.physical_plan = physical.Render();
-  return out;
+  GALOIS_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
+  return CompileAndExecute(stmt, nullptr, std::move(overlays));
 }
 
 Result<QueryOutput> GaloisExecutor::Run(
     const sql::SelectStatement& stmt) const {
+  return CompileAndExecute(stmt, nullptr, {});
+}
+
+Result<QueryOutput> GaloisExecutor::CompileAndExecute(
+    const sql::SelectStatement& stmt, const ShardSpec* shard,
+    std::vector<TableOverlay> overlays) const {
   // Per-query cost attribution: every round trip goes through this tap,
   // so the meter below is exactly this query's spend even when other
   // queries bill the same shared model stack concurrently.
   llm::CostTap tap(model_);
-
   GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
-
-  // Plan-driven execution: logical plan -> physical annotations ->
-  // physical operator DAG. The annotation pass is the only place that
-  // decides pushdown, consumed conjuncts and retrieve columns; the
-  // compiler and DAG merely carry those decisions out.
-  GALOIS_ASSIGN_OR_RETURN(planner::PlanNodePtr plan,
-                          planner::BuildLogicalPlan(stmt, *catalog_));
-  GALOIS_RETURN_IF_ERROR(
-      planner::BindPhysicalAnnotations(plan.get(), *catalog_,
-                                       BindingOptionsFor(options_))
-          .status());
+  GALOIS_ASSIGN_OR_RETURN(PhysicalPlan physical,
+                          Compile(stmt, catalog_, options_));
+  physical.SetOverlays(std::move(overlays));
   GALOIS_ASSIGN_OR_RETURN(
-      PhysicalPlan physical,
-      PhysicalPlan::Compile(std::move(plan), catalog_, options_));
-
-  GALOIS_ASSIGN_OR_RETURN(QueryOutput out,
-                          physical.Execute(&tap, materialisation_cache_));
+      QueryOutput out,
+      shard != nullptr
+          ? physical.ExecuteShard(*shard, &tap, materialisation_cache_)
+          : physical.Execute(&tap, materialisation_cache_));
   out.cost = tap.cost();
-  out.physical_plan = physical.Render();
+  if (shard == nullptr) out.physical_plan = physical.Render();
   return out;
 }
 

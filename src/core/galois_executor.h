@@ -114,24 +114,19 @@ struct ShardSpec {
 /// engine's own LLM materialisation — the gather half of scatter-gather.
 /// The relation must be shaped exactly as MaterialiseLlm produces it:
 /// alias-qualified key column first, then the needed columns in
-/// definition order.
+/// definition order. Execution checks that shape (join keys are column
+/// positions compiled against it) and fails with kInvalidArgument,
+/// naming the alias, on any other.
 struct TableOverlay {
   std::string alias;
   Relation relation;
 };
 
 /// A shard execution request as a cluster node receives it off the wire:
-/// the shard spec to validate the local plan against, the full query
-/// (the node re-plans it against its own catalog), and an optional
-/// key-range slice.
+/// the shard spec to validate the local plan against, and the full query
+/// (the node re-plans it against its own catalog).
 struct ShardRequest : ShardSpec {
   std::string sql;
-  /// Key-range slice [slice_index, slice_count): the node runs the full
-  /// key scan, keeps the slice_index-th contiguous slice of the scanned
-  /// key list, and runs the per-key phases on that slice only.
-  /// slice_count == 1 means the whole table.
-  int64_t slice_index = 0;
-  int64_t slice_count = 1;
 };
 
 /// The Galois executor (the paper's primary contribution, Section 4).
@@ -222,11 +217,10 @@ class GaloisExecutor {
   /// Executes exactly one shard of `request.sql`: re-plans the query,
   /// validates the compiled shard under `request.alias` against the
   /// request's table/columns/descriptor (mismatch = version skew,
-  /// kInvalidArgument), and materialises that single table — through the
-  /// attached materialisation cache for whole-table shards, bypassing it
-  /// for key-range slices (a slice under the full descriptor would
-  /// poison the cache). The output's relation is the shard's
-  /// materialised table; cost is exactly the shard's spend.
+  /// kInvalidArgument, nothing spent), and materialises that single
+  /// table through the same table step, materialisation cache included,
+  /// as a whole query. The output's relation is the shard's materialised
+  /// table; cost is exactly the shard's spend.
   Result<QueryOutput> RunShard(const ShardRequest& request) const;
 
   /// Executes `sql` with the given tables pre-materialised: overlaid
@@ -234,6 +228,8 @@ class GaloisExecutor {
   /// cost nothing; everything else — DB tables, non-overlaid LLM tables,
   /// the whole relational tail — runs as usual. The coordinator's merge
   /// step: with every LLM table overlaid, the run spends zero prompts.
+  /// An overlay not shaped as its table's materialisation (see
+  /// TableOverlay) fails the query with kInvalidArgument.
   Result<QueryOutput> RunSqlWithOverlays(
       const std::string& sql, std::vector<TableOverlay> overlays) const;
 
@@ -252,6 +248,16 @@ class GaloisExecutor {
   }
 
  private:
+  /// The one execution step behind Run, RunShard and RunSqlWithOverlays:
+  /// bills through a fresh per-query CostTap, checks for cancellation,
+  /// compiles `stmt` (build -> bind -> compile), then executes the whole
+  /// plan over `overlays` and renders it — or, when `shard` is set, only
+  /// that shard's table. Fills QueryOutput::cost from the tap.
+  Result<QueryOutput> CompileAndExecute(const sql::SelectStatement& stmt,
+                                        const ShardSpec* shard,
+                                        std::vector<TableOverlay> overlays)
+      const;
+
   llm::LanguageModel* model_;
   const catalog::Catalog* catalog_;
   ExecutionOptions options_;

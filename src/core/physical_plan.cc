@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -656,23 +656,6 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
                           : std::to_string(paging.batches) + " batches"));
   }
 
-  // Key-range shard slice (cluster scatter-gather): keep the contiguous
-  // [n*i/c, n*(i+1)/c) run of the scanned key list. Every shard of a
-  // split table runs the identical scan, so the slices partition the
-  // same global key order — per-key verdicts are independent, and
-  // concatenating the shard relations in slice order reproduces the
-  // unsharded row order exactly.
-  if (group.slice_count > 1) {
-    const size_t n_keys = keys.size();
-    const size_t lo = n_keys * static_cast<size_t>(group.slice_index) /
-                      static_cast<size_t>(group.slice_count);
-    const size_t hi = n_keys * static_cast<size_t>(group.slice_index + 1) /
-                      static_cast<size_t>(group.slice_count);
-    keys = std::vector<std::string>(
-        std::make_move_iterator(keys.begin() + static_cast<int64_t>(lo)),
-        std::make_move_iterator(keys.begin() + static_cast<int64_t>(hi)));
-  }
-
   // 2a. Optional critic pass over the scanned keys: "Is it true that the
   // name of the country New Italy is New Italy?" rejects hallucinated
   // entities before any further prompt is spent on them. One scheduler
@@ -808,18 +791,19 @@ void PhysicalPlan::InsertResidualNode(TableGroup& group,
 }
 
 Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
-    llm::LanguageModel* model, MaterialisationCache* cache,
-    QueryOutput* out) {
+    const std::vector<size_t>& groups, llm::LanguageModel* model,
+    MaterialisationCache* cache, QueryOutput* out) {
   // Provenance runs bypass the cache: a hit cannot replay the per-cell
   // prompt/completion trace the caller asked for.
   const bool use_cache = cache != nullptr && !options_.record_provenance;
 
-  const size_t n = groups_.size();
+  // Indexed, like `pending`'s entries, by position in `groups`.
+  const size_t n = groups.size();
   std::vector<std::optional<Relation>> materialised(n);
   std::vector<std::string> base_keys(n);
   std::vector<size_t> pending;  // LLM tables not served from cache
   for (size_t i = 0; i < n; ++i) {
-    TableGroup& group = groups_[i];
+    TableGroup& group = groups_[groups[i]];
     if (!group.from_llm) {
       GALOIS_ASSIGN_OR_RETURN(Relation rel, MaterialiseDb(group));
       materialised[i] = std::move(rel);
@@ -837,6 +821,15 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
       }
     }
     if (overlay != nullptr) {
+      // Join keys and the tail resolve columns by position in this
+      // schema, so a relation shaped any other way (it may come off the
+      // wire) would join the wrong cells without a word.
+      GALOIS_ASSIGN_OR_RETURN(Schema schema, GroupSchema(group));
+      if (!(overlay->relation.schema() == schema)) {
+        return Status::InvalidArgument(
+            "overlay for alias \"" + group.alias +
+            "\" is not shaped as the table's materialisation");
+      }
       const int64_t overlay_rows =
           static_cast<int64_t>(overlay->relation.rows().size());
       for (PhysicalNode* node :
@@ -896,7 +889,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
   std::vector<TaskHandle<Result<Relation>>> tasks;
   tasks.reserve(pending.size());
   for (size_t t = 0; t < pending.size(); ++t) {
-    TableGroup* group = &groups_[pending[t]];
+    TableGroup* group = &groups_[groups[pending[t]]];
     ExecutionTrace* trace = &traces[t];
     tasks.push_back(StartPhaseTask<Result<Relation>>(
         options_.budget, t, [this, model, group, trace] {
@@ -906,7 +899,7 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
   GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> fresh,
                           JoinInOrder(std::move(tasks)));
   for (size_t t = 0; t < pending.size(); ++t) {
-    const TableGroup& group = groups_[pending[t]];
+    const TableGroup& group = groups_[groups[pending[t]]];
     for (ScanProvenance& s : traces[t].scans) {
       out->trace.scans.push_back(std::move(s));
     }
@@ -934,8 +927,10 @@ Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
                                           MaterialisationCache* cache) {
   FitToModel(*model, &options_);
   QueryOutput out;
+  std::vector<size_t> all(groups_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
   GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> rels,
-                          MaterialiseAll(model, cache, &out));
+                          MaterialiseAll(all, model, cache, &out));
   GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
 
   // Relational tail: the same stages, in the same order, as the
@@ -1034,73 +1029,40 @@ void PhysicalPlan::SetOverlays(std::vector<TableOverlay> overlays) {
   overlays_ = std::move(overlays);
 }
 
-Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardRequest& request,
+Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardSpec& shard,
                                                llm::LanguageModel* model,
                                                MaterialisationCache* cache) {
   FitToModel(*model, &options_);
-  TableGroup* group = nullptr;
-  for (TableGroup& g : groups_) {
-    if (g.alias == request.alias) {
-      group = &g;
-      break;
-    }
+  size_t index = 0;
+  while (index < groups_.size() && groups_[index].alias != shard.alias) {
+    ++index;
   }
-  if (group == nullptr || !group->from_llm) {
+  if (index == groups_.size() || !groups_[index].from_llm) {
     return Status::InvalidArgument("shard: no LLM table aliased \"" +
-                                   request.alias + "\" in this query");
+                                   shard.alias + "\" in this query");
   }
   // Version-skew defence: the locally compiled shard must match the
   // request byte-for-byte — same table, same needed columns, same
   // canonical predicate descriptor. A mismatch means the coordinator
   // planned against a different catalog or planner version; executing
   // anyway would return a well-formed but wrong partial relation.
+  const TableGroup& group = groups_[index];
   std::vector<std::string> columns;
-  columns.reserve(group->needed_columns.size());
-  for (const catalog::ColumnDef* col : group->needed_columns) {
+  columns.reserve(group.needed_columns.size());
+  for (const catalog::ColumnDef* col : group.needed_columns) {
     columns.push_back(col->name);
   }
-  if (group->def->name != request.table || columns != request.columns ||
-      group->descriptor.Encode() != request.descriptor) {
+  if (group.def->name != shard.table || columns != shard.columns ||
+      group.descriptor.Encode() != shard.descriptor) {
     return Status::InvalidArgument(
-        "shard: compiled plan for alias \"" + request.alias +
+        "shard: compiled plan for alias \"" + shard.alias +
         "\" does not match the request (catalog or planner version skew)");
   }
-  if (request.slice_count < 1 || request.slice_index < 0 ||
-      request.slice_index >= request.slice_count) {
-    return Status::InvalidArgument(
-        "shard: slice " + std::to_string(request.slice_index) + "/" +
-        std::to_string(request.slice_count) + " out of range");
-  }
-  group->slice_index = request.slice_index;
-  group->slice_count = request.slice_count;
 
   QueryOutput out;
-  // Key-range slices bypass the cache: a slice inserted under the full
-  // descriptor would later be served as the whole table.
-  const bool use_cache = cache != nullptr && !options_.record_provenance &&
-                         request.slice_count == 1;
-  std::string base_key;
-  if (use_cache) {
-    base_key =
-        MaterialisationCache::BaseKey(*group->def, options_, model->name());
-    MaterialisationLookupInfo info;
-    std::optional<Relation> hit =
-        cache->Lookup(base_key, group->descriptor, *group->def,
-                      group->needed_columns, group->alias, &info);
-    CountLookup(info, &out);
-    if (hit.has_value()) {
-      out.relation = std::move(*hit);
-      return out;
-    }
-  }
-  GALOIS_ASSIGN_OR_RETURN(Relation rel,
-                          MaterialiseLlm(*group, model, &out.trace));
-  out.scan_pages_prefetched = group->scan_stats.flushed;
-  out.scan_pages_overfetched = group->scan_stats.overfetched;
-  if (use_cache) {
-    cache->Insert(base_key, group->descriptor, group->needed_columns, rel);
-  }
-  out.relation = std::move(rel);
+  GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> rels,
+                          MaterialiseAll({index}, model, cache, &out));
+  out.relation = std::move(rels[0]);
   return out;
 }
 

@@ -87,7 +87,8 @@ struct PhysicalNode {
 /// records per-operator statistics on the DAG. Render() pretty-prints
 /// the DAG with those statistics.
 ///
-/// Materialisation has one code path. Each pending LLM table, and within
+/// Materialisation has one code path, MaterialiseAll, which
+/// ExecuteShard runs for its one table. Each pending LLM table, and within
 /// it each needed column's attribute -> verify chain, is one phase task,
 /// joined in FROM and column order. A query gets one PoolBudget of
 /// parallel_batches - 1 slots of ThreadPool::Shared(), which its phase
@@ -141,15 +142,16 @@ class PhysicalPlan {
 
   /// Injects pre-materialised tables (matched by FROM alias) that
   /// Execute uses in place of the engine's own LLM materialisation.
-  /// Overlaid tables spend nothing and bypass the materialisation cache.
-  /// Call before Execute.
+  /// Overlaid tables spend nothing and bypass the materialisation cache;
+  /// one whose schema is not GroupSchema's fails Execute with
+  /// kInvalidArgument. Call before Execute.
   void SetOverlays(std::vector<TableOverlay> overlays);
 
-  /// Executes exactly one shard: materialises the single LLM table
-  /// aliased `request.alias`, restricted to the request's key-range
-  /// slice, after validating the compiled group against the request's
-  /// spec. See GaloisExecutor::RunShard.
-  Result<QueryOutput> ExecuteShard(const ShardRequest& request,
+  /// Executes exactly one shard: validates the compiled group aliased
+  /// `shard.alias` against the shard's spec, then materialises that
+  /// group through the same table step as Execute (cache included), and
+  /// nothing else. See GaloisExecutor::RunShard.
+  Result<QueryOutput> ExecuteShard(const ShardSpec& shard,
                                    llm::LanguageModel* model,
                                    MaterialisationCache* cache);
 
@@ -186,12 +188,6 @@ class PhysicalPlan {
     /// batches and the pages overfetched), filled by MaterialiseLlm and
     /// aggregated into QueryOutput by MaterialiseAll.
     KeyScanStats scan_stats;
-    /// Contiguous key-range slice for shard execution: after the scan,
-    /// only scanned keys [n*i/c, n*(i+1)/c) proceed to the per-key
-    /// phases. 0/1 = the whole table (the default, and the only value
-    /// outside ExecuteShard).
-    int64_t slice_index = 0;
-    int64_t slice_count = 1;
 
     // Stats targets; null when the phase does not exist for this group.
     PhysicalNode* scan_node = nullptr;
@@ -234,9 +230,13 @@ class PhysicalPlan {
   Result<Relation> MaterialiseLlm(TableGroup& group,
                                   llm::LanguageModel* model,
                                   ExecutionTrace* trace);
-  Result<std::vector<Relation>> MaterialiseAll(llm::LanguageModel* model,
-                                               MaterialisationCache* cache,
-                                               QueryOutput* out);
+  /// The table step: materialises groups_[i] for each i in `groups`
+  /// (an overlay, a DB instance, a cache hit or the LLM phases) and
+  /// returns the relations in that order. Execute passes every group,
+  /// ExecuteShard the one it validated.
+  Result<std::vector<Relation>> MaterialiseAll(
+      const std::vector<size_t>& groups, llm::LanguageModel* model,
+      MaterialisationCache* cache, QueryOutput* out);
 
   planner::PlanNodePtr plan_;  // owns every expression the spec borrows
   const catalog::Catalog* catalog_ = nullptr;

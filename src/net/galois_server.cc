@@ -269,8 +269,6 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
   PartialQueryResponse response;
   response.table = shard.table;
   response.alias = shard.alias;
-  response.slice_index = shard.slice_index;
-  response.slice_count = shard.slice_count;
   response.relation = std::move(out.value().relation);
   response.cost = out.value().cost;
   static_cast<core::QueryCounters&>(response) = out.value();

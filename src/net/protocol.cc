@@ -262,8 +262,6 @@ Json PartialQueryRequestToJson(const PartialQueryRequest& request) {
   }
   j.Set("columns", std::move(columns));
   j.Set("descriptor", Json::String(HexEncode(request.descriptor)));
-  j.Set("slice_index", Json::Number(request.slice_index));
-  j.Set("slice_count", Json::Number(request.slice_count));
   if (request.deadline_ms > 0) {
     j.Set("deadline_ms", Json::Number(request.deadline_ms));
   }
@@ -288,15 +286,6 @@ Result<PartialQueryRequest> PartialQueryRequestFromJson(const Json& j) {
   }
   GALOIS_ASSIGN_OR_RETURN(request.descriptor,
                           HexDecode(j.GetString("descriptor")));
-  request.slice_index = j.GetInt("slice_index", 0);
-  request.slice_count = j.GetInt("slice_count", 1);
-  if (request.slice_count < 1 || request.slice_index < 0 ||
-      request.slice_index >= request.slice_count) {
-    return Status::ParseError("wire: partial query slice " +
-                              std::to_string(request.slice_index) + "/" +
-                              std::to_string(request.slice_count) +
-                              " out of range");
-  }
   request.deadline_ms = j.GetInt("deadline_ms", 0);
   if (request.deadline_ms < 0) {
     return Status::ParseError("wire: negative deadline_ms");
@@ -308,8 +297,6 @@ Json PartialQueryResponseToJson(const PartialQueryResponse& response) {
   Json j = Json::Object();
   j.Set("table", Json::String(response.table));
   j.Set("alias", Json::String(response.alias));
-  j.Set("slice_index", Json::Number(response.slice_index));
-  j.Set("slice_count", Json::Number(response.slice_count));
   j.Set("relation", RelationToJson(response.relation));
   j.Set("cost", CostMeterToJson(response.cost));
   SetCounters(response, &j);
@@ -323,12 +310,6 @@ Result<PartialQueryResponse> PartialQueryResponseFromJson(const Json& j) {
   PartialQueryResponse response;
   response.table = j.GetString("table");
   response.alias = j.GetString("alias");
-  response.slice_index = j.GetInt("slice_index", 0);
-  response.slice_count = j.GetInt("slice_count", 1);
-  if (response.slice_count < 1 || response.slice_index < 0 ||
-      response.slice_index >= response.slice_count) {
-    return Status::ParseError("wire: partial result slice out of range");
-  }
   GALOIS_ASSIGN_OR_RETURN(response.relation,
                           RelationFromJson(j["relation"]));
   GALOIS_ASSIGN_OR_RETURN(response.cost, CostMeterFromJson(j["cost"]));

@@ -58,8 +58,7 @@ Result<QueryResult> QueryResultFromJson(const Json& j);
 
 /// One shard of a scatter-gathered query (FrameType::kPartialQuery):
 /// the coordinator asks a node to materialise exactly one LLM table of
-/// the query (core::ShardRequest), optionally restricted to a key-range
-/// slice, within `deadline_ms`.
+/// the query (core::ShardRequest), whole, within `deadline_ms`.
 ///
 /// The node re-plans `sql` against its own (identical) catalog and
 /// validates that the shard it finds under `alias` matches `table`,
@@ -83,8 +82,6 @@ Result<PartialQueryRequest> PartialQueryRequestFromJson(const Json& j);
 struct PartialQueryResponse : core::QueryCounters {
   std::string table;
   std::string alias;
-  int64_t slice_index = 0;
-  int64_t slice_count = 1;
   Relation relation;
   /// Exactly this shard's spend (per-query CostTap, by-model slices
   /// included) — summing the shards' meters reproduces the facade's.

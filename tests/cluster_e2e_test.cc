@@ -50,10 +50,10 @@ const knowledge::SpiderLikeWorkload& W() {
 /// A Database over the builtin simulated backend — identical options on
 /// every arm (facade, nodes, coordinator) so comparisons hold query by
 /// query. All arms share DatabaseOptions' default llm_seed.
-std::unique_ptr<Database> OpenSimDb(bool table_cache = true) {
+std::unique_ptr<Database> OpenSimDb() {
   DatabaseOptions options;
   options.workload = &W();
-  options.enable_materialisation_cache = table_cache;
+  options.enable_materialisation_cache = true;
   auto db = Database::Open(std::move(options));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   return std::move(db).value();
@@ -62,8 +62,7 @@ std::unique_ptr<Database> OpenSimDb(bool table_cache = true) {
 /// One in-process cluster node: its own Database + GaloisServer on an
 /// ephemeral loopback port.
 struct Node {
-  explicit Node(bool table_cache = true)
-      : db(OpenSimDb(table_cache)), server(db.get(), ServerOptions()) {
+  Node() : db(OpenSimDb()), server(db.get(), ServerOptions()) {
     EXPECT_TRUE(server.Start().ok());
   }
   ~Node() { server.Shutdown(); }
@@ -276,44 +275,40 @@ TEST(ClusterE2eTest, NodeKilledMidQueryStaysByteIdenticalViaRedispatch) {
 }
 
 // ---------------------------------------------------------------------
-// Key-range splitting: relations stay identical when slices fan out.
+// Every breaker open: the query fails fast, with nothing dispatched.
 // ---------------------------------------------------------------------
 
-TEST(ClusterE2eTest, KeyRangeSplitMergesByteIdenticalRelations) {
-  // Both arms run uncached: key-range slices bypass the node
-  // materialisation caches by design (a slice cached under the full
-  // descriptor would poison them), so the honest relation-identity
-  // contract is against the facade's uncached execution — same scan,
-  // same per-key verdicts, just split.
-  auto facade_db = OpenSimDb(/*table_cache=*/false);
-  Session facade = facade_db->CreateSession();
-
-  Node node_a(/*table_cache=*/false);
-  Node node_b(/*table_cache=*/false);
+TEST(ClusterE2eTest, EveryBreakerOpenFailsWithoutDispatching) {
+  // Node A answers Open's ping and then shuts down; node B dies on every
+  // request. Cooldown is long, so a breaker once open stays open.
+  Node node_a;
+  DeadNode node_b;
   cluster::ClusterOptions copts;
-  copts.split_key_ranges = true;
+  copts.cooldown_ms = 60 * 1000;
   auto cluster_db =
-      OpenClusterDb({node_a.server.port(), node_b.server.port()}, copts);
+      OpenClusterDb({node_a.server.port(), node_b.port()}, copts);
   ASSERT_NE(nullptr, cluster_db);
-  Session clustered = cluster_db->CreateSession();
+  node_a.server.Shutdown();
+  Session session = cluster_db->CreateSession();
+  const std::string sql = W().queries().front().sql;
 
-  // Slices partition the scan's key order, so concatenation in slice
-  // order must reproduce the unsharded relation exactly. (Meters are NOT
-  // facade-identical in this mode — every slice re-runs the key scan and
-  // slices bypass the node caches — so only relations are compared.)
-  for (const knowledge::QuerySpec& query : W().queries()) {
-    auto expected = facade.Query(query.sql);
-    ASSERT_TRUE(expected.ok()) << "q" << query.id << ": " << expected.status();
-    auto got = clustered.Query(query.sql);
-    ASSERT_TRUE(got.ok()) << "q" << query.id << ": " << got.status();
-    EXPECT_EQ(got->relation.ToCsv(), expected->relation.ToCsv())
-        << "q" << query.id << " diverged under key-range splitting";
+  auto every_breaker_open = [&cluster_db] {
+    for (const auto& node : cluster_db->cluster()->stats().nodes) {
+      if (!node.breaker_open) return false;
+    }
+    return true;
+  };
+  for (int attempt = 0; attempt < 20 && !every_breaker_open(); ++attempt) {
+    EXPECT_FALSE(session.Query(sql).ok());
   }
+  ASSERT_TRUE(every_breaker_open())
+      << cluster_db->cluster()->stats().ToString();
 
-  // Two slices per shard means more dispatches than shards.
-  ClusterStats stats = cluster_db->cluster()->stats();
-  EXPECT_GT(stats.shards_dispatched, stats.queries);
-  EXPECT_EQ(stats.redispatches, 0);
+  const int64_t dispatched = cluster_db->cluster()->stats().shards_dispatched;
+  auto result = session.Query(sql);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(StatusCode::kIoError, result.status().code()) << result.status();
+  EXPECT_EQ(dispatched, cluster_db->cluster()->stats().shards_dispatched);
 }
 
 // ---------------------------------------------------------------------

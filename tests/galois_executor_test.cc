@@ -209,6 +209,107 @@ TEST_F(GaloisExecutorTest, HybridLlmDbJoin) {
   EXPECT_GT(rm->cost.num_prompts, 0);
 }
 
+// ---------------------------------------------------------------------
+// Shards and overlays: the two halves of cluster scatter-gather.
+// ---------------------------------------------------------------------
+
+/// The request a coordinator would send for `spec` of `sql`.
+ShardRequest RequestFor(const ShardSpec& spec, const std::string& sql) {
+  ShardRequest request;
+  static_cast<ShardSpec&>(request) = spec;
+  request.sql = sql;
+  return request;
+}
+
+TEST_F(GaloisExecutorTest, ShardRejectsVersionSkewBeforeSpending) {
+  const std::string sql =
+      "SELECT c.gdp, AVG(e.salary) FROM LLM.country c, DB.Employees e "
+      "WHERE c.code = e.countryCode GROUP BY c.name";
+  GaloisExecutor galois(&perfect_, &W().catalog());
+  auto shards = galois.PlanShards(sql);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  ASSERT_EQ(1u, shards->size());
+  const ShardRequest valid = RequestFor(shards->front(), sql);
+  ASSERT_EQ("c", valid.alias);
+
+  std::vector<std::pair<std::string, ShardRequest>> skewed;
+  skewed.emplace_back("table", valid);
+  skewed.back().second.table = "city";
+  skewed.emplace_back("columns", valid);
+  skewed.back().second.columns.push_back("population");
+  skewed.emplace_back("descriptor", valid);
+  skewed.back().second.descriptor += "x";
+  skewed.emplace_back("DB alias", valid);
+  skewed.back().second.alias = "e";
+  skewed.emplace_back("unknown alias", valid);
+  skewed.back().second.alias = "nope";
+
+  const llm::CostMeter before = perfect_.cost();
+  for (const auto& [what, request] : skewed) {
+    auto out = galois.RunShard(request);
+    EXPECT_EQ(StatusCode::kInvalidArgument, out.status().code())
+        << what << ": " << out.status();
+  }
+  const llm::CostMeter after = perfect_.cost();
+  EXPECT_EQ(before.num_prompts, after.num_prompts);
+  EXPECT_EQ(before.num_batches, after.num_batches);
+  EXPECT_EQ(before.prompt_tokens, after.prompt_tokens);
+  EXPECT_EQ(before.completion_tokens, after.completion_tokens);
+  EXPECT_EQ(before.simulated_latency_ms, after.simulated_latency_ms);
+
+  // The untampered request is a real shard: it runs and spends.
+  auto out = galois.RunShard(valid);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_GT(out->cost.num_prompts, 0);
+  EXPECT_GT(perfect_.cost().num_prompts, after.num_prompts);
+}
+
+TEST_F(GaloisExecutorTest, OverlayShapedOtherwiseIsRejected) {
+  const std::string sql =
+      "SELECT ci.name, co.continent FROM city ci, country co "
+      "WHERE ci.country = co.name AND co.continent = 'Europe'";
+  GaloisExecutor galois(&perfect_, &W().catalog());
+  auto direct = galois.RunSql(sql);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ASSERT_FALSE(direct->relation.rows().empty());
+
+  // The true overlays: every shard of the query, materialised on its own.
+  auto shards = galois.PlanShards(sql);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  std::vector<TableOverlay> overlays;
+  for (const ShardSpec& spec : *shards) {
+    auto part = galois.RunShard(RequestFor(spec, sql));
+    ASSERT_TRUE(part.ok()) << spec.alias << ": " << part.status();
+    overlays.push_back({spec.alias, std::move(part->relation)});
+  }
+  auto merged = galois.RunSqlWithOverlays(sql, overlays);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(direct->relation.ToCsv(), merged->relation.ToCsv());
+  EXPECT_EQ(0, merged->cost.num_prompts);
+
+  // The same overlays with ci's two columns in the other order: the join
+  // key is compiled as a column position, so this must not run.
+  std::vector<TableOverlay> reordered = overlays;
+  bool swapped = false;
+  for (TableOverlay& overlay : reordered) {
+    if (overlay.alias != "ci") continue;
+    const Schema& schema = overlay.relation.schema();
+    ASSERT_EQ(2u, schema.size());
+    Relation rel(Schema({schema.column(1), schema.column(0)}));
+    for (const Tuple& row : overlay.relation.rows()) {
+      rel.AddRowUnchecked({row[1], row[0]});
+    }
+    overlay.relation = std::move(rel);
+    swapped = true;
+  }
+  ASSERT_TRUE(swapped);
+  auto bad = galois.RunSqlWithOverlays(sql, reordered);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, bad.status().code());
+  EXPECT_NE(std::string::npos, bad.status().message().find("\"ci\""))
+      << bad.status();
+}
+
 TEST_F(GaloisExecutorTest, DbOnlyQueryIssuesNoPrompts) {
   GaloisExecutor galois(&noisy_, &W().catalog());
   auto rm = galois.RunSql(

@@ -445,8 +445,6 @@ PartialQueryRequest SamplePartialRequest() {
   // Descriptor bytes are binary (PredicateDescriptor::Encode output);
   // exercise the hex layer with every awkward byte class.
   request.descriptor = std::string("\x00\x01\x7f\x80\xff\"\\\n", 8);
-  request.slice_index = 1;
-  request.slice_count = 3;
   request.deadline_ms = 2500;
   return request;
 }
@@ -462,24 +460,7 @@ TEST(PartialQueryCodecTest, RequestRoundTrip) {
   EXPECT_EQ(request.alias, decoded.value().alias);
   EXPECT_EQ(request.columns, decoded.value().columns);
   EXPECT_EQ(request.descriptor, decoded.value().descriptor);
-  EXPECT_EQ(request.slice_index, decoded.value().slice_index);
-  EXPECT_EQ(request.slice_count, decoded.value().slice_count);
   EXPECT_EQ(request.deadline_ms, decoded.value().deadline_ms);
-}
-
-TEST(PartialQueryCodecTest, RequestRejectsSliceOutOfRange) {
-  for (auto [index, count] : {std::pair<int64_t, int64_t>{3, 3},
-                              {0, 0},
-                              {-1, 2},
-                              {5, 2}}) {
-    PartialQueryRequest request = SamplePartialRequest();
-    Json j = PartialQueryRequestToJson(request);
-    j.Set("slice_index", Json::Number(index));
-    j.Set("slice_count", Json::Number(count));
-    EXPECT_EQ(StatusCode::kParseError,
-              PartialQueryRequestFromJson(j).status().code())
-        << index << "/" << count;
-  }
 }
 
 TEST(PartialQueryCodecTest, RequestRejectsBadDescriptorHex) {
@@ -519,8 +500,6 @@ TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   PartialQueryResponse response;
   response.table = "country";
   response.alias = "c";
-  response.slice_index = 0;
-  response.slice_count = 2;
   Schema schema({Column("key", DataType::kString, "c"),
                  Column("GDP", DataType::kInt64, "c")});
   Relation rel(schema);
@@ -540,7 +519,6 @@ TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(response.table, decoded.value().table);
   EXPECT_EQ(response.alias, decoded.value().alias);
-  EXPECT_EQ(response.slice_count, decoded.value().slice_count);
   EXPECT_TRUE(response.relation.SameContents(decoded.value().relation));
   EXPECT_EQ(response.relation.ToCsv(), decoded.value().relation.ToCsv());
   EXPECT_EQ(response.cost.num_prompts, decoded.value().cost.num_prompts);
@@ -602,8 +580,6 @@ PartialQueryResponse SamplePartialResponse() {
   PartialQueryResponse response;
   response.table = "country";
   response.alias = "c";
-  response.slice_index = 1;
-  response.slice_count = 2;
   response.relation = SampleRelation();
   response.cost = SampleMeter();
   SetDistinctCounters(&response);
@@ -685,8 +661,8 @@ constexpr char kPinnedQueryResult[] =
     "\"physical_plan\":\"Project\\n  Scan(country)\\n\"}";
 
 constexpr char kPinnedPartialResponse[] =
-    "{\"table\":\"country\",\"alias\":\"c\",\"slice_index\":1,"
-    "\"slice_count\":2,\"relation\":{\"columns\":[{\"name\":\"name\","
+    "{\"table\":\"country\",\"alias\":\"c\","
+    "\"relation\":{\"columns\":[{\"name\":\"name\","
     "\"type\":\"VARCHAR\",\"table\":\"c\"},{\"name\":\"GDP\","
     "\"type\":\"INT\",\"table\":\"c\"}],\"rows\":[[{\"t\":\"string\","
     "\"v\":\"France\"},{\"t\":\"int\",\"v\":\"2780\"}],[{\"t\":\"string\","
