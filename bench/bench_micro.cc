@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 
 #include "api/database.h"
@@ -22,6 +23,7 @@
 #include "llm/prompt_templates.h"
 #include "llm/simulated_llm.h"
 #include "net/galois_server.h"
+#include "net/protocol.h"
 #include "sql/parser.h"
 #include "tests/fake_llm_server.h"
 
@@ -787,6 +789,67 @@ BENCHMARK(BM_ClusterScatterGather)
     ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// The 46 workload queries' warm results as galoisd's default Database
+/// serves them (seed 7, materialisation cache on): each query runs once
+/// cold, then once more as a cache hit.
+std::vector<galois::QueryResult> WarmResults() {
+  galois::DatabaseOptions options;
+  options.workload = &Workload();
+  auto db = galois::Database::Open(std::move(options));
+  std::vector<galois::QueryResult> results;
+  if (!db.ok()) return results;
+  galois::Session session = db.value()->CreateSession();
+  for (const auto& query : Workload().queries()) session.Query(query.sql);
+  for (const auto& query : Workload().queries()) {
+    auto r = session.Query(query.sql);
+    if (r.ok()) results.push_back(std::move(r).value());
+  }
+  return results;
+}
+
+void BM_GalpResultCodec(benchmark::State& state) {
+  // GALP's result codec on warm-serve's frames: every warm result is
+  // encoded to its kQueryResult payload, then every payload decoded
+  // back, as galoisd and GaloisClient do per query.
+  using Clock = std::chrono::steady_clock;
+  const std::vector<galois::QueryResult> results = WarmResults();
+  if (results.size() != Workload().queries().size()) {
+    state.SkipWithError("a warm query failed");
+    return;
+  }
+  std::vector<std::string> payloads(results.size());
+  int64_t encode_ns = 0;
+  int64_t decode_ns = 0;
+  for (auto _ : state) {
+    const auto start = Clock::now();
+    for (size_t i = 0; i < results.size(); ++i) {
+      payloads[i] = galois::net::EncodeQueryResult(results[i]);
+    }
+    benchmark::DoNotOptimize(payloads.data());
+    benchmark::ClobberMemory();
+    const auto encoded = Clock::now();
+    for (const std::string& payload : payloads) {
+      auto decoded = galois::net::DecodeQueryResult(payload);
+      benchmark::DoNotOptimize(decoded);
+    }
+    const auto decoded = Clock::now();
+    encode_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     encoded - start).count();
+    decode_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     decoded - encoded).count();
+  }
+  size_t bytes = 0;
+  for (const std::string& payload : payloads) bytes += payload.size();
+  const double n = static_cast<double>(results.size());
+  const double per_result = static_cast<double>(state.iterations()) * n;
+  state.counters["encode_us_per_result"] =
+      static_cast<double>(encode_ns) / 1e3 / per_result;
+  state.counters["decode_us_per_result"] =
+      static_cast<double>(decode_ns) / 1e3 / per_result;
+  state.counters["bytes_per_result"] = static_cast<double>(bytes) / n;
+}
+BENCHMARK(BM_GalpResultCodec)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

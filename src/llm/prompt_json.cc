@@ -1,6 +1,8 @@
 #include "llm/prompt_json.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace galois::llm {
 
@@ -28,14 +30,15 @@ const char* DataTypeTag(DataType t) {
   return "null";
 }
 
-Result<DataType> DataTypeFromTag(const std::string& tag) {
+Result<DataType> DataTypeFromTag(std::string_view tag) {
   if (tag == "null") return DataType::kNull;
   if (tag == "bool") return DataType::kBool;
   if (tag == "int") return DataType::kInt64;
   if (tag == "double") return DataType::kDouble;
   if (tag == "string") return DataType::kString;
   if (tag == "date") return DataType::kDate;
-  return Status::ParseError("wire value: unknown type tag '" + tag + "'");
+  return Status::ParseError("wire value: unknown type tag '" +
+                            std::string(tag) + "'");
 }
 
 Json FilterToJson(const PromptFilter& f) {
@@ -59,55 +62,160 @@ Result<PromptFilter> FilterFromJson(const Json& j) {
 
 }  // namespace
 
-Json ValueToJson(const Value& v) {
-  Json j = Json::Object();
-  j.Set("t", Json::String(DataTypeTag(v.type())));
+void AppendTaggedValue(std::string* out, const Value& v) {
+  out->append("{\"t\":\"");
+  out->append(DataTypeTag(v.type()));
+  out->push_back('"');
   switch (v.type()) {
     case DataType::kNull:
       break;
     case DataType::kBool:
-      j.Set("v", Json::Bool(v.bool_value()));
+      out->append(v.bool_value() ? ",\"v\":true" : ",\"v\":false");
       break;
     case DataType::kInt64:
       // int64 as string: JSON numbers are doubles on the wire and would
       // corrupt values above 2^53.
-      j.Set("v", Json::String(std::to_string(v.int_value())));
+      out->append(",\"v\":\"");
+      out->append(std::to_string(v.int_value()));
+      out->push_back('"');
       break;
-    case DataType::kDouble:
-      j.Set("v", Json::Number(v.double_value()));
+    case DataType::kDouble: {
+      const double d = v.double_value();
+      out->append(",\"v\":");
+      if (std::isnan(d)) {
+        out->append("\"nan\"");
+      } else if (std::isinf(d)) {
+        out->append(d > 0 ? "\"inf\"" : "\"-inf\"");
+      } else {
+        AppendJsonNumber(out, d);
+      }
       break;
+    }
     case DataType::kString:
-      j.Set("v", Json::String(v.string_value()));
+      out->append(",\"v\":");
+      AppendJsonString(out, v.string_value());
       break;
     case DataType::kDate:
-      j.Set("v", Json::String(std::to_string(v.date_packed())));
+      out->append(",\"v\":\"");
+      out->append(std::to_string(v.date_packed()));
+      out->push_back('"');
       break;
   }
-  return j;
+  out->push_back('}');
 }
 
-Result<Value> ValueFromJson(const Json& j) {
-  if (!j.is_object()) return Status::ParseError("wire value: not an object");
-  GALOIS_ASSIGN_OR_RETURN(DataType t, DataTypeFromTag(j.GetString("t")));
-  switch (t) {
+namespace {
+
+/// Reads the "v" member of a value tagged `type`.
+Result<Value> ReadPayload(JsonReader* reader, DataType type) {
+  switch (type) {
     case DataType::kNull:
+      GALOIS_RETURN_IF_ERROR(reader->Skip());
       return Value::Null();
-    case DataType::kBool:
-      return Value::Bool(j.GetBool("v"));
+    case DataType::kBool: {
+      GALOIS_ASSIGN_OR_RETURN(bool v, reader->ReadBoolOr(false));
+      return Value::Bool(v);
+    }
     case DataType::kInt64: {
-      GALOIS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(j.GetString("v")));
+      GALOIS_ASSIGN_OR_RETURN(std::string_view text, reader->ReadStringOr(""));
+      GALOIS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(std::string(text)));
       return Value::Int(v);
     }
-    case DataType::kDouble:
-      return Value::Double(j.GetNumber("v"));
-    case DataType::kString:
-      return Value::String(j.GetString("v"));
+    case DataType::kDouble: {
+      GALOIS_ASSIGN_OR_RETURN(Json::Type kind, reader->Peek());
+      if (kind != Json::Type::kString) {
+        GALOIS_ASSIGN_OR_RETURN(double v, reader->ReadNumberOr(0.0));
+        return Value::Double(v);
+      }
+      GALOIS_ASSIGN_OR_RETURN(std::string_view text, reader->ReadString());
+      if (text == "inf") {
+        return Value::Double(std::numeric_limits<double>::infinity());
+      }
+      if (text == "-inf") {
+        return Value::Double(-std::numeric_limits<double>::infinity());
+      }
+      if (text == "nan") {
+        return Value::Double(std::numeric_limits<double>::quiet_NaN());
+      }
+      return Value::Double(0.0);
+    }
+    case DataType::kString: {
+      GALOIS_ASSIGN_OR_RETURN(std::string_view v, reader->ReadStringOr(""));
+      return Value::String(std::string(v));
+    }
     case DataType::kDate: {
-      GALOIS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(j.GetString("v")));
+      GALOIS_ASSIGN_OR_RETURN(std::string_view text, reader->ReadStringOr(""));
+      GALOIS_ASSIGN_OR_RETURN(int64_t v, ParseInt64(std::string(text)));
       return Value::DatePacked(v);
     }
   }
   return Status::ParseError("wire value: unhandled type");
+}
+
+}  // namespace
+
+Result<Value> ReadTaggedValue(JsonReader* reader) {
+  GALOIS_ASSIGN_OR_RETURN(Json::Type kind, reader->Peek());
+  if (kind != Json::Type::kObject) {
+    return Status::ParseError("wire value: not an object");
+  }
+  bool tagged = false;
+  Result<DataType> type = DataType::kNull;
+  // The payload is read as soon as it arrives under a known tag; one that
+  // came first, or under a tag a later "t" replaced, is read again from
+  // its mark once the tag is final.
+  bool has_payload = false;
+  bool payload_read = false;
+  JsonReader::Mark payload_at;
+  Result<Value> value = Value::Null();
+  GALOIS_RETURN_IF_ERROR(
+      reader->ReadObject([&](std::string_view key) -> Status {
+        if (key == "t") {
+          GALOIS_ASSIGN_OR_RETURN(std::string_view tag,
+                                  reader->ReadStringOr(""));
+          tagged = true;
+          type = DataTypeFromTag(tag);
+          payload_read = false;
+          return Status::OK();
+        }
+        if (key != "v") return reader->Skip();
+        has_payload = true;
+        payload_at = reader->mark();
+        payload_read = false;
+        if (tagged && type.ok()) {
+          value = ReadPayload(reader, *type);
+          payload_read = value.ok();
+        }
+        if (payload_read) return Status::OK();
+        reader->Reset(payload_at);
+        return reader->Skip();
+      }));
+  if (!tagged) return DataTypeFromTag("").status();
+  if (!type.ok()) return type.status();
+  if (*type == DataType::kNull) return Value::Null();
+  if (payload_read) return value;
+  if (!has_payload) {
+    // An absent payload reads as a null one: false, 0, "" or a bad int.
+    JsonReader absent("null");
+    return ReadPayload(&absent, *type);
+  }
+  const JsonReader::Mark end = reader->mark();
+  reader->Reset(payload_at);
+  value = ReadPayload(reader, *type);
+  reader->Reset(end);
+  return value;
+}
+
+Json ValueToJson(const Value& v) {
+  std::string text;
+  AppendTaggedValue(&text, v);
+  return Json::Parse(text).value();
+}
+
+Result<Value> ValueFromJson(const Json& j) {
+  const std::string text = j.Dump();
+  JsonReader reader(text);
+  return ReadTaggedValue(&reader);
 }
 
 Json IntentToJson(const PromptIntent& intent) {

@@ -24,7 +24,17 @@ namespace galois::llm {
 /// populations and packed dates survive the double-typed JSON number
 /// space losslessly.
 
-/// Value <-> JSON ({"t":"int","v":"1234"} style tagged scalars).
+/// Tagged scalars, {"t":"int","v":"1234"}: the one writer and reader of
+/// a Value on any wire. A double travels as a JSON number, except that a
+/// non-finite one, which JSON cannot spell, travels as the string "inf",
+/// "-inf" or "nan". The reader takes the tag and the payload in either
+/// order; the last of a repeated key wins, unknown keys are skipped, and
+/// a missing or wrong-typed bool, double or string payload reads
+/// false, 0 or "".
+void AppendTaggedValue(std::string* out, const Value& v);
+Result<Value> ReadTaggedValue(JsonReader* reader);
+
+/// DOM adapters over the two above, for the intent codec.
 Json ValueToJson(const Value& v);
 Result<Value> ValueFromJson(const Json& j);
 

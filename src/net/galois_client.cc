@@ -91,8 +91,7 @@ Result<QueryResult> GaloisClient::Query(const std::string& sql,
         std::string("galois_client: expected QueryResult, got ") +
         FrameTypeName(reply.type));
   }
-  GALOIS_ASSIGN_OR_RETURN(Json j, Json::Parse(reply.payload));
-  return QueryResultFromJson(j);
+  return DecodeQueryResult(reply.payload);
 }
 
 Result<PartialQueryResponse> GaloisClient::PartialQuery(
@@ -116,8 +115,7 @@ Result<PartialQueryResponse> GaloisClient::PartialQuery(
         std::string("galois_client: expected PartialResult, got ") +
         FrameTypeName(reply.type));
   }
-  GALOIS_ASSIGN_OR_RETURN(Json j, Json::Parse(reply.payload));
-  return PartialQueryResponseFromJson(j);
+  return DecodePartialQueryResponse(reply.payload);
 }
 
 Result<ServerStats> GaloisClient::Stats() {

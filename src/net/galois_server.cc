@@ -188,7 +188,7 @@ void GaloisServer::ServeQuery(int fd, const std::string& payload) {
       counters_ += qr;
     }
     write_status = WriteFrame(fd, FrameType::kQueryResult,
-                              QueryResultToJson(qr).Dump(),
+                              EncodeQueryResult(qr),
                               NowMs() + options_.io_timeout_ms);
   } else {
     {
@@ -279,7 +279,7 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
   }
   Status write_status =
       WriteFrame(fd, FrameType::kPartialResult,
-                 PartialQueryResponseToJson(response).Dump(),
+                 EncodePartialQueryResponse(response),
                  NowMs() + options_.io_timeout_ms);
   if (!write_status.ok()) {
     std::lock_guard<std::mutex> lock(stats_mu_);

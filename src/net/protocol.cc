@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <iterator>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "llm/http_llm.h"
@@ -11,34 +13,15 @@ namespace galois::net {
 
 namespace {
 
-Result<DataType> DataTypeFromName(const std::string& name) {
+Result<DataType> DataTypeFromName(std::string_view name) {
   if (name == "NULL") return DataType::kNull;
   if (name == "BOOL") return DataType::kBool;
   if (name == "INT") return DataType::kInt64;
   if (name == "DOUBLE") return DataType::kDouble;
   if (name == "VARCHAR") return DataType::kString;
   if (name == "DATE") return DataType::kDate;
-  return Status::ParseError("wire: unknown column type \"" + name + "\"");
-}
-
-Json ModelUsageToJson(const llm::ModelUsage& usage) {
-  Json j = Json::Object();
-  j.Set("num_prompts", Json::Number(usage.num_prompts));
-  j.Set("prompt_tokens", Json::Number(usage.prompt_tokens));
-  j.Set("completion_tokens", Json::Number(usage.completion_tokens));
-  j.Set("simulated_latency_ms", Json::Number(usage.simulated_latency_ms));
-  j.Set("num_batches", Json::Number(usage.num_batches));
-  return j;
-}
-
-llm::ModelUsage ModelUsageFromJson(const Json& j) {
-  llm::ModelUsage usage;
-  usage.num_prompts = j.GetInt("num_prompts");
-  usage.prompt_tokens = j.GetInt("prompt_tokens");
-  usage.completion_tokens = j.GetInt("completion_tokens");
-  usage.simulated_latency_ms = j.GetNumber("simulated_latency_ms");
-  usage.num_batches = j.GetInt("num_batches");
-  return usage;
+  return Status::ParseError("wire: unknown column type \"" +
+                            std::string(name) + "\"");
 }
 
 // Hex codec for descriptor bytes: PredicateDescriptor::Encode() output
@@ -93,6 +76,8 @@ constexpr std::pair<const char*, int64_t Counters::*> kCounterKeys[] = {
 static_assert(std::size(kCounterKeys) * sizeof(int64_t) == sizeof(Counters),
               "every core::QueryCounters field needs a wire key");
 
+// ServerStats builds a tree; the result codec below writes and reads the
+// same keys directly.
 void SetCounters(const Counters& counters, Json* j) {
   for (const auto& [key, field] : kCounterKeys) {
     j->Set(key, Json::Number(counters.*field));
@@ -105,103 +90,366 @@ void GetCounters(const Json& j, Counters* counters) {
   }
 }
 
-}  // namespace
+// --- the result codec: values to bytes and back, no tree --------------------
 
-Json RelationToJson(const Relation& relation) {
-  Json columns = Json::Array();
-  for (const Column& column : relation.schema().columns()) {
-    Json c = Json::Object();
-    c.Set("name", Json::String(column.name));
-    c.Set("type", Json::String(DataTypeName(column.type)));
-    if (!column.table.empty()) c.Set("table", Json::String(column.table));
-    columns.Append(std::move(c));
-  }
-  Json rows = Json::Array();
-  for (const Tuple& tuple : relation.rows()) {
-    Json row = Json::Array();
-    for (const Value& value : tuple) {
-      row.Append(llm::ValueToJson(value));
-    }
-    rows.Append(std::move(row));
-  }
-  Json j = Json::Object();
-  j.Set("columns", std::move(columns));
-  j.Set("rows", std::move(rows));
-  return j;
+constexpr char kMalformedRelation[] = "wire: malformed relation payload";
+constexpr char kMalformedCostMeter[] = "wire: malformed cost meter payload";
+
+/// Appends `"key":`, after a ',' unless it opens its object.
+void AppendKey(std::string* out, std::string_view key) {
+  if (out->back() != '{') out->push_back(',');
+  AppendJsonString(out, key);
+  out->push_back(':');
 }
 
-Result<Relation> RelationFromJson(const Json& j) {
-  if (!j.is_object() || !j["columns"].is_array() || !j["rows"].is_array()) {
-    return Status::ParseError("wire: malformed relation payload");
+void AppendNumberMember(std::string* out, std::string_view key, double v) {
+  AppendKey(out, key);
+  AppendJsonNumber(out, v);
+}
+
+void AppendStringMember(std::string* out, std::string_view key,
+                        std::string_view v) {
+  AppendKey(out, key);
+  AppendJsonString(out, v);
+}
+
+/// Reads a member that must hold a valid value into `*slot`. The last of
+/// a repeated key wins, so a value `read` rejects is skipped (its syntax
+/// still checked) and its error kept only until a later duplicate
+/// replaces it.
+template <typename T, typename Read>
+Status ReadLast(JsonReader* reader, std::optional<Result<T>>* slot,
+                Read read) {
+  const JsonReader::Mark start = reader->mark();
+  slot->emplace(read(reader));
+  if ((*slot)->ok()) return Status::OK();
+  reader->Reset(start);
+  return reader->Skip();
+}
+
+/// What a ReadLast slot ended with; a kParseError `missing` if the key
+/// never came.
+template <typename T>
+Result<T> Take(std::optional<Result<T>>* slot, const char* missing) {
+  if (!slot->has_value()) return Status::ParseError(missing);
+  return std::move(**slot);
+}
+
+/// Reads a member that must be a string (the last one counts).
+Status ReadRequiredString(JsonReader* reader,
+                          std::optional<std::string>* slot) {
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kString) {
+    slot->reset();
+    return reader->Skip();
   }
-  Schema schema;
-  const Json& columns = j["columns"];
-  for (size_t i = 0; i < columns.size(); ++i) {
-    const Json& c = columns.at(i);
-    if (!c.is_object() || !c["name"].is_string()) {
-      return Status::ParseError("wire: malformed relation column");
+  GALOIS_ASSIGN_OR_RETURN(std::string_view v, reader->ReadString());
+  *slot = std::string(v);
+  return Status::OK();
+}
+
+void AppendCounters(std::string* out, const Counters& counters) {
+  for (const auto& [key, field] : kCounterKeys) {
+    AppendNumberMember(out, key, static_cast<double>(counters.*field));
+  }
+}
+
+/// Reads the value of `key` into its counter when `key` names one.
+Result<bool> ReadCounter(JsonReader* reader, std::string_view key,
+                         Counters* counters) {
+  for (const auto& [name, field] : kCounterKeys) {
+    if (key != name) continue;
+    GALOIS_ASSIGN_OR_RETURN(counters->*field, reader->ReadIntOr(0));
+    return true;
+  }
+  return false;
+}
+
+// The number fields of a CostMeter and of each of its by_model slices,
+// under their wire keys, in wire order; each is a count or (the latency)
+// a double.
+template <typename Meter>
+struct MeterField {
+  const char* key;
+  int64_t Meter::*count;
+  double Meter::*ms;
+};
+using llm::CostMeter;
+using llm::ModelUsage;
+constexpr MeterField<CostMeter> kCostMeterFields[] = {
+    {"num_prompts", &CostMeter::num_prompts, nullptr},
+    {"prompt_tokens", &CostMeter::prompt_tokens, nullptr},
+    {"completion_tokens", &CostMeter::completion_tokens, nullptr},
+    {"simulated_latency_ms", nullptr, &CostMeter::simulated_latency_ms},
+    {"cache_hits", &CostMeter::cache_hits, nullptr},
+    {"store_hits", &CostMeter::store_hits, nullptr},
+    {"num_batches", &CostMeter::num_batches, nullptr},
+};
+constexpr MeterField<ModelUsage> kModelUsageFields[] = {
+    {"num_prompts", &ModelUsage::num_prompts, nullptr},
+    {"prompt_tokens", &ModelUsage::prompt_tokens, nullptr},
+    {"completion_tokens", &ModelUsage::completion_tokens, nullptr},
+    {"simulated_latency_ms", nullptr, &ModelUsage::simulated_latency_ms},
+    {"num_batches", &ModelUsage::num_batches, nullptr},
+};
+
+template <typename Meter, size_t N>
+void AppendMeterFields(std::string* out, const Meter& meter,
+                       const MeterField<Meter> (&fields)[N]) {
+  for (const MeterField<Meter>& field : fields) {
+    AppendNumberMember(out, field.key,
+                       field.count ? static_cast<double>(meter.*field.count)
+                                   : meter.*field.ms);
+  }
+}
+
+/// Reads the value of `key` into its field when `key` names one.
+template <typename Meter, size_t N>
+Result<bool> ReadMeterField(JsonReader* reader, std::string_view key,
+                            const MeterField<Meter> (&fields)[N],
+                            Meter* meter) {
+  for (const MeterField<Meter>& field : fields) {
+    if (key != field.key) continue;
+    if (field.count) {
+      GALOIS_ASSIGN_OR_RETURN(meter->*field.count, reader->ReadIntOr(0));
+    } else {
+      GALOIS_ASSIGN_OR_RETURN(meter->*field.ms, reader->ReadNumberOr(0.0));
     }
-    GALOIS_ASSIGN_OR_RETURN(DataType type,
-                            DataTypeFromName(c.GetString("type")));
-    schema.AddColumn(Column(c.GetString("name"), type, c.GetString("table")));
+    return true;
   }
-  Relation relation(std::move(schema));
-  const Json& rows = j["rows"];
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const Json& row = rows.at(r);
-    if (!row.is_array() || row.size() != relation.schema().size()) {
+  return false;
+}
+
+void AppendCostMeter(std::string* out, const CostMeter& meter) {
+  out->push_back('{');
+  AppendMeterFields(out, meter, kCostMeterFields);
+  AppendKey(out, "by_model");
+  out->push_back('{');
+  for (const auto& [name, usage] : meter.by_model) {
+    AppendKey(out, name);
+    out->push_back('{');
+    AppendMeterFields(out, usage, kModelUsageFields);
+    out->push_back('}');
+  }
+  out->append("}}");
+}
+
+/// Reads one by_model slice; a slice that is not an object reads as zero.
+Result<ModelUsage> ReadModelUsage(JsonReader* reader) {
+  ModelUsage usage;
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kObject) {
+    GALOIS_RETURN_IF_ERROR(reader->Skip());
+    return usage;
+  }
+  GALOIS_RETURN_IF_ERROR(
+      reader->ReadObject([&](std::string_view key) -> Status {
+        GALOIS_ASSIGN_OR_RETURN(
+            bool read, ReadMeterField(reader, key, kModelUsageFields, &usage));
+        return read ? Status::OK() : reader->Skip();
+      }));
+  return usage;
+}
+
+/// Reads by_model; a repeated by_model replaces the slices, and one that
+/// is not an object reads as none.
+Status ReadSlices(JsonReader* reader,
+                  std::map<std::string, ModelUsage>* slices) {
+  slices->clear();
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kObject) return reader->Skip();
+  return reader->ReadObject([&](std::string_view name) -> Status {
+    ModelUsage& usage = (*slices)[std::string(name)];
+    GALOIS_ASSIGN_OR_RETURN(usage, ReadModelUsage(reader));
+    return Status::OK();
+  });
+}
+
+Result<CostMeter> ReadCostMeter(JsonReader* reader) {
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kObject) {
+    return Status::ParseError(kMalformedCostMeter);
+  }
+  CostMeter meter;
+  GALOIS_RETURN_IF_ERROR(
+      reader->ReadObject([&](std::string_view key) -> Status {
+        if (key == "by_model") return ReadSlices(reader, &meter.by_model);
+        GALOIS_ASSIGN_OR_RETURN(
+            bool read, ReadMeterField(reader, key, kCostMeterFields, &meter));
+        return read ? Status::OK() : reader->Skip();
+      }));
+  return meter;
+}
+
+void AppendRelation(std::string* out, const Relation& relation) {
+  out->append("{\"columns\":[");
+  for (const Column& column : relation.schema().columns()) {
+    if (out->back() != '[') out->push_back(',');
+    out->push_back('{');
+    AppendStringMember(out, "name", column.name);
+    AppendStringMember(out, "type", DataTypeName(column.type));
+    if (!column.table.empty()) AppendStringMember(out, "table", column.table);
+    out->push_back('}');
+  }
+  out->append("],\"rows\":[");
+  for (const Tuple& tuple : relation.rows()) {
+    if (out->back() != '[') out->push_back(',');
+    out->push_back('[');
+    for (const Value& value : tuple) {
+      if (out->back() != '[') out->push_back(',');
+      llm::AppendTaggedValue(out, value);
+    }
+    out->push_back(']');
+  }
+  out->append("]}");
+}
+
+Result<Column> ReadColumn(JsonReader* reader) {
+  constexpr char kMalformed[] = "wire: malformed relation column";
+  GALOIS_ASSIGN_OR_RETURN(Json::Type kind, reader->Peek());
+  if (kind != Json::Type::kObject) return Status::ParseError(kMalformed);
+  std::optional<std::string> name;
+  std::optional<Result<DataType>> type;
+  std::string table;
+  GALOIS_RETURN_IF_ERROR(
+      reader->ReadObject([&](std::string_view key) -> Status {
+        if (key == "name") return ReadRequiredString(reader, &name);
+        if (key == "type") {
+          GALOIS_ASSIGN_OR_RETURN(std::string_view v, reader->ReadStringOr(""));
+          type = DataTypeFromName(v);
+          return Status::OK();
+        }
+        if (key == "table") {
+          GALOIS_ASSIGN_OR_RETURN(std::string_view v, reader->ReadStringOr(""));
+          table = std::string(v);
+          return Status::OK();
+        }
+        return reader->Skip();
+      }));
+  if (!name) return Status::ParseError(kMalformed);
+  if (!type) type = DataTypeFromName("");
+  if (!type->ok()) return type->status();
+  return Column(std::move(*name), **type, std::move(table));
+}
+
+Result<Schema> ReadColumns(JsonReader* reader) {
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kArray) return Status::ParseError(kMalformedRelation);
+  Schema schema;
+  GALOIS_RETURN_IF_ERROR(reader->ReadArray([&]() -> Status {
+    GALOIS_ASSIGN_OR_RETURN(Column column, ReadColumn(reader));
+    schema.AddColumn(std::move(column));
+    return Status::OK();
+  }));
+  return schema;
+}
+
+/// Reads the rows; their arity is checked against the final schema once
+/// the relation's object ends, since "rows" may come before "columns".
+Result<std::vector<Tuple>> ReadRows(JsonReader* reader, size_t arity_hint) {
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kArray) return Status::ParseError(kMalformedRelation);
+  std::vector<Tuple> rows;
+  GALOIS_RETURN_IF_ERROR(reader->ReadArray([&]() -> Status {
+    GALOIS_ASSIGN_OR_RETURN(Json::Type row_type, reader->Peek());
+    if (row_type != Json::Type::kArray) {
+      return Status::ParseError("wire: relation row " +
+                                std::to_string(rows.size()) +
+                                " arity mismatch");
+    }
+    Tuple& tuple = rows.emplace_back();
+    tuple.reserve(arity_hint);
+    return reader->ReadArray([&]() -> Status {
+      GALOIS_ASSIGN_OR_RETURN(Value value, llm::ReadTaggedValue(reader));
+      tuple.push_back(std::move(value));
+      return Status::OK();
+    });
+  }));
+  return rows;
+}
+
+Result<Relation> ReadRelation(JsonReader* reader) {
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader->Peek());
+  if (type != Json::Type::kObject) return Status::ParseError(kMalformedRelation);
+  std::optional<Result<Schema>> schema;
+  std::optional<Result<std::vector<Tuple>>> rows;
+  GALOIS_RETURN_IF_ERROR(
+      reader->ReadObject([&](std::string_view key) -> Status {
+        if (key == "columns") return ReadLast(reader, &schema, ReadColumns);
+        if (key == "rows") {
+          const size_t arity = schema && schema->ok() ? (*schema)->size() : 0;
+          return ReadLast(reader, &rows, [arity](JsonReader* r) {
+            return ReadRows(r, arity);
+          });
+        }
+        return reader->Skip();
+      }));
+  GALOIS_ASSIGN_OR_RETURN(Schema columns, Take(&schema, kMalformedRelation));
+  GALOIS_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                          Take(&rows, kMalformedRelation));
+  for (size_t r = 0; r < tuples.size(); ++r) {
+    if (tuples[r].size() != columns.size()) {
       return Status::ParseError("wire: relation row " + std::to_string(r) +
                                 " arity mismatch");
     }
-    Tuple tuple;
-    tuple.reserve(row.size());
-    for (size_t c = 0; c < row.size(); ++c) {
-      GALOIS_ASSIGN_OR_RETURN(Value value, llm::ValueFromJson(row.at(c)));
-      tuple.push_back(std::move(value));
-    }
-    relation.AddRowUnchecked(std::move(tuple));
   }
-  return relation;
+  return Relation(std::move(columns), std::move(tuples));
+}
+
+/// A payload's likely size, so its string grows once at most: the meter
+/// and counters, then a typical column and tagged cell.
+size_t PayloadReserve(const Relation& relation) {
+  return 640 + 48 * relation.NumColumns() +
+         24 * relation.NumRows() * relation.NumColumns();
+}
+
+/// Reads a result payload: `member(key)` reads the members particular to
+/// it; relation, cost and the counters are read here.
+template <typename Payload, typename ReadMember>
+Result<Payload> DecodeResultPayload(std::string_view bytes,
+                                    const char* malformed,
+                                    ReadMember member) {
+  JsonReader reader(bytes);
+  GALOIS_ASSIGN_OR_RETURN(Json::Type type, reader.Peek());
+  if (type != Json::Type::kObject) return Status::ParseError(malformed);
+  Payload payload;
+  std::optional<Result<Relation>> relation;
+  std::optional<Result<CostMeter>> cost;
+  GALOIS_RETURN_IF_ERROR(
+      reader.ReadObject([&](std::string_view key) -> Status {
+        if (key == "relation") return ReadLast(&reader, &relation, ReadRelation);
+        if (key == "cost") return ReadLast(&reader, &cost, ReadCostMeter);
+        GALOIS_ASSIGN_OR_RETURN(bool read,
+                                ReadCounter(&reader, key, &payload));
+        if (read) return Status::OK();
+        GALOIS_ASSIGN_OR_RETURN(read, member(&reader, key, &payload));
+        return read ? Status::OK() : reader.Skip();
+      }));
+  GALOIS_RETURN_IF_ERROR(reader.Finish());
+  GALOIS_ASSIGN_OR_RETURN(payload.relation,
+                          Take(&relation, kMalformedRelation));
+  GALOIS_ASSIGN_OR_RETURN(payload.cost, Take(&cost, kMalformedCostMeter));
+  return payload;
+}
+
+}  // namespace
+
+Json RelationToJson(const Relation& relation) {
+  std::string text;
+  AppendRelation(&text, relation);
+  return Json::Parse(text).value();
 }
 
 Json CostMeterToJson(const llm::CostMeter& meter) {
-  Json j = Json::Object();
-  j.Set("num_prompts", Json::Number(meter.num_prompts));
-  j.Set("prompt_tokens", Json::Number(meter.prompt_tokens));
-  j.Set("completion_tokens", Json::Number(meter.completion_tokens));
-  j.Set("simulated_latency_ms", Json::Number(meter.simulated_latency_ms));
-  j.Set("cache_hits", Json::Number(meter.cache_hits));
-  j.Set("store_hits", Json::Number(meter.store_hits));
-  j.Set("num_batches", Json::Number(meter.num_batches));
-  Json by_model = Json::Object();
-  for (const auto& [name, usage] : meter.by_model) {
-    by_model.Set(name, ModelUsageToJson(usage));
-  }
-  j.Set("by_model", std::move(by_model));
-  return j;
+  std::string text;
+  AppendCostMeter(&text, meter);
+  return Json::Parse(text).value();
 }
 
 Result<llm::CostMeter> CostMeterFromJson(const Json& j) {
-  if (!j.is_object()) {
-    return Status::ParseError("wire: malformed cost meter payload");
-  }
-  llm::CostMeter meter;
-  meter.num_prompts = j.GetInt("num_prompts");
-  meter.prompt_tokens = j.GetInt("prompt_tokens");
-  meter.completion_tokens = j.GetInt("completion_tokens");
-  meter.simulated_latency_ms = j.GetNumber("simulated_latency_ms");
-  meter.cache_hits = j.GetInt("cache_hits");
-  meter.store_hits = j.GetInt("store_hits");
-  meter.num_batches = j.GetInt("num_batches");
-  // Iterate the object's keys via Dump-free access: by_model is an
-  // object of name -> usage.
-  const Json& by_model = j["by_model"];
-  if (by_model.is_object()) {
-    for (const std::string& name : by_model.Keys()) {
-      meter.by_model[name] = ModelUsageFromJson(by_model[name]);
-    }
-  }
-  return meter;
+  const std::string text = j.Dump();
+  JsonReader reader(text);
+  return ReadCostMeter(&reader);
 }
 
 Json QueryRequestToJson(const QueryRequest& request) {
@@ -226,29 +474,46 @@ Result<QueryRequest> QueryRequestFromJson(const Json& j) {
   return request;
 }
 
-Json QueryResultToJson(const QueryResult& result) {
-  Json j = Json::Object();
-  j.Set("relation", RelationToJson(result.relation));
-  j.Set("cost", CostMeterToJson(result.cost));
-  SetCounters(result, &j);
-  j.Set("wall_ms", Json::Number(result.wall_ms));
+std::string EncodeQueryResult(const QueryResult& result) {
+  std::string out;
+  out.reserve(PayloadReserve(result.relation) + result.physical_plan.size());
+  out.append("{\"relation\":");
+  AppendRelation(&out, result.relation);
+  out.append(",\"cost\":");
+  AppendCostMeter(&out, result.cost);
+  AppendCounters(&out, result);
+  AppendNumberMember(&out, "wall_ms", result.wall_ms);
   if (!result.physical_plan.empty()) {
-    j.Set("physical_plan", Json::String(result.physical_plan));
+    AppendStringMember(&out, "physical_plan", result.physical_plan);
   }
-  return j;
+  out.push_back('}');
+  return out;
+}
+
+Result<QueryResult> DecodeQueryResult(std::string_view payload) {
+  return DecodeResultPayload<QueryResult>(
+      payload, "wire: malformed query result payload",
+      [](JsonReader* reader, std::string_view key,
+         QueryResult* result) -> Result<bool> {
+        if (key == "wall_ms") {
+          GALOIS_ASSIGN_OR_RETURN(result->wall_ms, reader->ReadNumberOr(0.0));
+        } else if (key == "physical_plan") {
+          GALOIS_ASSIGN_OR_RETURN(std::string_view plan,
+                                  reader->ReadStringOr(""));
+          result->physical_plan = std::string(plan);
+        } else {
+          return false;
+        }
+        return true;
+      });
+}
+
+Json QueryResultToJson(const QueryResult& result) {
+  return Json::Parse(EncodeQueryResult(result)).value();
 }
 
 Result<QueryResult> QueryResultFromJson(const Json& j) {
-  if (!j.is_object()) {
-    return Status::ParseError("wire: malformed query result payload");
-  }
-  QueryResult result;
-  GALOIS_ASSIGN_OR_RETURN(result.relation, RelationFromJson(j["relation"]));
-  GALOIS_ASSIGN_OR_RETURN(result.cost, CostMeterFromJson(j["cost"]));
-  GetCounters(j, &result);
-  result.wall_ms = j.GetNumber("wall_ms");
-  result.physical_plan = j.GetString("physical_plan");
-  return result;
+  return DecodeQueryResult(j.Dump());
 }
 
 Json PartialQueryRequestToJson(const PartialQueryRequest& request) {
@@ -293,28 +558,53 @@ Result<PartialQueryRequest> PartialQueryRequestFromJson(const Json& j) {
   return request;
 }
 
+std::string EncodePartialQueryResponse(const PartialQueryResponse& response) {
+  std::string out;
+  out.reserve(PayloadReserve(response.relation));
+  out.push_back('{');
+  AppendStringMember(&out, "table", response.table);
+  AppendStringMember(&out, "alias", response.alias);
+  out.append(",\"relation\":");
+  AppendRelation(&out, response.relation);
+  out.append(",\"cost\":");
+  AppendCostMeter(&out, response.cost);
+  AppendCounters(&out, response);
+  out.push_back('}');
+  return out;
+}
+
+Result<PartialQueryResponse> DecodePartialQueryResponse(
+    std::string_view payload) {
+  constexpr char kMalformed[] = "wire: malformed partial query response";
+  std::optional<std::string> table;
+  std::optional<std::string> alias;
+  GALOIS_ASSIGN_OR_RETURN(
+      PartialQueryResponse response,
+      DecodeResultPayload<PartialQueryResponse>(
+          payload, kMalformed,
+          [&](JsonReader* reader, std::string_view key,
+              PartialQueryResponse*) -> Result<bool> {
+            if (key == "table") {
+              GALOIS_RETURN_IF_ERROR(ReadRequiredString(reader, &table));
+            } else if (key == "alias") {
+              GALOIS_RETURN_IF_ERROR(ReadRequiredString(reader, &alias));
+            } else {
+              return false;
+            }
+            return true;
+          }));
+  if (!table || !alias) return Status::ParseError(kMalformed);
+  response.table = std::move(*table);
+  response.alias = std::move(*alias);
+  return response;
+}
+
 Json PartialQueryResponseToJson(const PartialQueryResponse& response) {
-  Json j = Json::Object();
-  j.Set("table", Json::String(response.table));
-  j.Set("alias", Json::String(response.alias));
-  j.Set("relation", RelationToJson(response.relation));
-  j.Set("cost", CostMeterToJson(response.cost));
-  SetCounters(response, &j);
-  return j;
+  return Json::Parse(EncodePartialQueryResponse(response)).value();
 }
 
 Result<PartialQueryResponse> PartialQueryResponseFromJson(const Json& j) {
-  if (!j.is_object() || !j["table"].is_string() || !j["alias"].is_string()) {
-    return Status::ParseError("wire: malformed partial query response");
-  }
-  PartialQueryResponse response;
-  response.table = j.GetString("table");
-  response.alias = j.GetString("alias");
-  GALOIS_ASSIGN_OR_RETURN(response.relation,
-                          RelationFromJson(j["relation"]));
-  GALOIS_ASSIGN_OR_RETURN(response.cost, CostMeterFromJson(j["cost"]));
-  GetCounters(j, &response);
-  return response;
+  return DecodePartialQueryResponse(j.Dump());
 }
 
 Json StatusToJson(const Status& status, bool retryable) {

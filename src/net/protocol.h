@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/database.h"
@@ -18,23 +19,39 @@ namespace galois::net {
 /// frame types in net/frame.h. Shared by GaloisServer and GaloisClient,
 /// so the two sides cannot drift.
 ///
+/// The two result-bearing frames (kQueryResult, kPartialResult) are
+/// written straight from the values to bytes and read straight back,
+/// with no Json tree: one writer and one reader per payload, built from
+/// one writer and reader each for the relation, the cost meter, the
+/// counter block and the tagged value (llm::AppendTaggedValue). The
+/// bytes equal what Json::Dump writes for the same document. The reader
+/// keeps the tree decoders' rules: keys in any order, unknown keys
+/// skipped, the last of a repeated key wins, a missing or wrong-typed
+/// number reads 0 and a missing string "", and every rejection is
+/// kParseError. The other frames (requests, stats, errors) build a Json
+/// tree; both paths share common/json's one lexer and one number/string
+/// writer.
+///
 /// Fidelity contract: a QueryResult serialised here and decoded on the
 /// other side compares equal to the in-process value — same relation
 /// (schema + rows, including int64/date payloads, which travel as
-/// strings exactly like the LLM wire codec's tagged values), same
-/// CostMeter (doubles dumped at %.17g round-trip losslessly), same
-/// core::QueryCounters. That is what lets the e2e suite prove the
-/// daemon byte-identical to the in-process facade. Provenance traces are
-/// deliberately NOT carried: provenance runs are a debugging mode and
-/// their traces hold engine-internal pointers; remote sessions run with
-/// record_provenance off.
+/// strings like every tagged value, and non-finite doubles, which travel
+/// as "inf", "-inf" or "nan"), same CostMeter (doubles written at 17
+/// significant digits read back bit-exact), same core::QueryCounters.
+/// That is what lets the e2e suite prove the daemon byte-identical to
+/// the in-process facade. Provenance traces are deliberately NOT
+/// carried: provenance runs are a debugging mode and their traces hold
+/// engine-internal pointers; remote sessions run with record_provenance
+/// off.
 
-/// Relation <-> JSON: {"columns":[{name,type,table}],
-/// "rows":[[tagged values...]]}.
+/// Relation as JSON: {"columns":[{name,type,table}],
+/// "rows":[[tagged values...]]}. A DOM adapter over the result codec's
+/// relation writer, for callers that compare or embed relations.
 Json RelationToJson(const Relation& relation);
-Result<Relation> RelationFromJson(const Json& j);
 
-/// CostMeter <-> JSON, including the by_model per-backend slices.
+/// CostMeter <-> JSON, including the by_model per-backend slices. DOM
+/// adapters over the result codec's meter writer and reader, which
+/// ServerStats embeds.
 Json CostMeterToJson(const llm::CostMeter& meter);
 Result<llm::CostMeter> CostMeterFromJson(const Json& j);
 
@@ -51,8 +68,12 @@ struct QueryRequest {
 Json QueryRequestToJson(const QueryRequest& request);
 Result<QueryRequest> QueryRequestFromJson(const Json& j);
 
-/// QueryResult <-> JSON (FrameType::kQueryResult). The trace is not
-/// carried (see the fidelity contract above).
+/// QueryResult <-> payload bytes (FrameType::kQueryResult). The trace is
+/// not carried (see the fidelity contract above).
+std::string EncodeQueryResult(const QueryResult& result);
+Result<QueryResult> DecodeQueryResult(std::string_view payload);
+/// DOM adapters: Json::Parse(EncodeQueryResult(r)) and
+/// DecodeQueryResult(j.Dump()).
 Json QueryResultToJson(const QueryResult& result);
 Result<QueryResult> QueryResultFromJson(const Json& j);
 
@@ -88,6 +109,10 @@ struct PartialQueryResponse : core::QueryCounters {
   llm::CostMeter cost;
 };
 
+std::string EncodePartialQueryResponse(const PartialQueryResponse& response);
+Result<PartialQueryResponse> DecodePartialQueryResponse(
+    std::string_view payload);
+/// DOM adapters over the two above.
 Json PartialQueryResponseToJson(const PartialQueryResponse& response);
 Result<PartialQueryResponse> PartialQueryResponseFromJson(const Json& j);
 

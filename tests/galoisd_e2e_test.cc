@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -239,6 +240,45 @@ TEST(GaloisdE2eTest, WorkloadByteIdenticalOverTheWireVsInProcess) {
   ASSERT_TRUE(remote.ok()) << remote.status();
   ExpectSameCounters(remote.value(), received, "client.Stats()");
 
+  server.Shutdown();
+}
+
+TEST(GaloisdE2eTest, NonFiniteDoublesSurviveTheWire) {
+  // Arithmetic can overflow to inf and cancel to NaN; JSON has no token
+  // for either, so such cells travel as tagged strings and must arrive
+  // as the same cells the facade returns.
+  auto local_db = OpenSimDb();
+  auto wire_db = OpenSimDb();
+  GaloisServer server(wire_db.get(), ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Session local = local_db->CreateSession();
+  GaloisClient client = ConnectTo(server.port());
+
+  struct Case {
+    std::string sql;
+    bool (*check)(double);
+  };
+  const Case cases[] = {
+      {"SELECT name, population * 1e308 FROM country WHERE name = 'France'",
+       [](double v) { return std::isinf(v); }},
+      {"SELECT name, population * 1e308 - population * 1e308 FROM country "
+       "WHERE name = 'France'",
+       [](double v) { return std::isnan(v); }},
+  };
+  for (const Case& c : cases) {
+    auto expected = local.Query(c.sql);
+    ASSERT_TRUE(expected.ok()) << c.sql << ": " << expected.status();
+    auto got = client.Query(c.sql);
+    ASSERT_TRUE(got.ok()) << c.sql << ": " << got.status();
+    EXPECT_EQ(net::RelationToJson(expected->relation).Dump(),
+              net::RelationToJson(got->relation).Dump())
+        << c.sql;
+    ASSERT_FALSE(got->relation.rows().empty()) << c.sql;
+    for (const Tuple& row : got->relation.rows()) {
+      ASSERT_EQ(DataType::kDouble, row[1].type()) << c.sql;
+      EXPECT_TRUE(c.check(row[1].double_value())) << c.sql;
+    }
+  }
   server.Shutdown();
 }
 

@@ -5,8 +5,11 @@
 // hermetic, no network.
 
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -777,18 +780,36 @@ TEST(PartialQueryCodecTest, OversizePartialFrameIsRejected) {
 
 TEST(PartialQueryCodecTest, FuzzedPayloadsNeverCrashTheCodec) {
   // Deterministic mutation fuzz: flip/truncate/extend valid payloads and
-  // feed the result through parse + decode. The codec must return an
-  // error or a value — never crash — whatever arrives.
+  // feed the raw bytes to the decoders. Whatever arrives, a decoder
+  // returns a value or a kParseError — never crashes — and a result it
+  // accepts re-encodes to bytes that decode to the same value.
   std::mt19937 rng(0xC0FFEE);
-  const std::string req_seed =
-      PartialQueryRequestToJson(SamplePartialRequest()).Dump();
-  PartialQueryResponse seed_response;
-  seed_response.table = "t";
-  seed_response.alias = "a";
-  const std::string resp_seed =
-      PartialQueryResponseToJson(seed_response).Dump();
-  for (int round = 0; round < 400; ++round) {
-    std::string payload = (round % 2 == 0) ? req_seed : resp_seed;
+  PartialQueryResponse bare_response;
+  bare_response.table = "t";
+  bare_response.alias = "a";
+  const std::string seeds[] = {
+      PartialQueryRequestToJson(SamplePartialRequest()).Dump(),
+      EncodePartialQueryResponse(bare_response),
+      EncodePartialQueryResponse(SamplePartialResponse()),
+      kPinnedQueryResult,
+  };
+  int accepted = 0;
+  auto check = [&accepted](const std::string& payload, auto decode,
+                           auto encode) {
+    auto decoded = decode(payload);
+    if (!decoded.ok()) {
+      EXPECT_EQ(StatusCode::kParseError, decoded.status().code());
+      return;
+    }
+    ++accepted;
+    const std::string again = encode(decoded.value());
+    auto redecoded = decode(again);
+    ASSERT_TRUE(redecoded.ok()) << redecoded.status();
+    EXPECT_EQ(again, encode(redecoded.value()));
+  };
+  for (int round = 0; round < 1600; ++round) {
+    const size_t kind = static_cast<size_t>(round) % std::size(seeds);
+    std::string payload = seeds[kind];
     std::uniform_int_distribution<size_t> pos(0, payload.size() - 1);
     switch (rng() % 3) {
       case 0:  // byte flip(s)
@@ -804,14 +825,133 @@ TEST(PartialQueryCodecTest, FuzzedPayloadsNeverCrashTheCodec) {
                                              static_cast<char>(rng() % 256)));
         break;
     }
-    auto parsed = Json::Parse(payload);
-    if (!parsed.ok()) continue;  // parse rejection is a fine outcome
-    if (round % 2 == 0) {
-      PartialQueryRequestFromJson(parsed.value()).status();
+    SCOPED_TRACE("round " + std::to_string(round) + ": " + payload);
+    if (kind == 0) {
+      // Requests keep their tree codec.
+      auto parsed = Json::Parse(payload);
+      Status status = parsed.ok()
+                          ? PartialQueryRequestFromJson(parsed.value()).status()
+                          : parsed.status();
+      if (!status.ok()) EXPECT_EQ(StatusCode::kParseError, status.code());
+    } else if (kind == 3) {
+      check(payload, DecodeQueryResult, EncodeQueryResult);
     } else {
-      PartialQueryResponseFromJson(parsed.value()).status();
+      check(payload, DecodePartialQueryResponse, EncodePartialQueryResponse);
     }
   }
+  // The round trip above ran, not only the rejections.
+  EXPECT_GT(accepted, 100);
+}
+
+// ---------------------------------------------------------------------------
+// The direct result codec: the pinned bytes, and the tree decoder's rules.
+
+TEST(ResultCodecTest, DirectCodecWritesAndReadsThePinnedBytes) {
+  EXPECT_EQ(kPinnedQueryResult, EncodeQueryResult(SampleQueryResult()));
+  EXPECT_EQ(kPinnedPartialResponse,
+            EncodePartialQueryResponse(SamplePartialResponse()));
+  auto result = DecodeQueryResult(kPinnedQueryResult);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(kPinnedQueryResult, EncodeQueryResult(result.value()));
+  auto partial = DecodePartialQueryResponse(kPinnedPartialResponse);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_EQ(kPinnedPartialResponse,
+            EncodePartialQueryResponse(partial.value()));
+}
+
+TEST(ResultCodecTest, KeysComeInAnyOrderAndTheLastRepeatWins) {
+  // Reversed keys, an unknown key, tags after their payloads, repeated
+  // keys whose first value is invalid, and whitespace between tokens.
+  const std::string payload =
+      "{ \"physical_plan\" : \"p\", \"extra\":[{\"x\":null}],"
+      "\"wall_ms\":\"not a number\",\"table_cache_hits\":2.6,"
+      "\"cost\":7,\"cost\":{\"by_model\":{\"m\":{\"num_prompts\":4}},"
+      "\"num_prompts\":5},"
+      "\"relation\":{\"rows\":[[{\"t\":\"int\"}]],"
+      "\"columns\":[{\"type\":\"INT\",\"name\":\"a\"},"
+      "{\"name\":\"b\",\"type\":\"VARCHAR\",\"table\":\"t\"}],"
+      "\"rows\":[[{\"v\":\"12\",\"t\":\"int\"},"
+      "{\"t\":\"int\",\"v\":\"bad\",\"t\":\"string\"}]]"
+      "} }";
+  auto decoded = DecodeQueryResult(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const QueryResult& r = decoded.value();
+  EXPECT_EQ("p", r.physical_plan);
+  EXPECT_EQ(0.0, r.wall_ms);  // a wrong-typed number reads 0
+  EXPECT_EQ(3, r.table_cache_hits);  // rounded, as Json::GetInt
+  EXPECT_EQ(5, r.cost.num_prompts);
+  ASSERT_EQ(1u, r.cost.by_model.size());
+  EXPECT_EQ(4, r.cost.by_model.at("m").num_prompts);
+  ASSERT_EQ(2u, r.relation.schema().size());
+  EXPECT_EQ("t", r.relation.schema().columns()[1].table);
+  ASSERT_EQ(1u, r.relation.rows().size());
+  EXPECT_EQ(Value::Int(12), r.relation.rows()[0][0]);
+  EXPECT_EQ(Value::String("bad"), r.relation.rows()[0][1]);
+  // The tree adapter agrees with the direct decoder.
+  auto via_tree = QueryResultFromJson(Json::Parse(payload).value());
+  ASSERT_TRUE(via_tree.ok()) << via_tree.status();
+  EXPECT_EQ(EncodeQueryResult(r), EncodeQueryResult(via_tree.value()));
+}
+
+TEST(ResultCodecTest, MalformedPayloadsAreParseErrors) {
+  const char* payloads[] = {
+      "",
+      "[]",
+      "{\"cost\":{}}",                                   // no relation
+      "{\"relation\":{\"columns\":[],\"rows\":[]}}",     // no cost
+      "{\"relation\":{\"columns\":[],\"rows\":[]},\"cost\":[]}",
+      "{\"relation\":{\"rows\":[]},\"cost\":{}}",        // no columns
+      "{\"relation\":{\"columns\":[{\"type\":\"INT\"}],\"rows\":[]},"
+      "\"cost\":{}}",                                    // nameless column
+      "{\"relation\":{\"columns\":[{\"name\":\"a\",\"type\":\"BLOB\"}],"
+      "\"rows\":[]},\"cost\":{}}",                       // unknown type
+      "{\"relation\":{\"columns\":[{\"name\":\"a\",\"type\":\"INT\"}],"
+      "\"rows\":[[]]},\"cost\":{}}",                     // arity
+      "{\"relation\":{\"columns\":[{\"name\":\"a\",\"type\":\"INT\"}],"
+      "\"rows\":[[{\"t\":\"int\",\"v\":\"1x\"}]]},\"cost\":{}}",
+      "{\"relation\":{\"columns\":[],\"rows\":[]},\"cost\":{}} {}",
+  };
+  for (const char* payload : payloads) {
+    auto decoded = DecodeQueryResult(payload);
+    ASSERT_FALSE(decoded.ok()) << payload;
+    EXPECT_EQ(StatusCode::kParseError, decoded.status().code()) << payload;
+  }
+  auto partial = DecodePartialQueryResponse(
+      "{\"table\":7,\"alias\":\"a\",\"relation\":{\"columns\":[],"
+      "\"rows\":[]},\"cost\":{}}");
+  ASSERT_FALSE(partial.ok());
+  EXPECT_EQ(StatusCode::kParseError, partial.status().code());
+}
+
+TEST(ResultCodecTest, NonFiniteDoublesTravelAsTaggedStrings) {
+  QueryResult result = SampleQueryResult();
+  result.relation = Relation(Schema({Column("x", DataType::kDouble)}));
+  for (double v : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    result.relation.AddRowUnchecked({Value::Double(v)});
+  }
+  const std::string payload = EncodeQueryResult(result);
+  EXPECT_NE(std::string::npos,
+            payload.find("\"rows\":[[{\"t\":\"double\",\"v\":\"inf\"}],"
+                         "[{\"t\":\"double\",\"v\":\"-inf\"}],"
+                         "[{\"t\":\"double\",\"v\":\"nan\"}],"
+                         "[{\"t\":\"double\",\"v\":-0.5}]]"))
+      << payload;
+  auto decoded = DecodeQueryResult(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const auto& rows = decoded.value().relation.rows();
+  ASSERT_EQ(4u, rows.size());
+  EXPECT_EQ(std::numeric_limits<double>::infinity(), rows[0][0].double_value());
+  EXPECT_EQ(-std::numeric_limits<double>::infinity(),
+            rows[1][0].double_value());
+  EXPECT_TRUE(std::isnan(rows[2][0].double_value()));
+  EXPECT_EQ(-0.5, rows[3][0].double_value());
+  // A bare non-finite number (a meter field) writes null, which reads 0.
+  result.wall_ms = std::numeric_limits<double>::infinity();
+  auto wall = DecodeQueryResult(EncodeQueryResult(result));
+  ASSERT_TRUE(wall.ok()) << wall.status();
+  EXPECT_EQ(0.0, wall.value().wall_ms);
 }
 
 TEST(ListenerTest, ConnectToDeadPortFails) {
