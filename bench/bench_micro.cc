@@ -680,10 +680,10 @@ BENCHMARK(BM_SubsumptionWarmOverlap)
 void BM_SizedKeyScan(benchmark::State& state) {
   // range(0) is batch_prompts. The same city scan both arms, ended by the
   // model: the ladder pays one 5 ms round trip per page, while the sized
-  // scan sends page 0, then the pages the catalog predicts in flushes
-  // that grow with the pages consumed, then the page that ends the scan,
-  // so "round_trips" drops while "pages" less "overfetched" stays the
-  // ladder's.
+  // scan sends pages 0-1, then the pages the catalog predicts, the page
+  // that ends the scan included, in flushes that grow with the pages
+  // consumed (2-4, 5-10, 11-20), so "round_trips" drops to 4 while
+  // "pages" less "overfetched" stays the ladder's 21.
   galois::llm::ModelProfile profile = galois::llm::ModelProfile::ChatGpt();
   profile.coverage_floor = 1.0;
   profile.coverage_gain = 0.0;

@@ -137,7 +137,8 @@ void PrintHelp() {
       "  .pushdown <never|always|auto>    selection pushdown policy\n"
       "  .verify <on|off>         critic verification of every cell\n"
       "  .batch <on|off>          batched prompt round trips; a key scan\n"
-      "                           fetches its predicted pages in batches\n"
+      "                           sends pages 0-1 together, then the pages\n"
+      "                           it predicts in growing batches\n"
       "  .parallel <n> [chunk]    the query's round trips in flight\n"
       "                           (default 4), batched or not: per-key\n"
       "                           prompts, chunks and independent phases\n"
@@ -400,7 +401,7 @@ void PrintResult(const galois::QueryResult& result) {
                 static_cast<long long>(result.table_cache_subsumption_hits));
   }
   if (result.scan_pages_prefetched > 0) {
-    std::printf("(%lld scan pages fetched ahead, %lld overfetched)\n",
+    std::printf("(%lld scan pages sent in batches, %lld overfetched)\n",
                 static_cast<long long>(result.scan_pages_prefetched),
                 static_cast<long long>(result.scan_pages_overfetched));
   }

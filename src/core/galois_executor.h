@@ -37,10 +37,11 @@ class MaterialisationCache;
 /// paid for; prompt-level store hits are in llm::CostMeter::store_hits.
 ///
 /// Sized key-scan paging (core::LlmKeyScan), both 0 with batch_prompts
-/// off: `scan_pages_prefetched` counts the pages fetched ahead in the
-/// scans' flushes, after page 0 sized each scan, and
-/// `scan_pages_overfetched` the subset the scans did not consume, past
-/// the page that terminated each (paid for, parked in the prompt cache).
+/// off: `scan_pages_prefetched` counts every page the scans sent in
+/// batched flushes, pages 0-1 of each scan's first round trip included,
+/// and `scan_pages_overfetched` the subset the scans did not consume,
+/// past the page that terminated each (paid for, parked in the prompt
+/// cache).
 struct QueryCounters {
   int64_t table_cache_lookups = 0;
   int64_t table_cache_hits = 0;

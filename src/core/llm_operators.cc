@@ -118,15 +118,18 @@ Result<std::vector<std::string>> LlmKeyScan(
   // trip past the satisfying page.
   const bool sized = options.batch_prompts && !filter.has_value() &&
                      key_limit < 0 && table.expected_rows > 0;
-  // Pages 0 .. predicted - 1 hold keys by the catalog's count (capped by
-  // max_scan_pages), set once page 0 shows the page size. Whenever the
-  // pages fetched ahead run out inside the prediction, the next ones go
-  // out in one flush, one more than the scan has consumed (pages 1-2,
-  // then 3-6, then 7-14, ...), so a model that ends its scan before the
-  // catalog's count buys fewer pages past the end than it consumed. A
-  // failed flush is not the scan's error: the scan goes on demand from
-  // the failed flush's first page to its end.
-  int predicted = 0;
+  // A sized scan predicts pages 0 .. predicted - 1, capped by
+  // max_scan_pages: pages 0-1 until page 0 shows the page size (the
+  // ladder buys page 1 whenever page 0 brings a new key), then the pages
+  // that hold the catalog's count and the page that ends the scan.
+  // Whenever the pages sent run out inside the prediction, the next ones
+  // go out in one flush, one more than the scan has consumed (pages 0-1,
+  // then 2-4, then 5-10, ...), so a model that ends its scan before the
+  // catalog's count buys fewer pages past the end than it consumed, or
+  // one when page 0 ends the scan. A failed flush is not the scan's
+  // error: the scan goes on demand, unsized, from the failed flush's
+  // first page to its end.
+  int predicted = sized ? std::min(2, options.max_scan_pages) : 0;
   std::vector<llm::Completion> ahead;  // from the last flush
   size_t next = 0;                     // ahead[next] answers `page`
   for (int page = 0; page < options.max_scan_pages; ++page) {
@@ -135,7 +138,7 @@ Result<std::vector<std::string>> LlmKeyScan(
     if (key_limit >= 0 && static_cast<int64_t>(keys.size()) >= key_limit) {
       break;
     }
-    const int last = std::min(2 * page, predicted - 1);
+    const int last = std::min(std::max(2 * page, 1), predicted - 1);
     if (next == ahead.size() && last > page) {
       ahead = FlushScanPages(&scheduler, model, table, page, last, &s);
       next = 0;
@@ -154,9 +157,9 @@ Result<std::vector<std::string>> LlmKeyScan(
       s.overfetched += static_cast<int>(ahead.size() - next);
       break;
     }
-    if (page == 0 && sized) {
+    if (page == 0 && predicted > 0) {
       predicted = static_cast<int>(std::min<size_t>(
-          (table.expected_rows + keys.size() - 1) / keys.size(),
+          (table.expected_rows + keys.size() - 1) / keys.size() + 1,
           static_cast<size_t>(options.max_scan_pages)));
     }
   }

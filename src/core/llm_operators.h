@@ -40,7 +40,7 @@ llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options);
 
 /// Paging accounting of one LlmKeyScan. `pages` counts the page prompts
 /// the scan sent. `flushed` counts those sent in the sized scan's
-/// flushes, before the pages ahead of them were consumed, and `batches`
+/// flushes, pages 0-1 of its first round trip included, and `batches`
 /// the CompleteBatch round trips the scheduler dispatched for them.
 /// `overfetched` counts the flushed pages the scan did not consume: the
 /// pages past the one that ended the scan, and every page of a failed
@@ -55,8 +55,8 @@ struct KeyScanStats {
   int batches = 0;
   int overfetched = 0;
 
-  /// Round trips of the scan: each page fetched on its own (page 0 and
-  /// the on-demand pages) and each flush batch.
+  /// Round trips of the scan: each page fetched on its own (the
+  /// on-demand pages) and each flush batch.
   int round_trips() const { return pages - flushed + batches; }
 };
 
@@ -70,26 +70,29 @@ struct KeyScanStats {
 /// One paging loop. Page prompts are independent texts (page k+1's
 /// prompt does not embed page k's answer), but the *termination
 /// decision* is sequential, so pages are consumed strictly in page order.
-/// Page 0 goes alone, through BatchScheduler::CompleteOne. With
-/// options.batch_prompts on, the n new keys it returns size the scan:
-/// the catalog's table.expected_rows predicts ceil(expected_rows / n)
-/// pages (capped by max_scan_pages). Whenever the pages fetched ahead run
-/// out inside that prediction, the next ones go out in one
-/// BatchScheduler::Flush, one page more than the scan has consumed
-/// (pages 1-2, then 3-6, then 7-14, ...) and only when that is at least
-/// two pages, chunked by max_batch_size and fanned over parallel_batches
-/// like every batched phase. Any other page is fetched on demand, one
-/// CompleteOne each. The scan takes the paper prototype's ladder, call
-/// for call, with batch_prompts off, for a `filter` scan, for a
-/// LIMIT-bounded scan and for a table whose expected_rows is 0.
+/// With options.batch_prompts on, the first round trip is one
+/// BatchScheduler::Flush of pages 0 and 1 (the ladder buys page 1
+/// whenever page 0 brings a new key), and the n new keys page 0 returns
+/// size the scan: the catalog's table.expected_rows predicts
+/// ceil(expected_rows / n) pages of keys and the page that ends the scan
+/// (capped by max_scan_pages). Whenever the pages sent run out inside
+/// that prediction, the next ones go out in one Flush, one page more than
+/// the scan has consumed (pages 0-1, then 2-4, then 5-10, ...) and only
+/// when that is at least two pages, chunked by max_batch_size and fanned
+/// over parallel_batches like every batched phase. Any other page is
+/// fetched on demand, one BatchScheduler::CompleteOne each. The scan
+/// takes the paper prototype's ladder, call for call, with batch_prompts
+/// off, for a `filter` scan, for a LIMIT-bounded scan and for a table
+/// whose expected_rows is 0.
 ///
 /// Either way the keys are the ladder's. A flush also buys the pages past
 /// the one that ends the scan (they bill, see KeyScanStats), but fewer
 /// than the scan consumed, because each flush is at most one page larger
-/// than the pages before it. A failed flush is not the scan's error: the
-/// scan goes on demand from that flush's first page to its end, so it
-/// ends with the ladder's keys or the ladder's Status, code and message,
-/// and what the failed flush billed still bills. It is counted from
+/// than the pages before it, or one page when page 0 ends the scan. A
+/// failed flush, the first one included, is not the scan's error: the
+/// scan goes on demand, unsized, from that flush's first page to its end,
+/// so it ends with the ladder's keys or the ladder's Status, code and
+/// message, and what the failed flush billed still bills. It is counted from
 /// `model`'s meter, so over a model stack that other queries share pass
 /// a per-scan llm::CostTap, as core::PhysicalPlan does.
 /// `key_limit >= 0` stops paging as soon as that many keys have been

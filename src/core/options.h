@@ -56,9 +56,10 @@ struct ExecutionOptions {
   /// behaviour. Either way, every retrieval phase is dispatched through
   /// llm::BatchScheduler, which also dedupes repeated prompt texts within
   /// a phase (repeated keys from a join are billed once). The key scan
-  /// batches too: after page 0, the pages the catalog's expected_rows
-  /// predicts travel in flushes that grow with the pages consumed, and
-  /// the pages the scan did not need past the one that ended it still
+  /// batches too: its first round trip carries pages 0 and 1, then the
+  /// pages the catalog's expected_rows predicts, the one that ends the
+  /// scan included, travel in flushes that grow with the pages consumed,
+  /// and the pages the scan did not need past the one that ended it still
   /// bill (core::LlmKeyScan).
   bool batch_prompts = false;
 

@@ -650,7 +650,7 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
     std::string& label = group.scan_node->label;
     label.insert(label.rfind(')'),
                  "; " + std::to_string(paging.flushed) +
-                     " pages fetched ahead in " +
+                     " pages sent in " +
                      (paging.batches == 1
                           ? std::string("one batch")
                           : std::to_string(paging.batches) + " batches"));

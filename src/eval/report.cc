@@ -139,10 +139,10 @@ std::string FormatCostStats(const std::vector<QueryOutcome>& outcomes) {
     os << buf;
   }
   if (counters.scan_pages_prefetched > 0) {
-    // Sized key scans: pages fetched ahead in flushes, and the subset
-    // bought past the page that terminated its scan.
+    // Sized key scans: every page sent in a batched flush, and the
+    // subset bought past the page that terminated its scan.
     std::snprintf(buf, sizeof(buf),
-                  "Key-scan paging: %lld pages fetched ahead, %lld "
+                  "Key-scan paging: %lld pages sent in batches, %lld "
                   "overfetched\n",
                   static_cast<long long>(counters.scan_pages_prefetched),
                   static_cast<long long>(counters.scan_pages_overfetched));

@@ -1,15 +1,19 @@
-// The key scan's one paging loop. With batch_prompts on, page 0 sizes
-// the scan and the pages the catalog predicts go out in flushes that
-// grow with the pages consumed: the keys stay the ladder's on every
-// table, the only extra prompts are the overfetched pages, fewer than the
-// scan consumed, a failed flush ends in the ladder's keys or the ladder's
-// error and bills what the model billed, unsized scans (LIMIT-bounded,
-// pushed filter, no row estimate) make the ladder's calls, cancellation
-// still cuts the scan off, overfetched pages land in a prompt cache, and
+// The key scan's one paging loop. With batch_prompts on, pages 0 and 1
+// go out in the first round trip, page 0 sizes the scan, and the pages
+// the catalog predicts, the one that ends the scan included, go out in
+// flushes that grow with the pages consumed: the keys stay the ladder's
+// on every table, the only extra prompts are the overfetched pages, fewer
+// than the scan consumed (one when page 0 ends the scan), a failed flush
+// (the first one too) ends in the ladder's keys or the ladder's error and
+// bills what the model billed, unsized scans (LIMIT-bounded, pushed
+// filter, no row estimate) make the ladder's calls, cancellation still
+// cuts the scan off, overfetched pages land in a prompt cache, and
 // Explain counts the scan's round trips, not its pages.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -39,8 +43,9 @@ const catalog::TableDef& CountryDef() {
   return *W().catalog().GetTable("country").value();
 }
 
-/// The country table with its row estimate doubled: the sized flushes
-/// then buy pages past the one that ends the scan.
+/// The country table (48 rows) with its row estimate doubled. At page
+/// size 6 the model's keys fill pages 0-7 and page 8 ends the scan, inside
+/// the flush of pages 5-10, so that flush buys pages 9 and 10 past the end.
 catalog::TableDef OverestimatedCountryDef() {
   catalog::TableDef def = CountryDef();
   def.expected_rows *= 2;
@@ -78,17 +83,20 @@ int KeyScanPage(const llm::Prompt& prompt) {
 }
 
 /// Forwards to `inner` and fails the key-scan prompt of one page after
-/// `inner` has answered (and billed) it, reporting nothing for it. Its
-/// batch call is the default loop over CompleteMetered, so a batch
-/// holding that page fails too.
+/// `inner` has answered (and billed) it, reporting nothing for it: every
+/// time, or only the first `failures` times. Its batch call is the
+/// default loop over CompleteMetered, so a batch holding that page fails
+/// too.
 class FailingPageModel : public llm::ForwardingModel {
  public:
-  FailingPageModel(llm::LanguageModel* inner, int page)
-      : llm::ForwardingModel(inner), page_(page) {}
+  FailingPageModel(llm::LanguageModel* inner, int page,
+                   int failures = std::numeric_limits<int>::max())
+      : llm::ForwardingModel(inner), page_(page), failures_(failures) {}
 
   Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
                                           llm::CostMeter* usage) override {
-    const bool fail = KeyScanPage(prompt) == page_;
+    const bool fail =
+        KeyScanPage(prompt) == page_ && failures_.fetch_sub(1) > 0;
     Result<llm::Completion> completion =
         inner_->CompleteMetered(prompt, fail ? nullptr : usage);
     if (fail) {
@@ -99,11 +107,13 @@ class FailingPageModel : public llm::ForwardingModel {
 
  private:
   int page_;
+  std::atomic<int> failures_;
 };
 
 /// Forwards to `inner` and logs each round trip's scan pages: "3" for a
 /// one-prompt call of page 3, "[1 2 3]" for a batch of pages 1-3. With
-/// `cancel` set it requests cancellation once page 0 is answered.
+/// `cancel` set it requests cancellation once the round trip that holds
+/// page 0 is answered.
 class PageLog : public llm::ForwardingModel {
  public:
   explicit PageLog(llm::LanguageModel* inner, CancelToken cancel = nullptr)
@@ -114,9 +124,7 @@ class PageLog : public llm::ForwardingModel {
     Log(std::to_string(KeyScanPage(prompt)));
     Result<llm::Completion> completion =
         inner_->CompleteMetered(prompt, usage);
-    if (cancel_ != nullptr && KeyScanPage(prompt) == 0) {
-      cancel_->RequestCancel();
-    }
+    CancelAfter(KeyScanPage(prompt));
     return completion;
   }
 
@@ -128,7 +136,10 @@ class PageLog : public llm::ForwardingModel {
       pages += (pages.empty() ? "" : " ") + std::to_string(KeyScanPage(p));
     }
     Log("[" + pages + "]");
-    return inner_->CompleteBatchMetered(prompts, usage);
+    Result<std::vector<llm::Completion>> completions =
+        inner_->CompleteBatchMetered(prompts, usage);
+    if (!prompts.empty()) CancelAfter(KeyScanPage(prompts.front()));
+    return completions;
   }
 
   std::vector<std::string> calls() const {
@@ -137,6 +148,10 @@ class PageLog : public llm::ForwardingModel {
   }
 
  private:
+  void CancelAfter(int first_page) {
+    if (cancel_ != nullptr && first_page == 0) cancel_->RequestCancel();
+  }
+
   void Log(std::string call) {
     std::lock_guard<std::mutex> lock(mu_);
     calls_.push_back(std::move(call));
@@ -205,12 +220,46 @@ TEST(ScanPrefetchTest, BatchOnKeepsTheLadderKeysOnEveryTable) {
   EXPECT_GT(sized_scans, 0);
 }
 
+TEST(ScanPrefetchTest, BatchingAddsOnlyTheOverfetchedPagesPerProfile) {
+  // The 46 workload queries, each on a fresh model (seed 7), at batch off
+  // and at batch on in one chunk per phase: the same relation, and batch
+  // on bills batch off's prompts plus exactly the pages its sized scans
+  // bought past their ends. The totals pin that overfetch per profile.
+  struct Case {
+    llm::ModelProfile profile;
+    int64_t overfetched;
+  };
+  for (const Case& c : {Case{llm::ModelProfile::ChatGpt(), 59},
+                        Case{llm::ModelProfile::Gpt3(), 0},
+                        Case{llm::ModelProfile::Flan(), 22},
+                        Case{llm::ModelProfile::Tk(), 39}}) {
+    SCOPED_TRACE(c.profile.name);
+    int64_t overfetched = 0;
+    for (const knowledge::QuerySpec& q : W().queries()) {
+      SCOPED_TRACE(q.sql);
+      llm::SimulatedLlm off_model(&W().kb(), c.profile, &W().catalog(), 7);
+      auto off = GaloisExecutor(&off_model, &W().catalog()).RunSql(q.sql);
+      llm::SimulatedLlm on_model(&W().kb(), c.profile, &W().catalog(), 7);
+      auto on = GaloisExecutor(&on_model, &W().catalog(), Batched())
+                    .RunSql(q.sql);
+      ASSERT_TRUE(off.ok()) << off.status();
+      ASSERT_TRUE(on.ok()) << on.status();
+      EXPECT_TRUE(on->relation.SameContents(off->relation));
+      EXPECT_EQ(on->cost.num_prompts,
+                off->cost.num_prompts + on->scan_pages_overfetched);
+      overfetched += on->scan_pages_overfetched;
+    }
+    EXPECT_EQ(overfetched, c.overfetched);
+  }
+}
+
 TEST(ScanPrefetchTest, FlushesGrowThenTheOnDemandTail) {
-  // Country at page size 5 predicts 10 pages: page 0 alone, then each
-  // flush one page more than the scan has consumed (pages 1-2, 3-6), the
-  // last cut at the prediction (7-9), then the page that ends the scan on
-  // demand. Capped at 5 pages, the prediction is cut to 5 and so is the
-  // second flush (3-4), and the cap ends the scan.
+  // Country at page size 5 fills 10 pages, so the scan predicts 11, the
+  // page that ends it included: pages 0-1, then each flush one page more
+  // than the scan has consumed (2-4, 5-10), the last one ending the scan,
+  // so no page goes on demand. Capped at 5 pages, the prediction is cut
+  // to 5, which the second flush (2-4) reaches, and the cap ends the
+  // scan.
   const catalog::TableDef& def = CountryDef();
   ASSERT_EQ((def.expected_rows + 4) / 5, 10u);
   llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
@@ -220,11 +269,11 @@ TEST(ScanPrefetchTest, FlushesGrowThenTheOnDemandTail) {
                          &stats);
   ASSERT_TRUE(keys.ok()) << keys.status();
   EXPECT_EQ(model.calls(), (std::vector<std::string>{
-                               "0", "[1 2]", "[3 4 5 6]", "[7 8 9]", "10"}));
+                               "[0 1]", "[2 3 4]", "[5 6 7 8 9 10]"}));
   EXPECT_EQ(stats.pages, 11);
-  EXPECT_EQ(stats.flushed, 9);
+  EXPECT_EQ(stats.flushed, 11);
   EXPECT_EQ(stats.batches, 3);
-  EXPECT_EQ(stats.round_trips(), 5);
+  EXPECT_EQ(stats.round_trips(), 3);
   EXPECT_EQ(stats.overfetched, 0);
   EXPECT_EQ(keys->size(), def.expected_rows);
 
@@ -242,31 +291,31 @@ TEST(ScanPrefetchTest, FlushesGrowThenTheOnDemandTail) {
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(*got, *want);
   EXPECT_EQ(capped_model.calls(),
-            (std::vector<std::string>{"0", "[1 2]", "[3 4]"}));
+            (std::vector<std::string>{"[0 1]", "[2 3 4]"}));
   EXPECT_EQ(stats.pages, 5);
-  EXPECT_EQ(stats.flushed, 4);
+  EXPECT_EQ(stats.flushed, 5);
   EXPECT_EQ(stats.overfetched, 0);
   EXPECT_EQ(capped_inner.cost().num_prompts, ladder_inner.cost().num_prompts);
 }
 
 TEST(ScanPrefetchTest, FailedPagePastTheEndStillYieldsTheLadderKeys) {
-  // The overestimated table predicts 20 pages, so the flush of pages 7-14
-  // holds pages past the one that ends the scan (page 10); the first of
-  // them fails, and with it the flush. The scan goes on from page 7 on
-  // demand and ends where the ladder ends, and its pages are what the
-  // model billed, the failed flush's included.
+  // The overestimated table at page size 6 predicts 17 pages, so the
+  // flush of pages 5-10 holds pages past the one that ends the scan (page
+  // 8); the first of them fails, and with it the flush. The scan goes on
+  // from page 5 on demand and ends where the ladder ends, and its pages
+  // are what the model billed, the failed flush's included.
   const catalog::TableDef def = OverestimatedCountryDef();
-  llm::SimulatedLlm ladder_inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  llm::SimulatedLlm ladder_inner(&W().kb(), FullCoverage(6), nullptr, 7);
   KeyScanStats ladder;
   auto want = LlmKeyScan(&ladder_inner, def, ExecutionOptions(),
                          /*filter=*/std::nullopt, &ladder);
   ASSERT_TRUE(want.ok()) << want.status();
-  ASSERT_EQ(ladder.pages, 11);
+  ASSERT_EQ(ladder.pages, 9);
   const int failing_page = ladder.pages;  // one past the ending page
 
   for (size_t max_batch_size : {0, 4}) {
     SCOPED_TRACE("max_batch_size=" + std::to_string(max_batch_size));
-    llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+    llm::SimulatedLlm inner(&W().kb(), FullCoverage(6), nullptr, 7);
     FailingPageModel model(&inner, failing_page);
     KeyScanStats stats;
     auto got = LlmKeyScan(&model, def, Batched(max_batch_size),
@@ -281,11 +330,12 @@ TEST(ScanPrefetchTest, FailedPagePastTheEndStillYieldsTheLadderKeys) {
 
 TEST(ScanPrefetchTest, FailedPageReadsTheSameAtBatchOnAndOff) {
   // Page 3 fails after it billed. The batched scan's second flush (pages
-  // 3-6) holds it and fails with it; the scan then fetches page 3 on
-  // demand, where it fails with the ladder's status, code and message.
-  // The failed flush bills what the model billed: one page as one batch
-  // (the model's CompleteBatch stops at page 3) or as serial one-page
-  // chunks (the first chunk fails), all four as concurrent chunks.
+  // 2-4) holds it and fails with it; the scan then fetches pages 2 and 3
+  // on demand, where page 3 fails with the ladder's status, code and
+  // message. The failed flush bills what the model billed: two pages as
+  // one batch (the model's CompleteBatch stops at page 3) or as serial
+  // one-page chunks (the second chunk fails), all three as concurrent
+  // chunks.
   struct Arm {
     ExecutionOptions options;
     int overfetched;
@@ -294,8 +344,8 @@ TEST(ScanPrefetchTest, FailedPageReadsTheSameAtBatchOnAndOff) {
   ExecutionOptions serial = Batched(1);
   serial.parallel_batches = 1;
   std::vector<Status> errors;
-  for (const Arm& arm : {Arm{ExecutionOptions(), 0}, Arm{Batched(), 1},
-                         Arm{concurrent, 4}, Arm{serial, 1}}) {
+  for (const Arm& arm : {Arm{ExecutionOptions(), 0}, Arm{Batched(), 2},
+                         Arm{concurrent, 3}, Arm{serial, 2}}) {
     SCOPED_TRACE(arm.options.ToString());
     llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
     FailingPageModel model(&inner, /*page=*/3);
@@ -315,6 +365,82 @@ TEST(ScanPrefetchTest, FailedPageReadsTheSameAtBatchOnAndOff) {
     EXPECT_EQ(error.code(), errors[0].code());
     EXPECT_EQ(error.message(), errors[0].message());
   }
+}
+
+TEST(ScanPrefetchTest, PageZeroEndingTheScanOverfetchesOnePage) {
+  // A model that knows no country ends the scan at page 0. The batched
+  // scan's first round trip also bought page 1: one round trip, the
+  // ladder's empty key list, and exactly one page overfetched.
+  llm::ModelProfile blank = FullCoverage(5);
+  blank.coverage_floor = 0.0;
+  llm::SimulatedLlm ladder_model(&W().kb(), blank, nullptr, 7);
+  KeyScanStats ladder;
+  auto want = LlmKeyScan(&ladder_model, CountryDef(), ExecutionOptions(),
+                         /*filter=*/std::nullopt, &ladder);
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_TRUE(want->empty());
+  EXPECT_EQ(ladder.pages, 1);
+
+  llm::SimulatedLlm inner(&W().kb(), blank, nullptr, 7);
+  PageLog model(&inner);
+  KeyScanStats stats;
+  auto got = LlmKeyScan(&model, CountryDef(), Batched(),
+                        /*filter=*/std::nullopt, &stats);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, *want);
+  EXPECT_EQ(model.calls(), std::vector<std::string>{"[0 1]"});
+  EXPECT_EQ(stats.round_trips(), 1);
+  EXPECT_EQ(stats.pages, 2);
+  EXPECT_EQ(stats.overfetched, 1);
+  EXPECT_EQ(inner.cost().num_prompts, ladder_model.cost().num_prompts + 1);
+}
+
+TEST(ScanPrefetchTest, FailedFirstFlushGoesDownTheLadder) {
+  // The first round trip holds pages 0 and 1. When it fails, the scan
+  // goes on demand from page 0 to its end and is not sized again, so no
+  // later flush goes out. Page 0 failing every time ends in the ladder's
+  // status; page 1 failing once ends in the ladder's keys, one page per
+  // round trip, and the failed flush bills both of its pages.
+  llm::SimulatedLlm ladder_inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  FailingPageModel ladder_failing(&ladder_inner, /*page=*/0);
+  auto ladder_error =
+      LlmKeyScan(&ladder_failing, CountryDef(), ExecutionOptions());
+  ASSERT_FALSE(ladder_error.ok());
+
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  FailingPageModel failing(&inner, /*page=*/0);
+  PageLog failing_log(&failing);
+  KeyScanStats stats;
+  auto error = LlmKeyScan(&failing_log, CountryDef(), Batched(),
+                          /*filter=*/std::nullopt, &stats);
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.status().code(), ladder_error.status().code());
+  EXPECT_EQ(error.status().message(), ladder_error.status().message());
+  EXPECT_EQ(failing_log.calls(), (std::vector<std::string>{"[0 1]", "0"}));
+  EXPECT_EQ(stats.overfetched, 1);
+  EXPECT_EQ(inner.cost().num_prompts, stats.pages);
+
+  llm::SimulatedLlm ladder_model(&W().kb(), FullCoverage(5), nullptr, 7);
+  KeyScanStats ladder;
+  auto want = LlmKeyScan(&ladder_model, CountryDef(), ExecutionOptions(),
+                         /*filter=*/std::nullopt, &ladder);
+  ASSERT_TRUE(want.ok()) << want.status();
+  std::vector<std::string> ladder_calls = {"[0 1]"};
+  for (int page = 0; page < ladder.pages; ++page) {
+    ladder_calls.push_back(std::to_string(page));
+  }
+
+  llm::SimulatedLlm flaky_inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  FailingPageModel flaky(&flaky_inner, /*page=*/1, /*failures=*/1);
+  PageLog flaky_log(&flaky);
+  auto got = LlmKeyScan(&flaky_log, CountryDef(), Batched(),
+                        /*filter=*/std::nullopt, &stats);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, *want);
+  EXPECT_EQ(flaky_log.calls(), ladder_calls);
+  EXPECT_EQ(stats.overfetched, 2);
+  EXPECT_EQ(stats.pages - stats.overfetched, ladder.pages);
+  EXPECT_EQ(flaky_inner.cost().num_prompts, stats.pages);
 }
 
 TEST(ScanPrefetchTest, UnsizedScansMakeTheLaddersCalls) {
@@ -369,9 +495,12 @@ TEST(ScanPrefetchTest, CancellationStillReturnsCancelled) {
   EXPECT_EQ(keys.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(model.cost().num_prompts, 0);
 
-  // Cancelled once page 0 is answered: the flush refuses to start, and
-  // the scan then fails at page 1 exactly as the ladder does.
+  // Cancelled once the first round trip is answered: the ladder fails at
+  // page 1; the batched scan consumes pages 0 and 1, its next flush
+  // refuses to start, and it then fails at page 2 with the ladder's
+  // status.
   std::vector<Status> errors;
+  std::vector<std::vector<std::string>> calls;
   for (const ExecutionOptions& base : {ExecutionOptions(), Batched()}) {
     ExecutionOptions cancellable = base;
     cancellable.control = std::make_shared<CancelState>();
@@ -380,8 +509,10 @@ TEST(ScanPrefetchTest, CancellationStillReturnsCancelled) {
     auto got = LlmKeyScan(&logged, CountryDef(), cancellable);
     ASSERT_FALSE(got.ok());
     errors.push_back(got.status());
-    EXPECT_EQ(logged.calls(), std::vector<std::string>{"0"});
+    calls.push_back(logged.calls());
   }
+  EXPECT_EQ(calls[0], std::vector<std::string>{"0"});
+  EXPECT_EQ(calls[1], std::vector<std::string>{"[0 1]"});
   EXPECT_EQ(errors[0].code(), StatusCode::kCancelled);
   EXPECT_EQ(errors[1].code(), errors[0].code());
   EXPECT_EQ(errors[1].message(), errors[0].message());
@@ -392,13 +523,13 @@ TEST(ScanPrefetchTest, OverfetchedPagesLandInThePromptCache) {
   // prompt-cache decorator, so a later scan that *does* want those
   // pages gets them for free.
   const catalog::TableDef def = OverestimatedCountryDef();
-  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(6), nullptr, 7);
   llm::PromptCache cached(&inner);
   KeyScanStats stats;
   auto first = LlmKeyScan(&cached, def, Batched(), /*filter=*/std::nullopt,
                           &stats);
   ASSERT_TRUE(first.ok());
-  ASSERT_GE(stats.overfetched, 1);
+  ASSERT_EQ(stats.overfetched, 2);  // pages 9 and 10
   const int64_t bought = inner.cost().num_prompts;
   EXPECT_EQ(bought, stats.pages);
 
@@ -419,11 +550,11 @@ std::string KeyScanLine(const std::string& physical_plan,
 }
 
 TEST(ScanPrefetchTest, ExplainCountsTheScansRoundTrips) {
-  // City at page size 5 predicts 20 pages; in chunks of 4 the flushes of
-  // pages 1-2, 3-6, 7-14 and 15-19 take 1, 1, 2 and 2 batches, and page 20
-  // ends the scan. Explain reports those 8 round trips, not the 21 pages,
-  // and says what the flushes did; the ladder's Explain reports one round
-  // trip per page and no flush.
+  // City at page size 5 fills 20 pages and predicts 21, page 20 ending
+  // the scan; in chunks of 4 the flushes of pages 0-1, 2-4, 5-10 and
+  // 11-20 take 1, 1, 2 and 3 batches. Explain reports those 7 round
+  // trips, not the 21 pages, and says what the flushes did; the ladder's
+  // Explain reports one round trip per page and no flush.
   const char* sql = "SELECT name FROM city";
   const catalog::TableDef& city = *W().catalog().GetTable("city").value();
   ASSERT_EQ((city.expected_rows + 4) / 5, 20u);
@@ -435,7 +566,7 @@ TEST(ScanPrefetchTest, ExplainCountsTheScansRoundTrips) {
   const std::string ladder_line = KeyScanLine(want->physical_plan, "city");
   EXPECT_NE(ladder_line.find("round trips=21,"), std::string::npos)
       << ladder_line;
-  EXPECT_EQ(ladder_line.find("fetched ahead"), std::string::npos)
+  EXPECT_EQ(ladder_line.find("batches"), std::string::npos)
       << ladder_line;
   EXPECT_EQ(want->scan_pages_prefetched, 0);
 
@@ -445,13 +576,12 @@ TEST(ScanPrefetchTest, ExplainCountsTheScansRoundTrips) {
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_TRUE(want->relation.SameContents(got->relation));
   EXPECT_EQ(got->cost.num_prompts, want->cost.num_prompts);
-  EXPECT_EQ(got->scan_pages_prefetched, 19);
+  EXPECT_EQ(got->scan_pages_prefetched, 21);
   EXPECT_EQ(got->scan_pages_overfetched, 0);
   const std::string line = KeyScanLine(got->physical_plan, "city");
-  EXPECT_NE(line.find("; 19 pages fetched ahead in 6 batches)"),
-            std::string::npos)
+  EXPECT_NE(line.find("; 21 pages sent in 7 batches)"), std::string::npos)
       << line;
-  EXPECT_NE(line.find("round trips=8,"), std::string::npos) << line;
+  EXPECT_NE(line.find("round trips=7,"), std::string::npos) << line;
 }
 
 }  // namespace
