@@ -678,12 +678,16 @@ BENCHMARK(BM_SubsumptionWarmOverlap)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SizedKeyScan(benchmark::State& state) {
-  // range(0) is batch_prompts. The same city scan both arms, ended by the
-  // model: the ladder pays one 5 ms round trip per page, while the sized
-  // scan sends pages 0-1, then the pages the catalog predicts, the page
-  // that ends the scan included, in flushes that grow with the pages
-  // consumed (2-4, 5-10, 11-20), so "round_trips" drops to 4 while
-  // "pages" less "overfetched" stays the ladder's 21.
+  // range(0) is 0 for the ladder, 1 for batch_prompts and 2 for
+  // batch_prompts over learned key-scan lengths. The same city scan every
+  // arm, ended by the model: the ladder pays one 5 ms round trip per page,
+  // while the sized scan sends pages 0-1, then the pages the catalog
+  // predicts, the page that ends the scan included, in flushes that grow
+  // with the pages consumed (2-4, 5-10, 11-20), so "round_trips" drops to
+  // 4 while "pages" less "overfetched" stays the ladder's 21. The learned
+  // arm records that length in an untimed scan before the loop, so every
+  // timed scan, the only one of a one-iteration run included, sends all
+  // 21 pages in one round trip.
   galois::llm::ModelProfile profile = galois::llm::ModelProfile::ChatGpt();
   profile.coverage_floor = 1.0;
   profile.coverage_gain = 0.0;
@@ -696,10 +700,17 @@ void BM_SizedKeyScan(benchmark::State& state) {
   galois::core::ExecutionOptions options;
   options.batch_prompts = state.range(0) != 0;
   const auto& def = *Workload().catalog().GetTable("city").value();
+  galois::core::KeyScanLengths lengths;
+  galois::core::KeyScanLengths* learned = nullptr;
+  if (state.range(0) == 2) {
+    learned = &lengths;
+    galois::core::LlmKeyScan(&model, def, options, std::nullopt, nullptr,
+                             /*key_limit=*/-1, learned);
+  }
   galois::core::KeyScanStats stats;
   for (auto _ : state) {
-    auto keys = galois::core::LlmKeyScan(&model, def, options,
-                                         std::nullopt, &stats);
+    auto keys = galois::core::LlmKeyScan(&model, def, options, std::nullopt,
+                                         &stats, /*key_limit=*/-1, learned);
     benchmark::DoNotOptimize(keys);
   }
   state.counters["pages"] = static_cast<double>(stats.pages);
@@ -710,6 +721,7 @@ void BM_SizedKeyScan(benchmark::State& state) {
 BENCHMARK(BM_SizedKeyScan)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

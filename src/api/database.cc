@@ -258,14 +258,12 @@ llm::LanguageModel* Database::backend(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<std::string> Database::backend_names() const {
-  std::vector<std::string> names;
-  names.reserve(backends_.size());
-  for (const auto& [name, chain] : backends_) {
-    (void)chain;
-    names.push_back(name);
-  }
-  return names;
+core::GaloisExecutor Database::Executor(
+    core::ExecutionOptions options) const {
+  core::GaloisExecutor executor(model_, catalog_, std::move(options));
+  executor.set_materialisation_cache(table_cache_);
+  executor.set_scan_lengths(&scan_lengths_);
+  return executor;
 }
 
 Session Database::CreateSession() const {
@@ -293,9 +291,8 @@ Result<QueryResult> Session::RunSnapshot(
   }
 
   const auto start = std::chrono::steady_clock::now();
-  core::GaloisExecutor executor(db->model_, db->catalog_, snapshot);
-  executor.set_materialisation_cache(db->table_cache_);
-  GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out, executor.RunSql(sql));
+  GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out,
+                          db->Executor(std::move(snapshot)).RunSql(sql));
   QueryResult result{std::move(out)};
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)

@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/galois_executor.h"
+#include "core/llm_operators.h"
 #include "core/materialisation_cache.h"
 #include "core/options.h"
 #include "knowledge/workload.h"
@@ -168,13 +169,14 @@ class Session;
 /// borrows) the catalog, the LanguageModel stack and the shared caches,
 /// and mints Sessions. One Database serves any number of concurrent
 /// sessions; everything it exposes is immutable after Open, so no
-/// locking is needed above the (internally synchronised) caches and
-/// models.
+/// locking is needed above the (internally synchronised) caches, learned
+/// key-scan lengths and models.
 ///
 /// Ownership/lifetime (see docs/ARCHITECTURE.md, "API layer"):
 ///
 ///   Database ──owns──> backends (transport + decorators), router,
-///   │                  materialisation cache, workload (when builtin)
+///   │                  materialisation cache, key-scan lengths,
+///   │                  workload (when builtin)
 ///   └─mints──> Session (borrows the Database; must not outlive it)
 ///        └─returns──> QueryResult (self-contained value, no aliasing)
 class Database {
@@ -212,7 +214,12 @@ class Database {
   /// The chain registered under `name` (for per-backend spend displays);
   /// null when unknown.
   llm::LanguageModel* backend(const std::string& name) const;
-  std::vector<std::string> backend_names() const;
+
+  /// An executor over this Database's model stack and catalog under
+  /// `options`, with the materialisation cache and the learned key-scan
+  /// lengths attached: the one way a Session, galoisd and the cluster
+  /// coordinator run a query against this Database.
+  core::GaloisExecutor Executor(core::ExecutionOptions options) const;
 
   /// The shared cross-query cache; null when disabled.
   core::MaterialisationCache* materialisation_cache() const {
@@ -252,6 +259,10 @@ class Database {
 
   std::unique_ptr<core::MaterialisationCache> owned_table_cache_;
   core::MaterialisationCache* table_cache_ = nullptr;
+
+  /// The lengths of the batched key scans this Database's queries ran
+  /// (core::LlmKeyScan); internally synchronised, like the cache.
+  mutable core::KeyScanLengths scan_lengths_;
 
   /// The persistent store and the sink adapter bridging the cache's
   /// mutation callbacks to it. The ~Database body detaches the sink

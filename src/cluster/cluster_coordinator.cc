@@ -197,9 +197,8 @@ Result<QueryResult> ClusterCoordinator::RunLocal(
     std::lock_guard<std::mutex> lock(mu_);
     ++queries_local_;
   }
-  core::GaloisExecutor executor(db_->model(), &db_->catalog(), snapshot);
-  executor.set_materialisation_cache(db_->materialisation_cache());
-  GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out, executor.RunSql(sql));
+  GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out,
+                          db_->Executor(snapshot).RunSql(sql));
   return QueryResult{std::move(out)};
 }
 
@@ -215,9 +214,8 @@ Result<QueryResult> ClusterCoordinator::Query(
 
   // Scatter plan: parse/plan errors surface here, facade-identically,
   // before anything touches the network.
-  core::GaloisExecutor planner(db_->model(), &db_->catalog(), snapshot);
   GALOIS_ASSIGN_OR_RETURN(std::vector<core::ShardSpec> shards,
-                          planner.PlanShards(sql));
+                          db_->Executor(snapshot).PlanShards(sql));
   if (shards.empty()) {
     GALOIS_ASSIGN_OR_RETURN(QueryResult local, RunLocal(sql, snapshot));
     return finish(std::move(local));
@@ -280,9 +278,9 @@ Result<QueryResult> ClusterCoordinator::Query(
     overlays.push_back({r.value().alias, std::move(r.value().relation)});
   }
 
-  core::GaloisExecutor merger(db_->model(), &db_->catalog(), snapshot);
-  GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out,
-                          merger.RunSqlWithOverlays(sql, std::move(overlays)));
+  GALOIS_ASSIGN_OR_RETURN(
+      core::QueryOutput out,
+      db_->Executor(snapshot).RunSqlWithOverlays(sql, std::move(overlays)));
   cost += out.cost;  // non-LLM residue of the merge run (normally zero)
 
   QueryResult result{std::move(out)};

@@ -91,8 +91,9 @@ Result<QueryOutput> GaloisExecutor::CompileAndExecute(
   GALOIS_ASSIGN_OR_RETURN(
       QueryOutput out,
       shard != nullptr
-          ? physical.ExecuteShard(*shard, &tap, materialisation_cache_)
-          : physical.Execute(&tap, materialisation_cache_));
+          ? physical.ExecuteShard(*shard, &tap, materialisation_cache_,
+                                  scan_lengths_)
+          : physical.Execute(&tap, materialisation_cache_, scan_lengths_));
   out.cost = tap.cost();
   if (shard == nullptr) out.physical_plan = physical.Render();
   return out;

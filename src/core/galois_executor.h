@@ -15,6 +15,7 @@
 
 namespace galois::core {
 
+class KeyScanLengths;
 class MaterialisationCache;
 
 /// The per-query counters that say where a query's LLM cost was avoided,
@@ -38,8 +39,8 @@ class MaterialisationCache;
 ///
 /// Sized key-scan paging (core::LlmKeyScan), both 0 with batch_prompts
 /// off: `scan_pages_prefetched` counts every page the scans sent in
-/// batched flushes, pages 0-1 of each scan's first round trip included,
-/// and `scan_pages_overfetched` the subset the scans did not consume,
+/// batched flushes, each scan's first round trip included, and
+/// `scan_pages_overfetched` the subset the scans did not consume,
 /// past the page that terminated each (paid for, parked in the prompt
 /// cache).
 struct QueryCounters {
@@ -178,10 +179,13 @@ struct ShardRequest : ShardSpec {
 /// materialised, either exactly, by projection from a wider cached
 /// column set, or by predicate subsumption from an entry cached under a
 /// weaker filter (the residual conjuncts re-applied in memory and
-/// billed as a residual-filter operator in the explain DAG).
+/// billed as a residual-filter operator in the explain DAG). KeyScanLengths
+/// attached via set_scan_lengths let a batched key scan send, in its first
+/// round trip, every page an earlier scan of the table needed (see
+/// LlmKeyScan); the keys stay the same, the round trips fall.
 ///
 /// Threading model: the executor is immutable after setup (construction
-/// plus an optional set_materialisation_cache). Run/Execute are const,
+/// plus the optional setters below). Run/Execute are const,
 /// compile a fresh physical plan per call, and keep all per-query state —
 /// meter, trace, operator stats, cache counters — in that plan and the
 /// returned QueryOutput, so one executor instance may run any number of
@@ -248,6 +252,12 @@ class GaloisExecutor {
     return materialisation_cache_;
   }
 
+  /// Attaches the learned key-scan lengths that size and learn from this
+  /// executor's batched key scans (nullptr detaches: every scan sizes
+  /// from page 0). Non-owning and thread-safe, like the cache;
+  /// setup-time only.
+  void set_scan_lengths(KeyScanLengths* lengths) { scan_lengths_ = lengths; }
+
  private:
   /// The one execution step behind Run, RunShard and RunSqlWithOverlays:
   /// bills through a fresh per-query CostTap, checks for cancellation,
@@ -263,6 +273,7 @@ class GaloisExecutor {
   const catalog::Catalog* catalog_;
   ExecutionOptions options_;
   MaterialisationCache* materialisation_cache_ = nullptr;
+  KeyScanLengths* scan_lengths_ = nullptr;
 };
 
 }  // namespace galois::core

@@ -99,13 +99,38 @@ std::vector<llm::Completion> FlushScanPages(llm::BatchScheduler* scheduler,
   return {};
 }
 
+/// The KeyScanLengths key of a scan: everything that decides its prompts
+/// and answers.
+std::string ScanLengthKey(const catalog::TableDef& table,
+                          const std::string& model, int max_scan_pages) {
+  return table.name + '\0' + table.entity_type + '\0' + table.key_column +
+         '\0' + model + '\0' + std::to_string(max_scan_pages);
+}
+
 }  // namespace
+
+int KeyScanLengths::Find(const catalog::TableDef& table,
+                         const std::string& model,
+                         int max_scan_pages) const {
+  const std::string key = ScanLengthKey(table, model, max_scan_pages);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pages_.find(key);
+  return it == pages_.end() ? 0 : it->second;
+}
+
+void KeyScanLengths::Record(const catalog::TableDef& table,
+                            const std::string& model, int max_scan_pages,
+                            int pages) {
+  std::string key = ScanLengthKey(table, model, max_scan_pages);
+  std::lock_guard<std::mutex> lock(mu_);
+  pages_[std::move(key)] = pages;
+}
 
 Result<std::vector<std::string>> LlmKeyScan(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const ExecutionOptions& options,
     const std::optional<llm::PromptFilter>& filter, KeyScanStats* stats,
-    int64_t key_limit) {
+    int64_t key_limit, KeyScanLengths* lengths) {
   KeyScanStats unused;
   KeyScanStats& s = stats != nullptr ? *stats : unused;
   s = KeyScanStats{};
@@ -118,27 +143,38 @@ Result<std::vector<std::string>> LlmKeyScan(
   // trip past the satisfying page.
   const bool sized = options.batch_prompts && !filter.has_value() &&
                      key_limit < 0 && table.expected_rows > 0;
+  const bool learns = sized && lengths != nullptr;
+  if (learns) {
+    s.learned = lengths->Find(table, model->name(), options.max_scan_pages);
+  }
   // A sized scan predicts pages 0 .. predicted - 1, capped by
-  // max_scan_pages: pages 0-1 until page 0 shows the page size (the
-  // ladder buys page 1 whenever page 0 brings a new key), then the pages
-  // that hold the catalog's count and the page that ends the scan.
-  // Whenever the pages sent run out inside the prediction, the next ones
-  // go out in one flush, one more than the scan has consumed (pages 0-1,
-  // then 2-4, then 5-10, ...), so a model that ends its scan before the
-  // catalog's count buys fewer pages past the end than it consumed, or
-  // one when page 0 ends the scan. A failed flush is not the scan's
-  // error: the scan goes on demand, unsized, from the failed flush's
-  // first page to its end.
-  int predicted = sized ? std::min(2, options.max_scan_pages) : 0;
-  std::vector<llm::Completion> ahead;  // from the last flush
-  size_t next = 0;                     // ahead[next] answers `page`
+  // max_scan_pages: the length an earlier scan of the table ended at, or
+  // pages 0-1 until page 0 shows the page size (the ladder buys page 1
+  // whenever page 0 brings a new key), then the longer of that length
+  // and the pages that hold the catalog's count and the page that ends
+  // the scan. The first round trip sends every page predicted before
+  // page 0. Whenever the pages sent run out inside the prediction, the
+  // next ones go out in one flush, one more than the scan has consumed
+  // (pages 0-1, then 2-4, then 5-10, ...), so a model that ends its scan
+  // before the catalog's count buys fewer pages past the end than it
+  // consumed, or one when page 0 ends the scan. A failed flush is not
+  // the scan's error: the scan goes on demand, unsized, from the failed
+  // flush's first page to its end.
+  int predicted = 0;
+  if (sized) {
+    predicted = s.learned > 0 ? s.learned : std::min(2, options.max_scan_pages);
+  }
+  int length = options.max_scan_pages;  // unless a page ends the scan
+  std::vector<llm::Completion> ahead;   // from the last flush
+  size_t next = 0;                      // ahead[next] answers `page`
   for (int page = 0; page < options.max_scan_pages; ++page) {
     // LIMIT-bounded paging stops buying pages once enough keys are
     // scanned for the downstream Limit operator to be satisfiable.
     if (key_limit >= 0 && static_cast<int64_t>(keys.size()) >= key_limit) {
       break;
     }
-    const int last = std::min(std::max(2 * page, 1), predicted - 1);
+    const int last =
+        page == 0 ? predicted - 1 : std::min(2 * page, predicted - 1);
     if (next == ahead.size() && last > page) {
       ahead = FlushScanPages(&scheduler, model, table, page, last, &s);
       next = 0;
@@ -155,13 +191,19 @@ Result<std::vector<std::string>> LlmKeyScan(
     }
     if (!ConsumeScanPage(completion, &keys, &seen)) {
       s.overfetched += static_cast<int>(ahead.size() - next);
+      length = page + 1;
       break;
     }
     if (page == 0 && predicted > 0) {
-      predicted = static_cast<int>(std::min<size_t>(
-          (table.expected_rows + keys.size() - 1) / keys.size() + 1,
-          static_cast<size_t>(options.max_scan_pages)));
+      predicted = std::max(
+          s.learned,
+          static_cast<int>(std::min<size_t>(
+              (table.expected_rows + keys.size() - 1) / keys.size() + 1,
+              static_cast<size_t>(options.max_scan_pages))));
     }
+  }
+  if (learns) {
+    lengths->Record(table, model->name(), options.max_scan_pages, length);
   }
   return keys;
 }

@@ -2,8 +2,10 @@
 #define GALOIS_CORE_LLM_OPERATORS_H_
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -40,24 +42,53 @@ llm::BatchPolicy BatchPolicyFor(const ExecutionOptions& options);
 
 /// Paging accounting of one LlmKeyScan. `pages` counts the page prompts
 /// the scan sent. `flushed` counts those sent in the sized scan's
-/// flushes, pages 0-1 of its first round trip included, and `batches`
-/// the CompleteBatch round trips the scheduler dispatched for them.
+/// flushes, its first round trip included, and `batches` the
+/// CompleteBatch round trips the scheduler dispatched for them.
 /// `overfetched` counts the flushed pages the scan did not consume: the
 /// pages past the one that ended the scan, and every page of a failed
 /// flush. A failed flush counts only the pages the model's meter billed
 /// for it, so over a model without a prompt cache `pages` is the meter's
 /// prompt count. Overfetched pages were billed, and their completions
 /// stay in any prompt-cache decorator, so a later scan of the same table
-/// gets them for free.
+/// gets them for free. `learned` is the length, read from a
+/// KeyScanLengths, that sized the scan's first round trip; 0 when no
+/// earlier scan did.
 struct KeyScanStats {
   int pages = 0;
   int flushed = 0;
   int batches = 0;
   int overfetched = 0;
+  int learned = 0;
 
   /// Round trips of the scan: each page fetched on its own (the
   /// on-demand pages) and each flush batch.
   int round_trips() const { return pages - flushed + batches; }
+};
+
+/// The lengths of the sized key scans that have ended, learned from the
+/// model's own answers: per table, model and max_scan_pages, the pages up
+/// to and including the page that ended the latest such scan, or
+/// max_scan_pages when no page did. A scan's key is what decides its
+/// prompts and answers: the table's name, entity type and key column, the
+/// scan model's name() and max_scan_pages. The latest length wins, so a
+/// changed model costs one mis-sized scan. A galois::Database owns one and
+/// hands it to every query's plan beside the materialisation cache; a
+/// caller that passes none scans as if no scan had run before.
+/// Thread-safe.
+class KeyScanLengths {
+ public:
+  /// The recorded length of a scan of `table` by a model named `model`
+  /// capped at `max_scan_pages`; 0 when none is recorded.
+  int Find(const catalog::TableDef& table, const std::string& model,
+           int max_scan_pages) const;
+
+  /// Records `pages` as the length of that scan.
+  void Record(const catalog::TableDef& table, const std::string& model,
+              int max_scan_pages, int pages);
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, int> pages_;
 };
 
 /// Leaf data access: retrieves the set of key-attribute values of `table`
@@ -85,10 +116,20 @@ struct KeyScanStats {
 /// off, for a `filter` scan, for a LIMIT-bounded scan and for a table
 /// whose expected_rows is 0.
 ///
+/// A sized scan over `lengths` that finds its table there, at length L,
+/// sends pages 0 .. L-1 in its first round trip instead, and page 0 then
+/// predicts the longer of L and the catalog's estimate; a scan that runs
+/// past both goes on in the growing flushes. A sized scan that ends, the
+/// failed-flush case below included, records its length in `lengths`; a
+/// scan that fails or is cancelled records nothing, and unsized scans
+/// neither read nor write it. So the prompts and round trips of a sized
+/// scan depend on the scans before it, and its keys never do.
+///
 /// Either way the keys are the ladder's. A flush also buys the pages past
-/// the one that ends the scan (they bill, see KeyScanStats), but fewer
-/// than the scan consumed, because each flush is at most one page larger
-/// than the pages before it, or one page when page 0 ends the scan. A
+/// the one that ends the scan (they bill, see KeyScanStats): fewer than
+/// the scan consumed, because each flush is at most one page larger than
+/// the pages before it, or one page when page 0 ends the scan, and at
+/// most L minus the pages consumed for a learned first round trip. A
 /// failed flush, the first one included, is not the scan's error: the
 /// scan goes on demand, unsized, from that flush's first page to its end,
 /// so it ends with the ladder's keys or the ladder's Status, code and
@@ -103,7 +144,8 @@ Result<std::vector<std::string>> LlmKeyScan(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const ExecutionOptions& options,
     const std::optional<llm::PromptFilter>& filter = std::nullopt,
-    KeyScanStats* stats = nullptr, int64_t key_limit = -1);
+    KeyScanStats* stats = nullptr, int64_t key_limit = -1,
+    KeyScanLengths* lengths = nullptr);
 
 /// Attribute-retrieval phase: fetches `column` of every entity in `keys`
 /// through the batch scheduler and converts each completion to a typed

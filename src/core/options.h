@@ -56,11 +56,14 @@ struct ExecutionOptions {
   /// behaviour. Either way, every retrieval phase is dispatched through
   /// llm::BatchScheduler, which also dedupes repeated prompt texts within
   /// a phase (repeated keys from a join are billed once). The key scan
-  /// batches too: its first round trip carries pages 0 and 1, then the
-  /// pages the catalog's expected_rows predicts, the one that ends the
-  /// scan included, travel in flushes that grow with the pages consumed,
-  /// and the pages the scan did not need past the one that ended it still
-  /// bill (core::LlmKeyScan).
+  /// batches too: its first round trip carries pages 0 and 1, or every
+  /// page the Database's last scan of the table needed (its learned
+  /// length, core::KeyScanLengths), then the pages the catalog's
+  /// expected_rows predicts, the one that ends the scan included, travel
+  /// in flushes that grow with the pages consumed, and the pages the scan
+  /// did not need past the one that ended it still bill
+  /// (core::LlmKeyScan). So a batched scan's prompts and round trips
+  /// depend on the Database's earlier scans; its keys never do.
   bool batch_prompts = false;
 
   /// Upper bound on prompts per CompleteBatch round trip when

@@ -623,6 +623,7 @@ Result<Relation> PhysicalPlan::MaterialiseDb(TableGroup& group) {
 
 Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
                                               llm::LanguageModel* model,
+                                              KeyScanLengths* scan_lengths,
                                               ExecutionTrace* trace) {
   const catalog::TableDef& def = *group.def;
   GALOIS_ASSIGN_OR_RETURN(size_t key_idx, def.KeyIndex());
@@ -640,20 +641,26 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   GALOIS_ASSIGN_OR_RETURN(
       std::vector<std::string> keys,
       LlmKeyScan(&scan_tap, def, options_, scan_filter, &group.scan_stats,
-                 group.key_limit));
+                 group.key_limit, scan_lengths));
   FinishLlmOp(group.scan_node, scan_tap, keys.size());
   // Pages share round trips once some travel in flushes, so the scan
-  // counts its own, and the label says what the flushes did.
+  // counts its own, and the label says what the flushes did and whether
+  // an earlier scan sized the first one.
   const KeyScanStats& paging = group.scan_stats;
   group.scan_node->stats.round_trips = paging.round_trips();
+  std::string& label = group.scan_node->label;
   if (paging.flushed > 0) {
-    std::string& label = group.scan_node->label;
     label.insert(label.rfind(')'),
                  "; " + std::to_string(paging.flushed) +
                      " pages sent in " +
                      (paging.batches == 1
                           ? std::string("one batch")
                           : std::to_string(paging.batches) + " batches"));
+  }
+  if (paging.learned > 0) {
+    label.insert(label.rfind(')'),
+                 "; length " + std::to_string(paging.learned) +
+                     " learned from an earlier scan");
   }
 
   // 2a. Optional critic pass over the scanned keys: "Is it true that the
@@ -792,7 +799,8 @@ void PhysicalPlan::InsertResidualNode(TableGroup& group,
 
 Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     const std::vector<size_t>& groups, llm::LanguageModel* model,
-    MaterialisationCache* cache, QueryOutput* out) {
+    MaterialisationCache* cache, KeyScanLengths* scan_lengths,
+    QueryOutput* out) {
   // Provenance runs bypass the cache: a hit cannot replay the per-cell
   // prompt/completion trace the caller asked for.
   const bool use_cache = cache != nullptr && !options_.record_provenance;
@@ -892,8 +900,8 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     TableGroup* group = &groups_[groups[pending[t]]];
     ExecutionTrace* trace = &traces[t];
     tasks.push_back(StartPhaseTask<Result<Relation>>(
-        options_.budget, t, [this, model, group, trace] {
-          return MaterialiseLlm(*group, model, trace);
+        options_.budget, t, [this, model, scan_lengths, group, trace] {
+          return MaterialiseLlm(*group, model, scan_lengths, trace);
         }));
   }
   GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> fresh,
@@ -924,13 +932,15 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
 }
 
 Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
-                                          MaterialisationCache* cache) {
+                                          MaterialisationCache* cache,
+                                          KeyScanLengths* scan_lengths) {
   FitToModel(*model, &options_);
   QueryOutput out;
   std::vector<size_t> all(groups_.size());
   std::iota(all.begin(), all.end(), size_t{0});
-  GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> rels,
-                          MaterialiseAll(all, model, cache, &out));
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<Relation> rels,
+      MaterialiseAll(all, model, cache, scan_lengths, &out));
   GALOIS_RETURN_IF_ERROR(CheckCancel(options_.control));
 
   // Relational tail: the same stages, in the same order, as the
@@ -1031,7 +1041,8 @@ void PhysicalPlan::SetOverlays(std::vector<TableOverlay> overlays) {
 
 Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardSpec& shard,
                                                llm::LanguageModel* model,
-                                               MaterialisationCache* cache) {
+                                               MaterialisationCache* cache,
+                                               KeyScanLengths* scan_lengths) {
   FitToModel(*model, &options_);
   size_t index = 0;
   while (index < groups_.size() && groups_[index].alias != shard.alias) {
@@ -1060,8 +1071,9 @@ Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardSpec& shard,
   }
 
   QueryOutput out;
-  GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> rels,
-                          MaterialiseAll({index}, model, cache, &out));
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<Relation> rels,
+      MaterialiseAll({index}, model, cache, scan_lengths, &out));
   out.relation = std::move(rels[0]);
   return out;
 }

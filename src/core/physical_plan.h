@@ -121,8 +121,10 @@ class PhysicalPlan {
   PhysicalPlan& operator=(PhysicalPlan&&) = default;
 
   /// Runs the plan to completion against `model` (the query's CostTap —
-  /// every prompt of every operator bills through it) and an optional
-  /// materialisation cache. Returns the relation, provenance trace and
+  /// every prompt of every operator bills through it), an optional
+  /// materialisation cache and optional learned key-scan lengths, which
+  /// size the plan's batched key scans and learn from them (see
+  /// LlmKeyScan). Returns the relation, provenance trace and
   /// cache counters; QueryOutput::cost and ::physical_plan are the
   /// caller's to fill (it owns the tap and the render timing). Call at
   /// most once per compiled plan.
@@ -134,7 +136,8 @@ class PhysicalPlan {
   /// of parallel_batches - 1 pool slots (ExecutionOptions::budget).
   /// ExecuteShard does the same.
   Result<QueryOutput> Execute(llm::LanguageModel* model,
-                              MaterialisationCache* cache);
+                              MaterialisationCache* cache,
+                              KeyScanLengths* scan_lengths = nullptr);
 
   /// Lists the plan's LLM base tables as shard specs, in FROM order
   /// (see ShardSpec in galois_executor.h).
@@ -149,11 +152,12 @@ class PhysicalPlan {
 
   /// Executes exactly one shard: validates the compiled group aliased
   /// `shard.alias` against the shard's spec, then materialises that
-  /// group through the same table step as Execute (cache included), and
-  /// nothing else. See GaloisExecutor::RunShard.
+  /// group through the same table step as Execute (cache and scan
+  /// lengths included), and nothing else. See GaloisExecutor::RunShard.
   Result<QueryOutput> ExecuteShard(const ShardSpec& shard,
                                    llm::LanguageModel* model,
-                                   MaterialisationCache* cache);
+                                   MaterialisationCache* cache,
+                                   KeyScanLengths* scan_lengths);
 
   /// Indented tree rendering with per-operator statistics, e.g.
   ///   Limit 5  [rows=5]
@@ -229,6 +233,7 @@ class PhysicalPlan {
   Result<Relation> MaterialiseDb(TableGroup& group);
   Result<Relation> MaterialiseLlm(TableGroup& group,
                                   llm::LanguageModel* model,
+                                  KeyScanLengths* scan_lengths,
                                   ExecutionTrace* trace);
   /// The table step: materialises groups_[i] for each i in `groups`
   /// (an overlay, a DB instance, a cache hit or the LLM phases) and
@@ -236,7 +241,8 @@ class PhysicalPlan {
   /// ExecuteShard the one it validated.
   Result<std::vector<Relation>> MaterialiseAll(
       const std::vector<size_t>& groups, llm::LanguageModel* model,
-      MaterialisationCache* cache, QueryOutput* out);
+      MaterialisationCache* cache, KeyScanLengths* scan_lengths,
+      QueryOutput* out);
 
   planner::PlanNodePtr plan_;  // owns every expression the spec borrows
   const catalog::Catalog* catalog_ = nullptr;

@@ -104,14 +104,6 @@ Status ModelRouter::ConfigureRoutes(
   return Status::OK();
 }
 
-std::vector<std::string> ModelRouter::backend_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(backends_.size());
-  for (const Backend& b : backends_) names.push_back(b.backend_name);
-  return names;
-}
-
 std::map<std::string, std::string> ModelRouter::routes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::string> out;
@@ -119,13 +111,6 @@ std::map<std::string, std::string> ModelRouter::routes() const {
     out[phase] = backends_[index].backend_name;
   }
   return out;
-}
-
-const std::string& ModelRouter::default_backend() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  static const std::string kNone;
-  return backends_.empty() ? kNone
-                           : backends_[default_index_].backend_name;
 }
 
 LanguageModel* ModelRouter::BackendForLocked(

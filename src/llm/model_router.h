@@ -71,12 +71,9 @@ class ModelRouter : public LanguageModel {
   /// routes first). On error the previous routes are restored.
   Status ConfigureRoutes(const std::map<std::string, std::string>& routes);
 
-  /// Registered backend names, in registration order.
-  std::vector<std::string> backend_names() const;
   /// Current routes as phase -> backend name (unrouted phases use the
   /// default and are absent).
   std::map<std::string, std::string> routes() const;
-  const std::string& default_backend() const;
 
   /// The backend a prompt with `intent` would be sent to (nullptr before
   /// any backend is registered).

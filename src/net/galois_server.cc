@@ -245,15 +245,14 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
 
   // Shards execute under the node's own default options (the remote
   // execution contract: options do not travel), through the node's
-  // materialisation cache, billing through a per-shard CostTap so the
-  // response meter is exactly this shard's spend.
+  // materialisation cache and key-scan lengths, billing through a
+  // per-shard CostTap so the response meter is exactly this shard's spend.
   core::ExecutionOptions snapshot = db_->default_options();
   snapshot.control = control;
-  core::GaloisExecutor executor(db_->model(), &db_->catalog(), snapshot);
-  executor.set_materialisation_cache(db_->materialisation_cache());
 
   const core::ShardRequest& shard = request.value();
-  Result<core::QueryOutput> out = executor.RunShard(shard);
+  Result<core::QueryOutput> out =
+      db_->Executor(std::move(snapshot)).RunShard(shard);
   ReleaseQuery();
 
   if (!out.ok()) {

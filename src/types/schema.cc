@@ -1,5 +1,7 @@
 #include "types/schema.h"
 
+#include <optional>
+
 #include "common/strings.h"
 
 namespace galois {
@@ -38,12 +40,6 @@ Result<size_t> Schema::ResolveQualified(const std::string& table,
                              "' not found in schema [" + ToString() + "]");
   }
   return *found;
-}
-
-std::optional<size_t> Schema::Find(const std::string& name) const {
-  auto r = Resolve(name);
-  if (!r.ok()) return std::nullopt;
-  return r.value();
 }
 
 Schema Schema::Concat(const Schema& left, const Schema& right) {

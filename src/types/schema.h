@@ -1,7 +1,6 @@
 #ifndef GALOIS_TYPES_SCHEMA_H_
 #define GALOIS_TYPES_SCHEMA_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,9 +49,6 @@ class Schema {
   /// Like Resolve with an explicit table qualifier ("" = unqualified).
   Result<size_t> ResolveQualified(const std::string& table,
                                   const std::string& name) const;
-
-  /// Index lookup without error machinery (nullopt if missing/ambiguous).
-  std::optional<size_t> Find(const std::string& name) const;
 
   /// Concatenates two schemas (join output).
   static Schema Concat(const Schema& left, const Schema& right);

@@ -8,7 +8,11 @@
 // bills what the model billed, unsized scans (LIMIT-bounded, pushed
 // filter, no row estimate) make the ladder's calls, cancellation still
 // cuts the scan off, overfetched pages land in a prompt cache, and
-// Explain counts the scan's round trips, not its pages.
+// Explain counts the scan's round trips, not its pages. Over learned
+// key-scan lengths, a sized scan sends the pages its table's last scan
+// needed in its first round trip, goes on in growing flushes past them,
+// records its own length when it ends, and unsized scans leave the
+// record alone.
 
 #include <gtest/gtest.h>
 
@@ -582,6 +586,253 @@ TEST(ScanPrefetchTest, ExplainCountsTheScansRoundTrips) {
   EXPECT_NE(line.find("; 21 pages sent in 7 batches)"), std::string::npos)
       << line;
   EXPECT_NE(line.find("round trips=7,"), std::string::npos) << line;
+}
+
+/// The ladder's calls for `pages` pages: one page per round trip.
+std::vector<std::string> OnDemand(int pages) {
+  std::vector<std::string> calls;
+  for (int page = 0; page < pages; ++page) {
+    calls.push_back(std::to_string(page));
+  }
+  return calls;
+}
+
+/// One batch call of pages 0 .. pages - 1.
+std::string Batch(int pages) {
+  std::string call = "[0";
+  for (int page = 1; page < pages; ++page) call += " " + std::to_string(page);
+  return call + "]";
+}
+
+/// The ladder's keys of the country table at page size 5, which page 10
+/// ends (11 pages).
+std::vector<std::string> LadderCountryKeys() {
+  llm::SimulatedLlm model(&W().kb(), FullCoverage(5), nullptr, 7);
+  KeyScanStats stats;
+  auto keys = LlmKeyScan(&model, CountryDef(), ExecutionOptions(),
+                         /*filter=*/std::nullopt, &stats);
+  EXPECT_TRUE(keys.ok()) << keys.status();
+  EXPECT_EQ(stats.pages, 11);
+  return keys.ok() ? *keys : std::vector<std::string>{};
+}
+
+const int kMaxScanPages = ExecutionOptions().max_scan_pages;
+
+TEST(ScanPrefetchTest, LearnedScanGoesOutInOneRoundTrip) {
+  // The first sized scan of country at page size 5 records its 11 pages;
+  // the next one sends pages 0-10 in its first round trip, which ends
+  // the scan: one round trip, nothing overfetched, the ladder's keys.
+  const std::vector<std::string> want = LadderCountryKeys();
+  KeyScanLengths lengths;
+  llm::SimulatedLlm first_inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  PageLog first(&first_inner);
+  KeyScanStats stats;
+  auto learning = LlmKeyScan(&first, CountryDef(), Batched(),
+                             /*filter=*/std::nullopt, &stats,
+                             /*key_limit=*/-1, &lengths);
+  ASSERT_TRUE(learning.ok()) << learning.status();
+  EXPECT_EQ(*learning, want);
+  EXPECT_EQ(first.calls(), (std::vector<std::string>{
+                               "[0 1]", "[2 3 4]", "[5 6 7 8 9 10]"}));
+  EXPECT_EQ(stats.learned, 0);
+  EXPECT_EQ(lengths.Find(CountryDef(), first.name(), kMaxScanPages), 11);
+
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  PageLog model(&inner);
+  auto got = LlmKeyScan(&model, CountryDef(), Batched(),
+                        /*filter=*/std::nullopt, &stats, /*key_limit=*/-1,
+                        &lengths);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, want);
+  EXPECT_EQ(model.calls(), std::vector<std::string>{Batch(11)});
+  EXPECT_EQ(stats.learned, 11);
+  EXPECT_EQ(stats.round_trips(), 1);
+  EXPECT_EQ(stats.pages, 11);
+  EXPECT_EQ(stats.overfetched, 0);
+  EXPECT_EQ(lengths.Find(CountryDef(), model.name(), kMaxScanPages), 11);
+}
+
+TEST(ScanPrefetchTest, ShortLengthGoesOnInGrowingFlushes) {
+  // A recorded length of 3 sends pages 0-2 first; page 0 still predicts
+  // the catalog's 11 pages, so the scan goes on one page more than it
+  // has consumed (3-6, then 7-10), not one page at a time, and records
+  // the 11 pages it took.
+  KeyScanLengths lengths;
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  PageLog model(&inner);
+  lengths.Record(CountryDef(), model.name(), kMaxScanPages, 3);
+  KeyScanStats stats;
+  auto got = LlmKeyScan(&model, CountryDef(), Batched(),
+                        /*filter=*/std::nullopt, &stats, /*key_limit=*/-1,
+                        &lengths);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, LadderCountryKeys());
+  EXPECT_EQ(model.calls(), (std::vector<std::string>{
+                               "[0 1 2]", "[3 4 5 6]", "[7 8 9 10]"}));
+  EXPECT_EQ(stats.learned, 3);
+  EXPECT_EQ(stats.overfetched, 0);
+  EXPECT_EQ(lengths.Find(CountryDef(), model.name(), kMaxScanPages), 11);
+}
+
+TEST(ScanPrefetchTest, LongLengthOverfetchesTheExtraPages) {
+  // A recorded length of 14 sends pages 0-13 in one round trip; page 10
+  // ends the scan, so exactly pages 11-13 are overfetched, and the scan
+  // records its 11 pages.
+  KeyScanLengths lengths;
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  PageLog model(&inner);
+  lengths.Record(CountryDef(), model.name(), kMaxScanPages, 14);
+  KeyScanStats stats;
+  auto got = LlmKeyScan(&model, CountryDef(), Batched(),
+                        /*filter=*/std::nullopt, &stats, /*key_limit=*/-1,
+                        &lengths);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, LadderCountryKeys());
+  EXPECT_EQ(model.calls(), std::vector<std::string>{Batch(14)});
+  EXPECT_EQ(stats.round_trips(), 1);
+  EXPECT_EQ(stats.overfetched, 3);
+  EXPECT_EQ(inner.cost().num_prompts, 14);
+  EXPECT_EQ(lengths.Find(CountryDef(), model.name(), kMaxScanPages), 11);
+}
+
+TEST(ScanPrefetchTest, FailedLearnedFlushGoesDownTheLadder) {
+  // Page 1 fails once, so the learned first round trip (pages 0-13)
+  // fails after billing pages 0 and 1. The scan goes on demand from page
+  // 0 without sizing itself again, ends with the ladder's keys in the
+  // ladder's calls, and records the ladder's length.
+  KeyScanLengths lengths;
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  FailingPageModel flaky(&inner, /*page=*/1, /*failures=*/1);
+  PageLog model(&flaky);
+  lengths.Record(CountryDef(), model.name(), kMaxScanPages, 14);
+  KeyScanStats stats;
+  auto got = LlmKeyScan(&model, CountryDef(), Batched(),
+                        /*filter=*/std::nullopt, &stats, /*key_limit=*/-1,
+                        &lengths);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, LadderCountryKeys());
+  std::vector<std::string> calls = {Batch(14)};
+  for (const std::string& call : OnDemand(11)) calls.push_back(call);
+  EXPECT_EQ(model.calls(), calls);
+  EXPECT_EQ(stats.overfetched, 2);
+  EXPECT_EQ(stats.pages - stats.overfetched, 11);
+  EXPECT_EQ(inner.cost().num_prompts, stats.pages);
+  EXPECT_EQ(lengths.Find(CountryDef(), model.name(), kMaxScanPages), 11);
+}
+
+TEST(ScanPrefetchTest, UnsizedScansNeitherReadNorRecordALength) {
+  // A LIMIT-bounded scan, a scan with a pushed-down filter, a scan at
+  // batch off and a table without a row estimate (the same key as
+  // country's) make the ladder's calls over a recorded length of 3 and
+  // leave it as it is.
+  llm::PromptFilter europe;
+  europe.attribute = "continent";
+  europe.op = "=";
+  europe.value = Value::String("Europe");
+  catalog::TableDef unestimated = CountryDef();
+  unestimated.expected_rows = 0;
+  struct Case {
+    const char* name;
+    const catalog::TableDef* def;
+    ExecutionOptions options;
+    std::optional<llm::PromptFilter> filter;
+    int64_t key_limit;
+  };
+  KeyScanLengths lengths;
+  const std::string model_name = FullCoverage(5).name;
+  lengths.Record(CountryDef(), model_name, kMaxScanPages, 3);
+  for (const Case& c :
+       {Case{"limit", &CountryDef(), Batched(), std::nullopt, 7},
+        Case{"filter", &CountryDef(), Batched(), europe, -1},
+        Case{"batch off", &CountryDef(), ExecutionOptions(), std::nullopt,
+             -1},
+        Case{"no estimate", &unestimated, Batched(), std::nullopt, -1}}) {
+    SCOPED_TRACE(c.name);
+    llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), &W().catalog(), 7);
+    PageLog model(&inner);
+    KeyScanStats stats;
+    auto got = LlmKeyScan(&model, *c.def, c.options, c.filter, &stats,
+                          c.key_limit, &lengths);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(stats.learned, 0);
+    EXPECT_EQ(stats.flushed, 0);
+    EXPECT_EQ(model.calls(), OnDemand(stats.pages));
+    EXPECT_EQ(lengths.Find(CountryDef(), model_name, kMaxScanPages), 3);
+  }
+}
+
+TEST(ScanPrefetchTest, LengthsAreKeyedByModelAndPageCap) {
+  // A length recorded at one max_scan_pages or by one model sizes no
+  // scan at another cap or by another model: each starts with pages 0-1
+  // and records its own length. A scan that reaches the cap without an
+  // ending page records the cap.
+  KeyScanLengths lengths;
+  const std::string model_name = FullCoverage(5).name;
+  lengths.Record(CountryDef(), model_name, kMaxScanPages, 11);
+
+  ExecutionOptions recapped = Batched();
+  recapped.max_scan_pages = 12;
+  llm::ModelProfile renamed = FullCoverage(5);
+  renamed.name = "another-model";
+  struct Case {
+    const char* name;
+    llm::ModelProfile profile;
+    ExecutionOptions options;
+  };
+  for (const Case& c : {Case{"cap 12", FullCoverage(5), recapped},
+                        Case{"another model", renamed, Batched()}}) {
+    SCOPED_TRACE(c.name);
+    llm::SimulatedLlm inner(&W().kb(), c.profile, nullptr, 7);
+    PageLog model(&inner);
+    KeyScanStats stats;
+    auto got = LlmKeyScan(&model, CountryDef(), c.options,
+                          /*filter=*/std::nullopt, &stats, /*key_limit=*/-1,
+                          &lengths);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(stats.learned, 0);
+    ASSERT_FALSE(model.calls().empty());
+    EXPECT_EQ(model.calls().front(), "[0 1]");
+    EXPECT_EQ(lengths.Find(CountryDef(), c.profile.name,
+                           c.options.max_scan_pages),
+              11);
+  }
+
+  ExecutionOptions capped = Batched();
+  capped.max_scan_pages = 5;
+  llm::SimulatedLlm inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  ASSERT_TRUE(LlmKeyScan(&inner, CountryDef(), capped,
+                         /*filter=*/std::nullopt, /*stats=*/nullptr,
+                         /*key_limit=*/-1, &lengths)
+                  .ok());
+  EXPECT_EQ(lengths.Find(CountryDef(), model_name, 5), 5);
+  EXPECT_EQ(lengths.Find(CountryDef(), model_name, kMaxScanPages), 11);
+}
+
+TEST(ScanPrefetchTest, ExplainSaysAnEarlierScanSizedTheFirstFlush) {
+  // City at page size 5 takes 21 pages. Over an executor's scan lengths
+  // the first run learns them, and the second sends all 21 in one round
+  // trip, which its Explain line says came from the earlier scan.
+  const char* sql = "SELECT name FROM city";
+  KeyScanLengths lengths;
+  llm::SimulatedLlm model(&W().kb(), FullCoverage(5), &W().catalog(), 7);
+  GaloisExecutor executor(&model, &W().catalog(), Batched());
+  executor.set_scan_lengths(&lengths);
+  auto first = executor.RunSql(sql);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const std::string first_line = KeyScanLine(first->physical_plan, "city");
+  EXPECT_EQ(first_line.find("learned"), std::string::npos) << first_line;
+
+  auto second = executor.RunSql(sql);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->relation.SameContents(first->relation));
+  EXPECT_EQ(second->scan_pages_prefetched, 21);
+  EXPECT_EQ(second->scan_pages_overfetched, 0);
+  const std::string line = KeyScanLine(second->physical_plan, "city");
+  EXPECT_NE(line.find("; 21 pages sent in one batch; length 21 learned "
+                      "from an earlier scan)"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("round trips=1,"), std::string::npos) << line;
 }
 
 }  // namespace
